@@ -15,7 +15,6 @@
 //   }
 #pragma once
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -24,37 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
+
 namespace pmiot::bench {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-inline std::string json_number(double v) {
-  if (!(v == v) || v > 1.7e308 || v < -1.7e308) return "null";  // nan/inf
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
 
 /// Collects config, timing results, and scalar metrics for one bench run
 /// and serializes them to `BENCH_<name>.json`.

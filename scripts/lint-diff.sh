@@ -24,13 +24,13 @@ if [[ -z "${merge_base}" ]]; then
   echo "lint-diff: cannot resolve merge base against ${base_ref};" \
        "falling back to the full-tree run" >&2
   exec "${binary}" --root . --baseline tools/pmiot_lint/baseline.txt \
-       src bench tests tools
+       src reference bench tests tools
 fi
 
 changed="$(mktemp)"
 trap 'rm -f "${changed}"' EXIT
 git diff --name-only --diff-filter=d "${merge_base}" -- \
-    'src/*' 'bench/*' 'tests/*' 'tools/*' > "${changed}"
+    'src/*' 'reference/*' 'bench/*' 'tests/*' 'tools/*' > "${changed}"
 
 if [[ ! -s "${changed}" ]]; then
   echo "lint-diff: no lintable files changed since ${merge_base:0:12}"
@@ -39,4 +39,4 @@ fi
 
 echo "lint-diff: $(wc -l < "${changed}") changed files vs ${merge_base:0:12}"
 exec "${binary}" --root . --baseline tools/pmiot_lint/baseline.txt \
-     --only-listed "${changed}" src bench tests tools
+     --only-listed "${changed}" src reference bench tests tools

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ostream>
 #include <sstream>
 #include <utility>
 
 #include "campaign/checkpoint.h"
+#include "campaign/config_text.h"
 #include "common/civil_time.h"
 #include "common/error.h"
 #include "common/parallel.h"
@@ -56,10 +56,7 @@ constexpr CivilDate kStart{2017, 6, 5};
 // --- Seed chains ------------------------------------------------------------
 //
 // Every random stream in a campaign derives from `base_seed` through
-// `par::shard_seed` chains keyed by grid coordinates only. The cached path
-// draws a home's trace once and its cells' streams independently; the
-// cache-disabled and serial-oracle paths re-derive the same chains, which
-// is what makes all three bitwise comparable.
+// `par::shard_seed` chains keyed by grid coordinates only (see campaign.h).
 
 constexpr std::uint64_t kHomeSalt = 0x70632d686f6d6530ULL;
 constexpr std::uint64_t kTraceSalt = 0x70632d7472616365ULL;
@@ -70,97 +67,17 @@ std::uint64_t home_chain(std::uint64_t base, std::uint64_t salt,
   return par::shard_seed(par::shard_seed(base ^ salt, archetype), home);
 }
 
-std::uint64_t trace_seed_for(std::uint64_t base, std::size_t archetype,
-                             std::size_t home) {
-  return home_chain(base, kTraceSalt, archetype, home);
+std::uint64_t defense_chain(std::uint64_t base, const CellRef& cell) {
+  return par::shard_seed(home_chain(base, kCellSalt, cell.archetype, cell.home),
+                         cell.defense);
 }
 
-std::uint64_t defense_chain(std::uint64_t base, std::size_t archetype,
-                            std::size_t home, std::size_t defense) {
-  return par::shard_seed(home_chain(base, kCellSalt, archetype, home),
-                         defense);
-}
+// --- Config text (campaign/config_text.h) -----------------------------------
 
-std::uint64_t baseline_seed_for(std::uint64_t base, std::size_t archetype,
-                                std::size_t home, std::size_t defense) {
-  return par::shard_seed(defense_chain(base, archetype, home, defense), 0);
-}
+constexpr const char* kWhat = "campaign config";
 
-std::uint64_t point_seed_for(std::uint64_t base, std::size_t archetype,
-                             std::size_t home, std::size_t defense,
-                             std::size_t intensity) {
-  return par::shard_seed(defense_chain(base, archetype, home, defense),
-                         1 + intensity);
-}
-
-// --- Formatting -------------------------------------------------------------
-
-/// Shortest decimal form that parses back to exactly `v` (canonical config
-/// text and the frontier CSV must be byte-stable for equal inputs).
-std::string fmt_double(double v) {
-  char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += items[i];
-  }
-  return out;
-}
-
-std::string join(const std::vector<double>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += fmt_double(items[i]);
-  }
-  return out;
-}
-
-// --- Config parsing ---------------------------------------------------------
-
-std::string trim(const std::string& s) {
-  std::size_t lo = s.find_first_not_of(" \t\r");
-  if (lo == std::string::npos) return "";
-  std::size_t hi = s.find_last_not_of(" \t\r");
-  return s.substr(lo, hi - lo + 1);
-}
-
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(value);
-  while (std::getline(is, item, ',')) {
-    item = trim(item);
-    PMIOT_CHECK(!item.empty(), "empty list item in campaign config");
-    out.push_back(item);
-  }
-  return out;
-}
-
-double parse_double(const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed number in campaign config: " + value);
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed integer in campaign config: " + value);
-  return static_cast<std::uint64_t>(v);
-}
+using text::fmt_double;
+using text::join;
 
 void validate(const CampaignConfig& config) {
   PMIOT_CHECK(!config.archetypes.empty(), "campaign needs >= 1 archetype");
@@ -179,41 +96,30 @@ void validate(const CampaignConfig& config) {
 
 CampaignConfig parse_config(const std::string& text) {
   CampaignConfig config;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t hash_pos = line.find('#');
-    if (hash_pos != std::string::npos) line.resize(hash_pos);
-    line = trim(line);
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    PMIOT_CHECK(eq != std::string::npos,
-                "campaign config line is not 'key = value': " + line);
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+  text::for_each_entry(text, kWhat, [&](const std::string& key,
+                                        const std::string& value) {
     if (key == "archetypes") {
-      config.archetypes = split_list(value);
+      config.archetypes = text::split_list(value, kWhat);
     } else if (key == "defenses") {
-      config.defenses = split_list(value);
+      config.defenses = text::split_list(value, kWhat);
     } else if (key == "attacks") {
-      config.attacks = split_list(value);
+      config.attacks = text::split_list(value, kWhat);
     } else if (key == "intensities") {
-      config.intensities.clear();
-      for (const auto& item : split_list(value)) {
-        config.intensities.push_back(parse_double(item));
-      }
+      config.intensities = text::parse_doubles(value, kWhat);
     } else if (key == "homes") {
-      config.homes_per_archetype = static_cast<std::size_t>(parse_u64(value));
+      config.homes_per_archetype =
+          static_cast<std::size_t>(text::parse_u64(value, kWhat));
     } else if (key == "days") {
-      config.days = static_cast<int>(parse_u64(value));
+      config.days = static_cast<int>(text::parse_u64(value, kWhat));
     } else if (key == "seed") {
-      config.base_seed = parse_u64(value);
+      config.base_seed = text::parse_u64(value, kWhat);
     } else if (key == "block_homes") {
-      config.block_homes = static_cast<std::size_t>(parse_u64(value));
+      config.block_homes =
+          static_cast<std::size_t>(text::parse_u64(value, kWhat));
     } else {
       PMIOT_CHECK(false, "unknown campaign config key: " + key);
     }
-  }
+  });
   validate(config);
   return config;
 }
@@ -232,13 +138,7 @@ std::string canonical_text(const CampaignConfig& config) {
 }
 
 std::uint64_t config_hash(const CampaignConfig& config) {
-  const std::string text = canonical_text(config);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return text::fnv1a64(canonical_text(config));
 }
 
 // --- Registries -------------------------------------------------------------
@@ -339,6 +239,27 @@ core::PrivacyEvaluator make_evaluator(const CampaignConfig& config) {
   attacks.reserve(config.attacks.size());
   for (const auto& name : config.attacks) attacks.push_back(make_attack(name));
   return core::PrivacyEvaluator(std::move(attacks));
+}
+
+// --- Seed-chain accessors ---------------------------------------------------
+
+synth::HomeTrace simulate_campaign_home(const CampaignConfig& config,
+                                        std::size_t archetype,
+                                        std::size_t home) {
+  Rng rng(home_chain(config.base_seed, kTraceSalt, archetype, home));
+  return synth::simulate_home(
+      archetype_home(config.archetypes[archetype], archetype, home,
+                     config.base_seed),
+      kStart, config.days, rng);
+}
+
+std::uint64_t baseline_seed(const CampaignConfig& config, const CellRef& cell) {
+  return par::shard_seed(defense_chain(config.base_seed, cell), 0);
+}
+
+std::uint64_t point_seed(const CampaignConfig& config, const CellRef& cell) {
+  return par::shard_seed(defense_chain(config.base_seed, cell),
+                         1 + cell.intensity);
 }
 
 // --- The plan ---------------------------------------------------------------
@@ -453,41 +374,32 @@ CampaignResult run_campaign(const CampaignConfig& config,
     for (std::size_t b0 = 0; b0 < H && !stopped; b0 += block) {
       const std::size_t n = std::min(block, H - b0);
 
-      if (options.use_cache) {
-        // Phase 1 — parallel over the block's homes: simulate the trace,
-        // fit every attack's model, and compute every defense's utility
-        // baseline once per home. Slot-written; skipped entirely for homes
-        // whose cells all resumed from the checkpoint.
-        par::parallel_for(0, n, [&](std::size_t j) {
-          const std::size_t h = b0 + j;
-          const std::uint64_t first = plan.cell_id({a, h, 0, 0});
-          bool all_done = true;
-          for (std::size_t k = 0; k < D * I; ++k) {
-            if (!result.done[first + k]) {
-              all_done = false;
-              break;
-            }
+      // Phase 1 — parallel over the block's homes: simulate the trace, fit
+      // every attack's model, and compute every defense's utility baseline
+      // once per home. Slot-written; skipped entirely for homes whose cells
+      // all resumed from the checkpoint.
+      par::parallel_for(0, n, [&](std::size_t j) {
+        const std::size_t h = b0 + j;
+        const std::uint64_t first = plan.cell_id({a, h, 0, 0});
+        bool all_done = true;
+        for (std::size_t k = 0; k < D * I; ++k) {
+          if (!result.done[first + k]) {
+            all_done = false;
+            break;
           }
-          if (all_done) return;
-          HomeSlot& slot = slots[j];
-          const std::uint64_t sim_seed =
-              trace_seed_for(config.base_seed, a, h);
-          Rng sim_rng(sim_seed);
-          slot.trace = synth::simulate_home(
-              archetype_home(config.archetypes[a], a, h, config.base_seed),
-              kStart, config.days, sim_rng);
-          traces_counter().add();
-          slot.models = evaluator.fit_models(slot.trace);
-          models_counter().add(slot.models.size());
-          for (std::size_t d = 0; d < D; ++d) {
-            const std::uint64_t bl_seed =
-                baseline_seed_for(config.base_seed, a, h, d);
-            Rng bl_rng(bl_seed);
-            slot.baselines[d] =
-                evaluator.baseline(*defenses[d], slot.trace, bl_rng);
-          }
-        });
-      }
+        }
+        if (all_done) return;
+        HomeSlot& slot = slots[j];
+        slot.trace = simulate_campaign_home(config, a, h);
+        traces_counter().add();
+        slot.models = evaluator.fit_models(slot.trace);
+        models_counter().add(slot.models.size());
+        for (std::size_t d = 0; d < D; ++d) {
+          Rng bl_rng(baseline_seed(config, {a, h, d, 0}));
+          slot.baselines[d] =
+              evaluator.baseline(*defenses[d], slot.trace, bl_rng);
+        }
+      });
 
       // Phase 2 — parallel over the block's cells: apply the defense and
       // score. Payloads scatter straight into the result matrix (slot
@@ -495,39 +407,15 @@ CampaignResult run_campaign(const CampaignConfig& config,
       std::fill(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(n * D * I), 0);
       par::parallel_for(0, n * D * I, [&](std::size_t u) {
         const std::size_t j = u / (D * I);
-        const std::size_t d = (u / I) % D;
-        const std::size_t i = u % I;
-        const std::size_t h = b0 + j;
-        const std::uint64_t cell = plan.cell_id({a, h, d, i});
+        const CellRef ref{a, b0 + j, (u / I) % D, u % I};
+        const std::uint64_t cell = plan.cell_id(ref);
         if (result.done[cell]) return;
-        double* out = result.values.data() + cell * P;
-        const std::uint64_t pt_seed =
-            point_seed_for(config.base_seed, a, h, d, i);
-        Rng point_rng(pt_seed);
-        if (options.use_cache) {
-          const HomeSlot& slot = slots[j];
-          score_cell(evaluator, *defenses[d], slot.trace, slot.baselines[d],
-                     slot.models, config.intensities[i], point_rng, out, P);
-        } else {
-          // Cache-disabled reference: re-derive the identical seed chains
-          // and recompute trace, models, and baseline for this one cell.
-          const std::uint64_t sim_seed =
-              trace_seed_for(config.base_seed, a, h);
-          Rng sim_rng(sim_seed);
-          const synth::HomeTrace trace = synth::simulate_home(
-              archetype_home(config.archetypes[a], a, h, config.base_seed),
-              kStart, config.days, sim_rng);
-          traces_counter().add();
-          const auto models = evaluator.fit_models(trace);
-          models_counter().add(models.size());
-          const std::uint64_t bl_seed =
-              baseline_seed_for(config.base_seed, a, h, d);
-          Rng bl_rng(bl_seed);
-          const core::UtilityBaseline base =
-              evaluator.baseline(*defenses[d], trace, bl_rng);
-          score_cell(evaluator, *defenses[d], trace, base, models,
-                     config.intensities[i], point_rng, out, P);
-        }
+        Rng point_rng(point_seed(config, ref));
+        const HomeSlot& slot = slots[j];
+        score_cell(evaluator, *defenses[ref.defense], slot.trace,
+                   slot.baselines[ref.defense], slot.models,
+                   config.intensities[ref.intensity], point_rng,
+                   result.values.data() + cell * P, P);
         pending[u] = 1;
       });
 
@@ -555,50 +443,6 @@ CampaignResult run_campaign(const CampaignConfig& config,
         }
       }
       if (writer) writer->flush();
-    }
-  }
-  return result;
-}
-
-CampaignResult run_campaign_serial_oracle(const CampaignConfig& config) {
-  const CampaignPlan plan(config);
-  const core::PrivacyEvaluator evaluator = make_evaluator(config);
-  std::vector<std::unique_ptr<core::Defense>> defenses;
-  defenses.reserve(config.defenses.size());
-  for (const auto& name : config.defenses) defenses.push_back(make_defense(name));
-
-  const std::size_t P = plan.payload_doubles();
-  CampaignResult result;
-  result.config = config;
-  result.values.assign(plan.total_cells() * P, 0.0);
-  result.done.assign(plan.total_cells(), 0);
-
-  for (std::size_t a = 0; a < plan.archetypes(); ++a) {
-    for (std::size_t h = 0; h < plan.homes(); ++h) {
-      const std::uint64_t sim_seed = trace_seed_for(config.base_seed, a, h);
-      Rng sim_rng(sim_seed);
-      const synth::HomeTrace trace = synth::simulate_home(
-          archetype_home(config.archetypes[a], a, h, config.base_seed),
-          kStart, config.days, sim_rng);
-      const auto models = evaluator.fit_models(trace);
-      for (std::size_t d = 0; d < plan.defenses(); ++d) {
-        const std::uint64_t bl_seed =
-            baseline_seed_for(config.base_seed, a, h, d);
-        Rng bl_rng(bl_seed);
-        const core::UtilityBaseline base =
-            evaluator.baseline(*defenses[d], trace, bl_rng);
-        for (std::size_t i = 0; i < plan.intensities(); ++i) {
-          const std::uint64_t cell = plan.cell_id({a, h, d, i});
-          const std::uint64_t pt_seed =
-              point_seed_for(config.base_seed, a, h, d, i);
-          Rng point_rng(pt_seed);
-          score_cell(evaluator, *defenses[d], trace, base, models,
-                     config.intensities[i], point_rng,
-                     result.values.data() + cell * P, P);
-          result.done[cell] = 1;
-          ++result.cells_evaluated;
-        }
-      }
     }
   }
   return result;

@@ -16,8 +16,10 @@
 //    per home and reused across every (defense, intensity, attack) cell.
 //  * Deterministic sharding — every cell's randomness derives from
 //    `par::shard_seed` chains over (archetype, home, defense, intensity),
-//    never from execution order, so cached, cache-disabled, sharded, and
-//    serial-oracle runs are all bitwise identical at any PMIOT_THREADS.
+//    never from execution order, so a run is bitwise identical at any
+//    PMIOT_THREADS and to the serial nested-loop oracle
+//    (reference::run_campaign_serial) composed from the public seed chains
+//    below.
 //  * Checkpoint/resume — completed cells stream to an append-only binary
 //    checkpoint (see checkpoint.h); a killed run resumes and finishes
 //    bitwise identically to an uninterrupted one.
@@ -137,14 +139,29 @@ class CampaignPlan {
   std::uint64_t total_cells_;
 };
 
+// --- Seed chains ------------------------------------------------------------
+//
+// Every random stream of a campaign derives from `config.base_seed` through
+// `par::shard_seed` chains keyed by grid coordinates only — never by
+// execution order. These are the streams `run_campaign` draws; an
+// independent composition that uses them reproduces its cells bitwise.
+
+/// Home (archetype, home)'s synthetic trace: `archetype_home` simulated
+/// over `config.days` from the campaign's fixed civil start date.
+synth::HomeTrace simulate_campaign_home(const CampaignConfig& config,
+                                        std::size_t archetype,
+                                        std::size_t home);
+
+/// Seed of the RNG a cell's defense baseline (intensity 0) is applied with;
+/// depends on (archetype, home, defense) only.
+std::uint64_t baseline_seed(const CampaignConfig& config, const CellRef& cell);
+
+/// Seed of the RNG a cell's defense is applied with at its intensity.
+std::uint64_t point_seed(const CampaignConfig& config, const CellRef& cell);
+
 // --- Running ----------------------------------------------------------------
 
 struct RunOptions {
-  /// Reuse per-home traces / fitted models / baselines across the home's
-  /// cells. Disabling recomputes everything per cell — the anti-
-  /// amortization reference the bench times the cache against. Results are
-  /// bitwise identical either way.
-  bool use_cache = true;
   /// Stream completed cells to this checkpoint file ("" = no checkpoint).
   std::string checkpoint_path;
   /// Load `checkpoint_path` first and skip its completed cells. A missing
@@ -169,11 +186,6 @@ struct CampaignResult {
 /// Runs the campaign on `pmiot::par` with the planner described above.
 CampaignResult run_campaign(const CampaignConfig& config,
                             const RunOptions& options = {});
-
-/// Serial oracle: plain nested loops, one cell at a time, no thread pool,
-/// no planner, no checkpoint. The self-check bench asserts run_campaign()
-/// matches this bitwise.
-CampaignResult run_campaign_serial_oracle(const CampaignConfig& config);
 
 /// Empty when the two results are identical (doubles compared bitwise);
 /// otherwise a one-line description of the first divergence.

@@ -1,82 +1,20 @@
 #include "campaign/net_axis.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ostream>
 #include <sstream>
 
+#include "campaign/config_text.h"
 #include "common/error.h"
 
 namespace pmiot::campaign {
 
 namespace {
 
-// Same formatting/parsing discipline as campaign.cpp's config code; small
-// enough that sharing internals across TUs is not worth a header.
+constexpr const char* kWhat = "net arena config";
 
-std::string fmt_double(double v) {
-  char buf[40];
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += items[i];
-  }
-  return out;
-}
-
-std::string join(const std::vector<double>& items) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += ", ";
-    out += fmt_double(items[i]);
-  }
-  return out;
-}
-
-std::string trim(const std::string& s) {
-  std::size_t lo = s.find_first_not_of(" \t\r");
-  if (lo == std::string::npos) return "";
-  std::size_t hi = s.find_last_not_of(" \t\r");
-  return s.substr(lo, hi - lo + 1);
-}
-
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(value);
-  while (std::getline(is, item, ',')) {
-    item = trim(item);
-    PMIOT_CHECK(!item.empty(), "empty list item in net arena config");
-    out.push_back(item);
-  }
-  return out;
-}
-
-double parse_double(const std::string& value) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed number in net arena config: " + value);
-  return v;
-}
-
-std::uint64_t parse_u64(const std::string& value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
-              "malformed integer in net arena config: " + value);
-  return static_cast<std::uint64_t>(v);
-}
+using text::fmt_double;
+using text::join;
 
 void validate(const NetArenaConfig& config) {
   PMIOT_CHECK(!config.defenses.empty(), "net arena needs >= 1 defense");
@@ -95,41 +33,30 @@ void validate(const NetArenaConfig& config) {
 
 NetArenaConfig parse_net_config(const std::string& text) {
   NetArenaConfig config;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t hash_pos = line.find('#');
-    if (hash_pos != std::string::npos) line.resize(hash_pos);
-    line = trim(line);
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    PMIOT_CHECK(eq != std::string::npos,
-                "net arena config line is not 'key = value': " + line);
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
+  text::for_each_entry(text, kWhat, [&](const std::string& key,
+                                        const std::string& value) {
     if (key == "defenses") {
-      config.defenses = split_list(value);
+      config.defenses = text::split_list(value, kWhat);
     } else if (key == "attacks") {
-      config.attacks = split_list(value);
+      config.attacks = text::split_list(value, kWhat);
     } else if (key == "intensities") {
-      config.intensities.clear();
-      for (const auto& item : split_list(value)) {
-        config.intensities.push_back(parse_double(item));
-      }
+      config.intensities = text::parse_doubles(value, kWhat);
     } else if (key == "train_instances") {
-      config.train_instances_per_type = static_cast<int>(parse_u64(value));
+      config.train_instances_per_type =
+          static_cast<int>(text::parse_u64(value, kWhat));
     } else if (key == "test_instances") {
-      config.test_instances_per_type = static_cast<int>(parse_u64(value));
+      config.test_instances_per_type =
+          static_cast<int>(text::parse_u64(value, kWhat));
     } else if (key == "duration_s") {
-      config.duration_s = parse_double(value);
+      config.duration_s = text::parse_double(value, kWhat);
     } else if (key == "window_s") {
-      config.window_s = parse_double(value);
+      config.window_s = text::parse_double(value, kWhat);
     } else if (key == "seed") {
-      config.base_seed = parse_u64(value);
+      config.base_seed = text::parse_u64(value, kWhat);
     } else {
       PMIOT_CHECK(false, "unknown net arena config key: " + key);
     }
-  }
+  });
   validate(config);
   return config;
 }
@@ -148,13 +75,7 @@ std::string canonical_net_text(const NetArenaConfig& config) {
 }
 
 std::uint64_t net_config_hash(const NetArenaConfig& config) {
-  const std::string text = canonical_net_text(config);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return text::fnv1a64(canonical_net_text(config));
 }
 
 net::ArenaOptions to_arena_options(const NetArenaConfig& config) {

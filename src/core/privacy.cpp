@@ -333,27 +333,12 @@ std::vector<FrontierPoint> PrivacyEvaluator::sweep(
     const Defense& defense, const synth::HomeTrace& home,
     std::span<const double> intensities, Rng& rng) const {
   PMIOT_CHECK(!intensities.empty(), "need at least one intensity");
-  std::vector<FrontierPoint> frontier;
   Rng baseline_rng = rng.fork();
   const UtilityBaseline base = baseline(defense, home, baseline_rng);
   const auto models = fit_models(home);
-  for (double intensity : intensities) {
-    Rng point_rng = rng.fork();
-    frontier.push_back(
-        point_from_stages(base, defense, home, intensity, point_rng, models));
-  }
-  return frontier;
-}
-
-std::vector<FrontierPoint> PrivacyEvaluator::sweep_parallel(
-    const Defense& defense, const synth::HomeTrace& home,
-    std::span<const double> intensities, Rng& rng) const {
-  PMIOT_CHECK(!intensities.empty(), "need at least one intensity");
-  Rng baseline_rng = rng.fork();
-  const UtilityBaseline base = baseline(defense, home, baseline_rng);
-  const auto models = fit_models(home);
-  // Fork the per-point streams serially in sweep order so the draws match
-  // `sweep` exactly; each shard then owns an independent, pre-seeded Rng.
+  // Fork the per-point streams serially in intensity order, so each point's
+  // draws depend on its position only; each shard then owns an
+  // independent, pre-seeded Rng.
   std::vector<Rng> point_rngs;
   point_rngs.reserve(intensities.size());
   for (std::size_t i = 0; i < intensities.size(); ++i) {
@@ -361,9 +346,8 @@ std::vector<FrontierPoint> PrivacyEvaluator::sweep_parallel(
   }
   std::vector<FrontierPoint> frontier(intensities.size());
   par::parallel_for(0, intensities.size(), [&](std::size_t i) {
-    Rng point_rng = point_rngs[i];  // pre-seeded per-shard stream
     frontier[i] = point_from_stages(base, defense, home, intensities[i],
-                                    point_rng, models);
+                                    point_rngs[i], models);
   });
   return frontier;
 }

@@ -208,22 +208,16 @@ class PrivacyEvaluator {
   /// Builds the standard suite (occupancy + appliance attacks).
   static PrivacyEvaluator standard();
 
-  /// Sweeps the knob for one defense over one home.
+  /// Sweeps the knob for one defense over one home, the per-intensity
+  /// points evaluated across `pmiot::par`'s shared pool. Point RNGs are
+  /// forked from `rng` serially up front in intensity order, so the result
+  /// is bitwise identical at any `PMIOT_THREADS`. Attacks must be safe to
+  /// score concurrently (the built-in attacks are: leakage_with is const
+  /// and fit() state is read-only after construction).
   std::vector<FrontierPoint> sweep(const Defense& defense,
                                    const synth::HomeTrace& home,
                                    std::span<const double> intensities,
                                    Rng& rng) const;
-
-  /// `sweep` with the per-intensity points evaluated across `pmiot::par`'s
-  /// shared pool. Point RNGs are forked from `rng` serially up front in
-  /// sweep order, so the result is bitwise identical to `sweep` at any
-  /// `PMIOT_THREADS`. Attacks must be safe to score concurrently (the
-  /// built-in attacks are: leakage_with is const and fit() state is
-  /// read-only after construction).
-  std::vector<FrontierPoint> sweep_parallel(const Defense& defense,
-                                            const synth::HomeTrace& home,
-                                            std::span<const double> intensities,
-                                            Rng& rng) const;
 
   // --- Batch-friendly stages (campaign/parallel drivers) -------------------
   //

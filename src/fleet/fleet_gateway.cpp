@@ -324,22 +324,4 @@ FleetReport FleetGateway::process_fleet() const {
   return report;
 }
 
-FleetReport FleetGateway::process_serial() const {
-  FleetReport report;
-  report.homes.resize(options_.homes);
-  for (std::size_t h = 0; h < options_.homes; ++h) {
-    const auto home = make_home(options_, h);
-    const auto gateway = home_gateway(classifier_, detector_, options_, home);
-    auto& out = report.homes[h];
-    out.report = gateway.process(home.packets, options_.duration_s);
-    out.devices = home.devices.size();
-    out.packets = home.packets.size();
-  }
-  // windows_classified is a fleet-pass statistic (the size of the batched
-  // classification); the oracle leaves it zero and describe_divergence
-  // does not compare it.
-  accumulate_totals(report);
-  return report;
-}
-
 }  // namespace pmiot::fleet

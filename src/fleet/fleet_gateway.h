@@ -21,8 +21,9 @@
 // home index) — captures are shard-seeded, results are slot-written, and
 // `predict_all` is contractually identical to per-row `predict`. A fleet
 // report is therefore bitwise identical to running `SmartGateway::process`
-// over each home serially (`process_serial`, the oracle the self-check
-// bench and soak test compare against) and invariant across PMIOT_THREADS.
+// over each home serially (`reference::run_fleet_serial`, the oracle the
+// self-check bench and soak test compare against) and invariant across
+// PMIOT_THREADS.
 //
 // Churn model: each device is registered with the gateway for the whole
 // horizon but only emits traffic inside its [join_s, leave_s) lifecycle —
@@ -86,8 +87,8 @@ struct HomeCapture {
 };
 
 /// Deterministic per-home world generation: depends only on (options,
-/// home). Both fleet passes and the serial oracle call this, so they police
-/// identical captures.
+/// home). The fleet pass and the serial oracle both call this, so they
+/// police identical captures.
 HomeCapture make_home(const FleetOptions& options, std::size_t home);
 
 /// Reusable sorting scratch for `make_home_into`: the (timestamp, index)
@@ -141,11 +142,6 @@ class FleetGateway {
   /// The batched fleet pass described above. Emits `fleet.homes`,
   /// `fleet.packets`, and `fleet.quarantines` metrics.
   FleetReport process_fleet() const;
-
-  /// Per-home serial oracle: regenerates each home and runs
-  /// `SmartGateway::process` on it, no batching, no thread pool, no fleet
-  /// metrics. The self-check bench asserts process_fleet() == this.
-  FleetReport process_serial() const;
 
  private:
   const ml::Classifier& classifier_;

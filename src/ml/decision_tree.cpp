@@ -28,7 +28,7 @@ obs::Counter& boundary_scans_counter() {
 /// Classes with count 0 contribute exactly 0.0 (g -= 0.0 leaves g unchanged
 /// bitwise), so the value is independent of whether `counts` is sized to the
 /// node's classes or the full dataset's, and the zero-count skip below is a
-/// pure division saving — both builders rely on that.
+/// pure division saving — the builder and its reference rely on that.
 double gini(const std::vector<std::size_t>& counts, std::size_t total) {
   double g = 1.0;
   for (auto c : counts) {
@@ -74,8 +74,9 @@ TreeScratch& tree_scratch() {
 /// Grows a tree over per-feature presorted orders.
 ///
 /// Instead of re-sorting every candidate feature at every node (the
-/// `kPerNodeSort` reference), the builder materializes each feature's
-/// (position, value, label) triplets in ascending value order once, then:
+/// `reference::PerNodeSortTree` oracle), the builder materializes each
+/// feature's (position, value, label) triplets in ascending value order
+/// once, then:
 ///
 ///  * split search is a linear scan of the node's segment of that order —
 ///    the same boundaries, the same score arithmetic, and the same
@@ -482,14 +483,6 @@ DecisionTree::DecisionTree(TreeOptions options, std::uint64_t seed)
 void DecisionTree::fit(const Dataset& data) {
   data.validate();
   PMIOT_CHECK(!data.rows.empty(), "cannot fit on empty dataset");
-  if (options_.split_algorithm == SplitAlgorithm::kPerNodeSort) {
-    nodes_.clear();
-    depth_ = 0;
-    std::vector<std::size_t> indices(data.size());
-    std::iota(indices.begin(), indices.end(), 0);
-    build(data, indices, 0);
-    return;
-  }
   DatasetView view(data);
   view.ensure_sort_index();
   std::vector<std::size_t> sample(data.size());
@@ -505,106 +498,8 @@ void DecisionTree::fit_view(const DatasetView& view,
   }
   nodes_.clear();
   depth_ = 0;
-  if (options_.split_algorithm == SplitAlgorithm::kPerNodeSort) {
-    // Reference path: materialize the sample (the seed's bootstrap deep
-    // copy) and run the per-node-sort builder over it.
-    Dataset materialized;
-    materialized.rows.reserve(sample.size());
-    materialized.labels.reserve(sample.size());
-    for (auto r : sample) {
-      std::vector<double> row(view.width());
-      for (std::size_t f = 0; f < view.width(); ++f) {
-        row[f] = view.column(f)[r];
-      }
-      materialized.rows.push_back(std::move(row));
-      materialized.labels.push_back(view.label(r));
-    }
-    std::vector<std::size_t> indices(sample.size());
-    std::iota(indices.begin(), indices.end(), 0);
-    build(materialized, indices, 0);
-    return;
-  }
   PresortedBuilder builder(*this, view, sample);
   builder.run();
-}
-
-int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& indices,
-                        int depth) {
-  depth_ = std::max(depth_, depth);
-  const auto k = static_cast<std::size_t>(data.num_classes());
-  std::vector<std::size_t> counts(k, 0);
-  for (auto i : indices) ++counts[static_cast<std::size_t>(data.labels[i])];
-  const int node_label = majority(counts);
-  const double node_gini = gini(counts, indices.size());
-
-  const int node_id = static_cast<int>(nodes_.size());
-  nodes_.push_back(Node{-1, 0.0, -1, -1, node_label});
-
-  if (depth >= options_.max_depth || indices.size() < options_.min_samples ||
-      node_gini == 0.0) {
-    return node_id;
-  }
-
-  // Candidate features (all, or a random subset for forests).
-  const std::size_t width = data.width();
-  std::vector<std::size_t> features(width);
-  std::iota(features.begin(), features.end(), 0);
-  if (options_.max_features > 0 && options_.max_features < width) {
-    rng_.shuffle(features);
-    features.resize(options_.max_features);
-  }
-
-  // Best split search: sort indices by each candidate feature and scan.
-  double best_score = node_gini;
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  std::vector<std::size_t> sorted = indices;
-  for (auto f : features) {
-    std::sort(sorted.begin(), sorted.end(), [&](std::size_t a, std::size_t b) {
-      return data.rows[a][f] < data.rows[b][f];
-    });
-    std::vector<std::size_t> left_counts(k, 0);
-    std::vector<std::size_t> right_counts = counts;
-    for (std::size_t pos = 0; pos + 1 < sorted.size(); ++pos) {
-      const auto lbl = static_cast<std::size_t>(data.labels[sorted[pos]]);
-      ++left_counts[lbl];
-      --right_counts[lbl];
-      const double x = data.rows[sorted[pos]][f];
-      const double x_next = data.rows[sorted[pos + 1]][f];
-      if (x == x_next) continue;  // cannot split between equal values
-      const auto n_left = pos + 1;
-      const auto n_right = sorted.size() - n_left;
-      const double score =
-          (static_cast<double>(n_left) * gini(left_counts, n_left) +
-           static_cast<double>(n_right) * gini(right_counts, n_right)) /
-          static_cast<double>(sorted.size());
-      if (score + 1e-12 < best_score) {
-        best_score = score;
-        best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (x + x_next);
-      }
-    }
-  }
-
-  if (best_feature < 0) return node_id;  // no impurity-reducing split found
-
-  std::vector<std::size_t> left_idx, right_idx;
-  for (auto i : indices) {
-    if (data.rows[i][static_cast<std::size_t>(best_feature)] <= best_threshold)
-      left_idx.push_back(i);
-    else
-      right_idx.push_back(i);
-  }
-  PMIOT_ASSERT(!left_idx.empty() && !right_idx.empty(),
-               "degenerate split selected");
-
-  const int left = build(data, left_idx, depth + 1);
-  const int right = build(data, right_idx, depth + 1);
-  nodes_[static_cast<std::size_t>(node_id)].feature = best_feature;
-  nodes_[static_cast<std::size_t>(node_id)].threshold = best_threshold;
-  nodes_[static_cast<std::size_t>(node_id)].left = left;
-  nodes_[static_cast<std::size_t>(node_id)].right = right;
-  return node_id;
 }
 
 int DecisionTree::predict(std::span<const double> row) const {

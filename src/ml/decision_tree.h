@@ -14,21 +14,6 @@
 
 namespace pmiot::ml {
 
-/// Split-search strategy. Both strategies choose identical splits (the
-/// score arithmetic and tie-breaking are shared bit for bit); they differ
-/// only in how the candidate boundaries are enumerated.
-enum class SplitAlgorithm {
-  /// Default: argsort every feature once at fit time, then grow the tree
-  /// with linear scans over the presorted order and a stable partition of
-  /// that order at each split — O(d·n) per level instead of
-  /// O(d·n·log n) per node.
-  kPresorted,
-  /// Reference (the seed implementation): re-sort every candidate feature
-  /// at every node. Kept for the equivalence self-checks in
-  /// `bench/ml_train` and the randomized property tests.
-  kPerNodeSort,
-};
-
 /// Hyper-parameters for tree induction.
 struct TreeOptions {
   int max_depth = 12;           ///< hard depth limit
@@ -36,7 +21,6 @@ struct TreeOptions {
   /// Number of candidate features per split; 0 means all features
   /// (set to sqrt(width) by the random forest).
   std::size_t max_features = 0;
-  SplitAlgorithm split_algorithm = SplitAlgorithm::kPresorted;
 };
 
 class DecisionTree final : public Classifier {
@@ -67,8 +51,6 @@ class DecisionTree final : public Classifier {
     int right = -1;
     int label = 0;  ///< majority label (valid for leaves)
   };
-
-  int build(const Dataset& data, std::vector<std::size_t>& indices, int depth);
 
   TreeOptions options_;
   Rng rng_;

@@ -52,23 +52,12 @@ struct FhmmDecoding {
   double log_likelihood = 0.0;
 };
 
-/// Which decoder `FactorialHmm::decode` runs.
-enum class FhmmDecodeAlgorithm {
-  /// Chainwise max-sum elimination, O(T * K * sum_c n_c). Returns the same
-  /// decoded path as the naive reference (first-index tie-breaking).
-  kFactored,
-  /// Reference joint Viterbi, O(T * K^2). Kept for validation and as the
-  /// timing baseline; prohibitively slow for large K.
-  kNaiveJoint,
-};
-
 struct FhmmDecodeOptions {
-  FhmmDecodeAlgorithm algorithm = FhmmDecodeAlgorithm::kFactored;
   /// 0 (or >= joint_state_count()) decodes exactly. Otherwise only the
   /// `beam_width` highest-scoring joint states survive each timestep
   /// (deterministic: ties at the cutoff keep the lowest joint ids), which
   /// bounds work growth for very large state spaces at the cost of
-  /// exactness. Applies to both algorithms.
+  /// exactness.
   std::size_t beam_width = 0;
 };
 
@@ -90,10 +79,13 @@ class FactorialHmm {
 
   const ApplianceChain& chain(std::size_t i) const { return chains_[i]; }
 
-  /// Viterbi decode of an aggregate trace. The default factored algorithm
-  /// costs O(T * K * sum_c n_c); pass options to select the naive O(T * K^2)
-  /// reference or an approximate beam. Both algorithms break score ties
-  /// toward the lowest joint state id, so their decoded paths coincide.
+  /// Observation noise of the aggregate meter (kW).
+  double noise_stddev() const noexcept { return noise_stddev_; }
+
+  /// Viterbi decode of an aggregate trace by chainwise max-sum elimination,
+  /// O(T * K * sum_c n_c); pass options for an approximate beam. Score ties
+  /// break toward the lowest joint state id, so the decoded path is the
+  /// naive O(T * K^2) joint scan's (reference::fhmm_decode_naive).
   FhmmDecoding decode(std::span<const double> aggregate,
                       FhmmDecodeOptions options = {}) const;
 
@@ -108,12 +100,7 @@ class FactorialHmm {
   void chain_log_transitions(std::vector<double>& flat,
                              std::vector<std::size_t>& offsets) const;
 
-  FhmmDecoding decode_naive(std::span<const double> aggregate,
-                            const FhmmDecodeOptions& options) const;
-  FhmmDecoding decode_factored(std::span<const double> aggregate,
-                               const FhmmDecodeOptions& options) const;
-
-  /// Shared epilogue: backtracks `psi` from the best final state and fills
+  /// Decode epilogue: backtracks `psi` from the best final state and fills
   /// the decoding result from the flat unpack table.
   FhmmDecoding backtrack(const std::vector<double>& delta,
                          const std::vector<std::int32_t>& psi,

@@ -225,23 +225,6 @@ ArenaCell score_cell(const ArenaOptions& o, const ArenaContext& ctx,
   return result;
 }
 
-ArenaResult run_arena_impl(const ArenaOptions& o, bool pooled) {
-  const auto ctx = prepare(o);
-  ArenaResult result;
-  result.cells.resize(o.defenses.size() * o.intensities.size());
-  const auto body = [&](std::size_t cell) {
-    result.cells[cell] = score_cell(o, ctx, cell);  // slot write only
-  };
-  if (pooled) {
-    par::parallel_for(0, result.cells.size(), body);
-  } else {
-    for (std::size_t cell = 0; cell < result.cells.size(); ++cell) {
-      body(cell);
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 const std::vector<SupervisedFingerprintAttack>& fingerprint_attacks() {
@@ -343,11 +326,13 @@ std::vector<double> extract_recovery_features(std::span<const Packet> packets,
 }
 
 ArenaResult run_arena(const ArenaOptions& options) {
-  return run_arena_impl(options, /*pooled=*/true);
-}
-
-ArenaResult run_arena_serial(const ArenaOptions& options) {
-  return run_arena_impl(options, /*pooled=*/false);
+  const auto ctx = prepare(options);
+  ArenaResult result;
+  result.cells.resize(options.defenses.size() * options.intensities.size());
+  par::parallel_for(0, result.cells.size(), [&](std::size_t cell) {
+    result.cells[cell] = score_cell(options, ctx, cell);  // slot write only
+  });
+  return result;
 }
 
 std::string describe_divergence(const ArenaResult& a, const ArenaResult& b) {

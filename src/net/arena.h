@@ -14,9 +14,8 @@
 // Determinism contract: every cell's randomness comes from a
 // `par::shard_seed` chain keyed by (seed, cell index) — never from
 // execution order — and each cell writes only its own result slot, so
-// `run_arena` is bitwise identical at any `PMIOT_THREADS` and equal to
-// the serial oracle (`run_arena_serial`), which the bench self-check
-// enforces.
+// `run_arena` is bitwise identical at any `PMIOT_THREADS` — including a
+// width-1 pool, the serial reference the bench self-check compares against.
 #pragma once
 
 #include <cstdint>
@@ -97,9 +96,6 @@ struct ArenaResult {
 /// Runs the full grid over the shared `par` pool (cells fan out;
 /// classifier fits inside a cell run inline).
 ArenaResult run_arena(const ArenaOptions& options);
-
-/// Single-threaded oracle computing the identical result the slow way.
-ArenaResult run_arena_serial(const ArenaOptions& options);
 
 /// Empty string when equal, else a human-readable first divergence
 /// (bitwise field comparison), for self-check diagnostics.

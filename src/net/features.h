@@ -5,12 +5,10 @@
 // transmit, and where those transmissions are directed". The feature vector
 // captures exactly those three axes per device per observation window.
 //
-// Two extraction paths produce identical results:
-//   * `extract_window_features` — the readable reference: rescans the
-//     packet span for one window.
-//   * `WindowAccumulator` (window_accumulator.h) — the streaming path used
-//     by `windowed_features` and the gateway: one pass over the capture for
-//     every window. A property test keeps the two bit-for-bit equal.
+// Extraction is one streaming pass over the capture for every window
+// (`WindowAccumulator`, window_accumulator.h). The readable per-window
+// rescan it is tested against lives in the reference library
+// (reference/window_features.h).
 #pragma once
 
 #include <cstddef>
@@ -23,7 +21,7 @@
 
 namespace pmiot::net {
 
-/// Names of the features emitted by `extract_window_features`, in order.
+/// Names of the window features, in vector order.
 const std::vector<std::string>& feature_names();
 
 /// Positions of the features that policy code reads by index (the gateway's
@@ -39,22 +37,11 @@ void check_feature_layout();
 
 /// The router identity the extractors assume when the caller does not pass
 /// one (10.0.0.1, the default `GatewayOptions::router_ip`). Kept as a named
-/// constant so the default-path output is pinned, not incidental.
+/// constant so the default-path output is pinned, not incidental. Traffic
+/// to/from the router is neither a LAN peer (`lan_fraction`) nor a remote
+/// (`distinct_remotes`); deployments with a non-default router must thread
+/// their address through, or the router is miscounted as a LAN peer.
 inline constexpr std::uint32_t kDefaultRouterIp = (10u << 24) | 1u;
-
-/// Computes the feature vector for one device (identified by its LAN IP)
-/// over packets within [t0, t1). `packets` may contain other devices'
-/// traffic; only packets to/from `device_ip` count. Returns a vector sized
-/// feature_names().size() (all zeros if the device was silent).
-/// `router_ip` is the gateway's own address: traffic to/from it is neither
-/// a LAN peer (`lan_fraction`) nor a remote (`distinct_remotes`). Deployments
-/// with a non-default `GatewayOptions::router_ip` must thread it through, or
-/// the router is miscounted as an ordinary LAN peer.
-std::vector<double> extract_window_features(std::span<const Packet> packets,
-                                            std::uint32_t device_ip,
-                                            double t0, double t1,
-                                            std::uint32_t router_ip =
-                                                kDefaultRouterIp);
 
 /// One window's feature vector, tagged with its wall-clock window number
 /// (window k covers [k * window_s, (k+1) * window_s)), so downstream code

@@ -28,7 +28,8 @@ obs::Counter& idle_windows_dropped_counter() {
   return c;
 }
 
-// Same distinct-value tracker as extract_window_features uses.
+// Distinct-value tracker: only the count is ever read, and a window sees a
+// handful of peers/ports, so an unsorted vector beats a node-based set.
 template <typename T>
 void insert_unique(std::vector<T>& values, T value) {
   if (std::find(values.begin(), values.end(), value) == values.end()) {
@@ -65,7 +66,7 @@ void WindowAccumulator::add(const Packet& p) {
 
   packets_ingested_counter().add();
 
-  // Mirrors extract_window_features packet ingestion exactly — same
+  // Mirrors the reference rescan's packet ingestion exactly — same
   // operations in the same order, so finished windows match bit-for-bit.
   ++state_.total;
   state_.flow_table.add(p);

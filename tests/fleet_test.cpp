@@ -12,6 +12,7 @@
 #include "ml/random_forest.h"
 #include "net/anomaly.h"
 #include "net/fingerprint.h"
+#include "reference/fleet_oracle.h"
 
 namespace pmiot::fleet {
 namespace {
@@ -147,7 +148,8 @@ TEST(Fleet, FleetPassMatchesSerialOracleAcrossPoolWidths) {
   options.duration_s = 600.0;
   options.base_seed = 7;
   const FleetGateway fleet(models.forest, models.detector, options);
-  const auto oracle = fleet.process_serial();
+  const auto oracle =
+      reference::run_fleet_serial(models.forest, models.detector, options);
   EXPECT_GT(oracle.packets, 0u);
 
   for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
@@ -173,7 +175,8 @@ TEST(Fleet, SoakChurnOverLongHorizon) {
   options.join_fraction = 0.5;
   options.leave_fraction = 0.5;
   const FleetGateway fleet(models.forest, models.detector, options);
-  const auto serial = fleet.process_serial();
+  const auto serial =
+      reference::run_fleet_serial(models.forest, models.detector, options);
   const auto batched = fleet.process_fleet();
   EXPECT_EQ(describe_divergence(batched, serial), "");
   EXPECT_GT(batched.windows_classified, 0u);

@@ -2,7 +2,6 @@
 // banned pattern, stay quiet on the clean variant, honour allow(...)
 // suppressions, and report stale or unknown suppressions. Fixtures are
 // embedded strings, so these tests never depend on the repo checkout.
-#include <cctype>
 #include <set>
 #include <string>
 #include <utility>
@@ -499,110 +498,27 @@ TEST(Lint, AllowGrantsInsideDisabledRegionsDoNotApply) {
             std::vector<std::string>{"raw-rand"});
 }
 
-// --- regression oracle: the pre-PR-9 scanner ---
-
-/// A faithful miniature of the old line/string blanking state machine: no
-/// digit-separator awareness, no preprocessor handling, no comment
-/// continuation. The fixtures below keep a banned call visible through
-/// *this* blanker (the old analyzer fired on them) while the real token
-/// scanner stays silent.
-std::string legacy_blank(const std::string& text) {
-  enum class State { kCode, kLine, kBlock, kString, kChar };
-  std::string code = text;
-  State state = State::kCode;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (c == '\n') {
-      if (state == State::kLine) state = State::kCode;
-      continue;
-    }
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
-          state = State::kLine;
-          code[i] = ' ';
-        } else if (c == '/' && i + 1 < text.size() && text[i + 1] == '*') {
-          state = State::kBlock;
-          code[i] = ' ';
-        } else if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'') {
-          state = State::kChar;
-        }
-        break;
-      case State::kLine:
-        code[i] = ' ';
-        break;
-      case State::kBlock:
-        if (c == '/' && i > 0 && text[i - 1] == '*') state = State::kCode;
-        code[i] = ' ';
-        break;
-      case State::kString:
-        if (c == '\\') {
-          code[i] = ' ';
-          if (i + 1 < text.size()) code[++i] = ' ';
-        } else if (c == '"') {
-          state = State::kCode;
-        } else {
-          code[i] = ' ';
-        }
-        break;
-      case State::kChar:
-        if (c == '\\') {
-          code[i] = ' ';
-          if (i + 1 < text.size()) code[++i] = ' ';
-        } else if (c == '\'') {
-          state = State::kCode;
-        } else {
-          code[i] = ' ';
-        }
-        break;
-    }
-  }
-  return code;
-}
-
-/// True when `word(` survives legacy blanking as an apparent call — the
-/// trigger shape of the old banned-call rule.
-bool legacy_sees_call(const std::string& text, const std::string& word) {
-  const std::string code = legacy_blank(text);
-  for (std::size_t pos = code.find(word); pos != std::string::npos;
-       pos = code.find(word, pos + 1)) {
-    const bool left_ok =
-        pos == 0 || !(std::isalnum(static_cast<unsigned char>(
-                          code[pos - 1])) ||
-                      code[pos - 1] == '_');
-    std::size_t after = pos + word.size();
-    while (after < code.size() && (code[after] == ' ' || code[after] == '\t')) {
-      ++after;
-    }
-    if (left_ok && after < code.size() && code[after] == '(') return true;
-  }
-  return false;
-}
+// --- scanner corner cases: comment and disabled text that looks like code ---
 
 TEST(Lint, TokenScannerFixesLegacyFalsePositives) {
-  // An apostrophe in a comment flipped the old scanner into a char
-  // literal, resurfacing the rest of the comment as code.
+  // A digit separator is not a char literal, so the apostrophe in the
+  // comment after it must not resurface the comment as code.
   const std::string contraction =
       "int n = 1'000;  // don't call rand() in here\n";
-  ASSERT_TRUE(legacy_sees_call(contraction, "rand"));
   EXPECT_TRUE(rules_of("src/a.cpp", contraction).empty());
 
-  // `#if 0` regions were plain code to the old scanner.
+  // `#if 0` regions are not code.
   const std::string disabled =
       "#if 0\n"
       "int dead = rand();\n"
       "#endif\n";
-  ASSERT_TRUE(legacy_sees_call(disabled, "rand"));
   EXPECT_TRUE(rules_of("src/a.cpp", disabled).empty());
 
   // A line comment ending in a backslash splices into the next physical
-  // line; the old scanner reset at the newline and saw code.
+  // line, which is therefore still comment.
   const std::string continued =
       "// see the fallback below \\\n"
       "int unused_fallback = rand();\n";
-  ASSERT_TRUE(legacy_sees_call(continued, "rand"));
   EXPECT_TRUE(rules_of("src/a.cpp", continued).empty());
 }
 

@@ -13,6 +13,7 @@
 #include "ml/kmeans.h"
 #include "ml/knn.h"
 #include "ml/random_forest.h"
+#include "reference/decision_tree.h"
 
 namespace pmiot::ml {
 namespace {
@@ -48,17 +49,16 @@ std::vector<int> per_row_predictions(const Classifier& model,
   return out;
 }
 
-/// Fits one tree per split algorithm from identical options/seed and
-/// requires identical structure and identical predictions on train + probe.
+/// Fits the presorted tree and the per-node-sort reference from identical
+/// options/seed and requires identical structure and identical predictions
+/// on train + probe.
 void expect_split_algorithms_equivalent(const Dataset& train,
                                         const Dataset& probe,
                                         TreeOptions options,
                                         std::uint64_t seed) {
-  options.split_algorithm = SplitAlgorithm::kPresorted;
   DecisionTree fast(options, seed);
   fast.fit(train);
-  options.split_algorithm = SplitAlgorithm::kPerNodeSort;
-  DecisionTree naive(options, seed);
+  reference::PerNodeSortTree naive(options, seed);
   naive.fit(train);
 
   EXPECT_EQ(fast.node_count(), naive.node_count());
@@ -164,11 +164,10 @@ TEST(RandomForest, PresortedMatchesPerNodeSortForest) {
   const Dataset train = random_clusters(350, 6, 3, rng);
   const Dataset probe = random_clusters(150, 6, 3, rng);
 
-  ForestOptions options{.num_trees = 8, .tree = TreeOptions{}};
+  const ForestOptions options{.num_trees = 8, .tree = TreeOptions{}};
   RandomForest fast(options, 42);
   fast.fit(train);
-  options.tree.split_algorithm = SplitAlgorithm::kPerNodeSort;
-  RandomForest naive(options, 42);
+  reference::SeedForest naive(options, 42);
   naive.fit(train);
 
   EXPECT_EQ(fast.predict_all(probe), naive.predict_all(probe));

@@ -17,9 +17,12 @@
 #include "net/capture.h"
 #include "net/packet.h"
 #include "net/window_accumulator.h"
+#include "reference/window_features.h"
 
 namespace pmiot::net {
 namespace {
+
+using reference::extract_window_features;
 
 TEST(Ip, RoundTripAndLanCheck) {
   const auto ip = make_ip(10, 0, 0, 42);

@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
-#include <filesystem>
-#include <span>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -13,7 +10,6 @@
 #include "synth/home.h"
 #include "synth/occupancy.h"
 #include "synth/solar_gen.h"
-#include "synth/trace_archive.h"
 #include "synth/weather.h"
 
 namespace pmiot::synth {
@@ -356,60 +352,6 @@ TEST(Solar, Fig5SitesAreTenDistinctStates) {
       EXPECT_GT(geo::haversine_km(sites[i].location, sites[j].location), 100.0);
     }
   }
-}
-
-// --- trace archive -----------------------------------------------------------
-
-bool same_bits(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-TEST(TraceArchive, RoundTripsBitExact) {
-  Rng rng(17);
-  const auto trace = simulate_home(home_b(), CivilDate{2017, 6, 5}, 2, rng);
-  const std::string dir = testing::TempDir() + "pmiot_home_archive";
-  std::filesystem::remove_all(dir);
-  save_home_trace(dir, trace);
-
-  // The zero-copy view serves every column straight from the mapping.
-  const HomeTraceView view(dir);
-  EXPECT_EQ(view.name(), trace.name);
-  ASSERT_EQ(view.appliances(), trace.appliance_names.size());
-  EXPECT_TRUE(same_bits(view.aggregate().values(), trace.aggregate.values()));
-  ASSERT_EQ(view.occupancy_values().size(), trace.occupancy.size());
-  for (std::size_t i = 0; i < trace.occupancy.size(); ++i) {
-    EXPECT_EQ(view.occupancy_values()[i],
-              static_cast<double>(trace.occupancy[i]));
-  }
-  for (std::size_t i = 0; i < view.appliances(); ++i) {
-    EXPECT_EQ(view.appliance_name(i), trace.appliance_names[i]);
-    EXPECT_TRUE(same_bits(view.appliance(i).values(),
-                          trace.per_appliance[i].values()));
-  }
-
-  // Materializing gives back the exact trace that was saved.
-  const auto loaded = load_home_trace(dir);
-  EXPECT_EQ(loaded.name, trace.name);
-  EXPECT_TRUE(loaded.aggregate.meta() == trace.aggregate.meta());
-  EXPECT_TRUE(same_bits(loaded.aggregate.values(), trace.aggregate.values()));
-  EXPECT_EQ(loaded.occupancy, trace.occupancy);
-  EXPECT_EQ(loaded.appliance_names, trace.appliance_names);
-  ASSERT_EQ(loaded.per_appliance.size(), trace.per_appliance.size());
-  for (std::size_t i = 0; i < loaded.per_appliance.size(); ++i) {
-    EXPECT_TRUE(same_bits(loaded.per_appliance[i].values(),
-                          trace.per_appliance[i].values()));
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(TraceArchive, ValidatesTraceAndArchive) {
-  HomeTrace malformed;
-  malformed.name = "empty";
-  const std::string dir = testing::TempDir() + "pmiot_home_archive_bad";
-  EXPECT_THROW(save_home_trace(dir, malformed), InvalidArgument);
-  EXPECT_THROW(HomeTraceView(testing::TempDir() + "no_such_archive"),
-               InvalidArgument);
 }
 
 }  // namespace

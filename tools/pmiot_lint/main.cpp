@@ -101,7 +101,9 @@ int main(int argc, char** argv) {
       targets.push_back(arg);
     }
   }
-  if (targets.empty()) targets = {"src", "bench", "tests", "tools"};
+  if (targets.empty()) {
+    targets = {"src", "reference", "bench", "tests", "tools"};
+  }
 
   std::set<std::string> baseline;
   if (!baseline_path.empty()) {
