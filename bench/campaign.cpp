@@ -18,7 +18,6 @@
 // `--run` is the CI kill/resume harness: stream to --checkpoint, die (or
 // get killed) mid-flight, rerun with --resume, and diff the --frontier
 // artifact against an uninterrupted run.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 
 #include "alloc_probe.h"
 #include "bench_json.h"
+#include "bench_util.h"
 #include "campaign/campaign.h"
 #include "campaign/checkpoint.h"
 #include "common/parallel.h"
@@ -42,11 +42,9 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
+using bench::fail;
 
 /// Small grid the equalities are proven on (seconds, not minutes). Three
 /// homes per archetype with two-home blocks forces
@@ -72,11 +70,6 @@ std::string frontier_text(const campaign::CampaignResult& result) {
   campaign::write_frontier_csv(os, result.config,
                                campaign::build_frontier(result));
   return os.str();
-}
-
-int fail(const std::string& what) {
-  std::cerr << "MISMATCH: " << what << '\n';
-  return EXIT_FAILURE;
 }
 
 /// The deterministic self-check battery; prints one "self-check OK" line

@@ -10,12 +10,12 @@
 // Every RNG is seeded per shard (`par::shard_seed` for homes, fixed
 // per-row seeds for the Laplace draws), so the tables are bitwise
 // identical at any PMIOT_THREADS.
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -28,11 +28,8 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
 
 /// One computed epsilon row, slot-written by the parallel sweep and
 /// rendered into the table serially afterwards.

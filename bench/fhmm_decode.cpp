@@ -15,7 +15,6 @@
 // runs at
 // K = 4096 — a size where the naive decoder's joint table alone would be
 // 128 MiB — to pin the cost of the raised state-space cap.
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "ml/fhmm.h"
@@ -33,11 +33,8 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
 
 /// Sticky n-state appliance chain with distinct, well-separated powers.
 ml::ApplianceChain make_chain(const std::string& name, std::size_t n,

@@ -10,11 +10,11 @@
 // seed's randomness derives from the seed alone and its results land in its
 // own slot before an ordered reduction, so the table is bitwise identical at
 // any PMIOT_THREADS value.
-#include <chrono>
 #include <iostream>
 #include <map>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "nilm/error.h"
@@ -39,7 +39,7 @@ int main() {
   };
   std::vector<SeedResult> per_seed(seeds.size());
 
-  const auto sweep_start = std::chrono::steady_clock::now();
+  const auto sweep_start = bench::Clock::now();
   par::parallel_for(0, seeds.size(), [&](std::size_t i) {
     const auto seed = seeds[i];
     auto& out = per_seed[i];
@@ -79,10 +79,7 @@ int main() {
       ++out.counted[devices[d]];
     }
   });
-  const auto sweep_end = std::chrono::steady_clock::now();
-  const double sweep_ms =
-      std::chrono::duration<double, std::milli>(sweep_end - sweep_start)
-          .count();
+  const double sweep_ms = bench::ms_between(sweep_start, bench::Clock::now());
 
   // Ordered reduction over seeds — same accumulation order as a serial loop.
   std::map<std::string, double> powerplay_err, fhmm_err;

@@ -13,7 +13,6 @@
 // diff the output across PMIOT_THREADS ∈ {1, 4, 16}. `--homes N` scales
 // the population (default 1000; the layer is sized for 1k–10k).
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -22,6 +21,7 @@
 
 #include "alloc_probe.h"
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "fleet/fleet_gateway.h"
@@ -35,11 +35,8 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
 
 }  // namespace
 

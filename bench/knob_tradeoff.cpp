@@ -9,13 +9,13 @@
 // The intensity points of each sweep run on the worker pool; `sweep`
 // pre-forks the point RNGs serially, so the tables below are bitwise
 // identical at any PMIOT_THREADS.
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string_view>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "core/privacy.h"
@@ -25,11 +25,8 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
 
 }  // namespace
 

@@ -24,7 +24,6 @@
 // sanitizers in CI). The tree and forest references are
 // `reference::PerNodeSortTree` / `reference::SeedForest`.
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -32,6 +31,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "ml/dataset.h"
@@ -46,11 +46,8 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
 
 /// Gaussian-cluster classification data: one centroid per class, the first
 /// half of the features informative, the rest pure noise.

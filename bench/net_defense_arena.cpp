@@ -17,7 +17,6 @@
 // Timed mode then runs the reference grid and records wall time,
 // cell throughput, and the per-defense privacy/utility readout in
 // BENCH_net_defense_arena.json.
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -25,6 +24,8 @@
 #include <string>
 
 #include "bench_json.h"
+#include "bench_util.h"
+#include "campaign/config_text.h"
 #include "campaign/net_axis.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -32,22 +33,16 @@
 #include "net/device.h"
 #include "net/features.h"
 #include "net/shaping.h"
+#include "obs/metrics.h"
 #include "reference/window_features.h"
 
 using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-int fail(const std::string& what) {
-  std::cerr << "MISMATCH: " << what << '\n';
-  return EXIT_FAILURE;
-}
+using bench::Clock;
+using bench::ms_between;
+using bench::fail;
 
 /// Small grid the equalities are proven on (seconds, not minutes, across
 /// four full arena runs).
@@ -148,28 +143,21 @@ int self_check() {
 
   // --- config round trip ----------------------------------------------------
   {
-    campaign::NetArenaConfig config;
-    config.intensities = options.intensities;
-    config.duration_s = options.duration_s;
-    config.window_s = options.window_s;
     const auto reparsed =
-        campaign::parse_net_config(campaign::canonical_net_text(config));
+        campaign::parse_net_config(campaign::canonical_net_text(options));
     if (campaign::canonical_net_text(reparsed) !=
-            campaign::canonical_net_text(config) ||
+            campaign::canonical_net_text(options) ||
         campaign::net_config_hash(reparsed) !=
-            campaign::net_config_hash(config)) {
+            campaign::net_config_hash(options)) {
       return fail("net arena config does not round-trip canonically");
     }
-    std::cout << "self-check OK: net arena config round-trips (hash ";
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(
-                      campaign::net_config_hash(config)));
-    std::cout << hash << ")\n";
+    std::cout << "self-check OK: net arena config round-trips (hash "
+              << campaign::text::format_hash(campaign::net_config_hash(options))
+              << ")\n";
 
     // The frontier artifact, byte-stable across thread counts.
     std::ostringstream frontier;
-    campaign::write_net_frontier_csv(frontier, config, base);
+    campaign::write_net_frontier_csv(frontier, options, base);
     std::cout << "--- net frontier ---\n" << frontier.str()
               << "--- end frontier ---\n";
   }
@@ -237,7 +225,8 @@ int timed_run() {
 int main(int argc, char** argv) {
   const bool self_check_only =
       argc > 1 && std::strcmp(argv[1], "--self-check") == 0;
-  const int rc = self_check();
-  if (rc != EXIT_SUCCESS || self_check_only) return rc;
-  return timed_run();
+  int rc = self_check();
+  if (rc == EXIT_SUCCESS && !self_check_only) rc = timed_run();
+  obs::emit_if_enabled("net_defense_arena");
+  return rc;
 }

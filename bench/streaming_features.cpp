@@ -10,12 +10,12 @@
 //     (the old O(samples × samples-per-day) inner loop) vs the hoisted
 //     once-per-day computation now used by apply_battery / apply_nill.
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -29,11 +29,8 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
 
 std::vector<net::Packet> day_capture(std::size_t packets, double duration_s,
                                      std::uint32_t device_ip, Rng& rng) {
@@ -124,7 +121,8 @@ int main() {
       rescan.push_back(net::WindowRow{w, std::move(f)});
     }
     const auto t1 = Clock::now();
-    if (rep == 0 || seconds(t0, t1) < rescan_s) rescan_s = seconds(t0, t1);
+    const double s = ms_between(t0, t1) / 1e3;
+    if (rep == 0 || s < rescan_s) rescan_s = s;
   }
 
   double stream_s = 0.0;
@@ -135,7 +133,8 @@ int main() {
                                       window_s,
                                       /*keep_idle_windows=*/true);
     const auto t2 = Clock::now();
-    if (rep == 0 || seconds(t1, t2) < stream_s) stream_s = seconds(t1, t2);
+    const double s = ms_between(t1, t2) / 1e3;
+    if (rep == 0 || s < stream_s) stream_s = s;
   }
 
   if (streamed.size() != rescan.size()) {
@@ -204,8 +203,8 @@ int main() {
     }
   }
 
-  const double naive_s = seconds(b0, b1);
-  const double hoist_s = seconds(b1, b2);
+  const double naive_s = ms_between(b0, b1) / 1e3;
+  const double hoist_s = ms_between(b1, b2) / 1e3;
   Table battery({"path", "time (s)"});
   battery.add_row().cell("per-sample daily-mean recompute").cell(naive_s);
   battery.add_row().cell("hoisted (once per day)").cell(hoist_s);

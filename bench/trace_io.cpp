@@ -12,7 +12,6 @@
 // builds and PMIOT_THREADS settings, so any backend that deviates from the
 // scalar reduction order fails the diff.
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -25,8 +24,10 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "obs/metrics.h"
 #include "simd/simd.h"
 #include "timeseries/timeseries.h"
 #include "timeseries/trace_io.h"
@@ -35,11 +36,8 @@ using namespace pmiot;
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double ms_between(Clock::time_point t0, Clock::time_point t1) {
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
+using bench::Clock;
+using bench::ms_between;
 
 /// Synthetic whole-home trace: daily load shape plus appliance-like spikes,
 /// deterministic in the seed.
@@ -150,6 +148,7 @@ int main(int argc, char** argv) {
   if (self_check_only) {
     std::remove(csv_path.c_str());
     std::remove(bin_path.c_str());
+    obs::emit_if_enabled("trace_io");
     return EXIT_SUCCESS;  // deterministic output only
   }
 
@@ -203,5 +202,6 @@ int main(int argc, char** argv) {
   std::remove(bin_path.c_str());
   // The quantized CSV reload and the bit-exact binary reload are both used
   // above; keep the optimizer honest about the timed loads.
+  obs::emit_if_enabled("trace_io");
   return csv_loaded.size() == bin_loaded.size() ? EXIT_SUCCESS : EXIT_FAILURE;
 }

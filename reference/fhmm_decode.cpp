@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -20,32 +19,10 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 /// on the fly.
 constexpr std::size_t kPrecomputeMax = 2048;
 
-void prune_to_beam(std::vector<double>& delta, std::size_t beam,
-                   std::vector<double>& scratch) {
-  if (beam == 0 || beam >= delta.size()) return;
-  scratch = delta;
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<long>(beam) - 1,
-                   scratch.end(), std::greater<double>());
-  const double cutoff = scratch[beam - 1];
-  std::size_t above = 0;
-  for (double v : delta) above += v > cutoff ? 1 : 0;
-  std::size_t keep_at_cutoff = beam - above;
-  for (auto& v : delta) {
-    if (v > cutoff) continue;
-    if (v == cutoff && keep_at_cutoff > 0) {
-      --keep_at_cutoff;
-      continue;
-    }
-    v = kNegInf;
-  }
-}
-
 }  // namespace
 
 ml::FhmmDecoding fhmm_decode_naive(const ml::FactorialHmm& model,
-                                   std::span<const double> aggregate,
-                                   std::size_t beam_width) {
+                                   std::span<const double> aggregate) {
   PMIOT_CHECK(!aggregate.empty(), "need observations");
   const std::size_t k = model.joint_state_count();
   const std::size_t t_max = aggregate.size();
@@ -130,13 +107,11 @@ ml::FhmmDecoding fhmm_decode_naive(const ml::FactorialHmm& model,
 
   std::vector<double> delta(k);
   std::vector<double> next_delta(k);
-  std::vector<double> beam_scratch;
   std::vector<std::int32_t> psi(t_max * k, 0);
   for (std::size_t j = 0; j < k; ++j) {
     delta[j] = log_init[j] + emission_log(j, aggregate[0]);
   }
   for (std::size_t t = 1; t < t_max; ++t) {
-    prune_to_beam(delta, beam_width, beam_scratch);
     for (std::size_t b = 0; b < k; ++b) {
       double best = kNegInf;
       std::int32_t best_prev = 0;

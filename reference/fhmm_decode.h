@@ -13,11 +13,8 @@
 namespace pmiot::reference {
 
 /// Decodes `aggregate` under `model` by scanning every (predecessor,
-/// successor) joint-state pair per timestep. `beam_width` has the
-/// production meaning (0 = exact; otherwise only the highest-scoring joint
-/// states survive each timestep, ties at the cutoff keeping the lowest ids).
+/// successor) joint-state pair per timestep.
 ml::FhmmDecoding fhmm_decode_naive(const ml::FactorialHmm& model,
-                                   std::span<const double> aggregate,
-                                   std::size_t beam_width = 0);
+                                   std::span<const double> aggregate);
 
 }  // namespace pmiot::reference

@@ -1,8 +1,20 @@
 #!/usr/bin/env bash
 # Runs every self-checking binary listed in scripts/determinism-matrix.txt
-# at PMIOT_THREADS 1, 4 and 16 in each given build directory, and diffs each
-# run's stdout against the first build's PMIOT_THREADS=1 run. Any difference,
-# or any nonzero exit, fails the script. Usage:
+# at PMIOT_THREADS 1, 4 and 16 in each given build directory, with metrics
+# off and with PMIOT_METRICS=1. Any nonzero exit fails the script, and so
+# does any difference in what the determinism contract pins:
+#
+#   * stdout with metrics off: identical to the first build's
+#     PMIOT_THREADS=1 run;
+#   * stdout with metrics on: identical to the metrics-off run;
+#   * BENCH_*.json a run writes: identical with metrics on and off once the
+#     wall-clock "results" block is removed;
+#   * the deterministic metrics snapshot on stderr (everything before the
+#     "-- nondeterministic" marker): identical to the first build's
+#     PMIOT_THREADS=1 snapshot, with at least one counter line (and, for
+#     the binaries named in `expect_counter` below, that counter).
+#
+# Usage:
 #
 #   scripts/determinism-matrix.sh build [build-nosimd ...]
 #
@@ -15,6 +27,13 @@ set -u -o pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 list="${root}/scripts/determinism-matrix.txt"
 threads="1 4 16"
+
+# A counter each of these binaries' metrics snapshot must report.
+declare -A expect_counter=(
+  [sec4]=par.batches
+  [fig2]=ml.fhmm.chain_eliminations
+  [fleet]=fleet.packets
+)
 
 if [[ $# -eq 0 ]]; then
   echo "usage: scripts/determinism-matrix.sh build-dir [build-dir ...]" >&2
@@ -29,28 +48,100 @@ out="$(mktemp -d)"
 trap 'rm -rf "${out}"' EXIT
 status=0
 
+# run NAME TAG THREADS METRICS BINARY ARGS...: runs one binary in a fresh
+# working directory ${out}/NAME_TAG_mMETRICS and strips "wrote ..." lines
+# from its stdout into stable.txt. Returns nonzero (after reporting) on a
+# failed run.
+run() {
+  local name="$1" tag="$2" width="$3" metrics="$4" binary="$5"
+  shift 5
+  local work="${out}/${name}_${tag}_m${metrics}"
+  mkdir -p "${work}"
+  if ! (cd "${work}" && PMIOT_METRICS="${metrics}" PMIOT_THREADS="${width}" \
+          "${binary}" "$@" > stdout.txt 2> stderr.txt); then
+    echo "FAIL ${name} (${tag}, PMIOT_METRICS=${metrics}): exit status" \
+         "nonzero" >&2
+    tail -n 20 "${work}/stderr.txt" >&2
+    return 1
+  fi
+  grep -v '^wrote ' "${work}/stdout.txt" > "${work}/stable.txt"
+}
+
+# Prints the first difference between two BENCH json files once each one's
+# "results" block (wall-clock timings) is removed; exits nonzero if any.
+same_bench_payload() {
+  python3 - "$1" "$2" <<'EOF'
+import json
+import sys
+
+off, on = (json.load(open(path)) for path in sys.argv[1:3])
+for doc in (off, on):
+    doc.pop("results", None)
+if off != on:
+    sys.exit(f"payloads differ:\n{off}\n{on}")
+EOF
+}
+
 # The list is read on fd 3 so a bench reading stdin cannot swallow it.
 while read -r name binary args <&3; do
   [[ -z "${name}" || "${name}" == \#* ]] && continue
   reference=""
+  metrics_reference=""
   for b in "${builds[@]}"; do
     for t in ${threads}; do
       tag="$(basename "${b}")_t${t}"
-      work="${out}/${name}_${tag}"
-      mkdir -p "${work}"
+      off="${out}/${name}_${tag}_m0"
+      on="${out}/${name}_${tag}_m1"
       # shellcheck disable=SC2086  # args is a word list by design
-      if ! (cd "${work}" && PMIOT_THREADS="${t}" "${b}/${binary}" ${args} \
-              > stdout.txt 2> stderr.txt); then
-        echo "FAIL ${name} (${tag}): exit status nonzero" >&2
-        tail -n 20 "${work}/stderr.txt" >&2
+      if ! run "${name}" "${tag}" "${t}" 0 "${b}/${binary}" ${args}; then
         status=1
         continue
       fi
-      grep -v '^wrote ' "${work}/stdout.txt" > "${work}/stable.txt"
       if [[ -z "${reference}" ]]; then
-        reference="${work}/stable.txt"
-      elif ! diff -u "${reference}" "${work}/stable.txt"; then
+        reference="${off}/stable.txt"
+      elif ! diff -u "${reference}" "${off}/stable.txt"; then
         echo "FAIL ${name} (${tag}): stdout differs from the first run" >&2
+        status=1
+        continue
+      fi
+
+      # shellcheck disable=SC2086
+      if ! run "${name}" "${tag}" "${t}" 1 "${b}/${binary}" ${args}; then
+        status=1
+        continue
+      fi
+      if ! diff -u "${off}/stable.txt" "${on}/stable.txt"; then
+        echo "FAIL ${name} (${tag}): stdout changes with PMIOT_METRICS=1" >&2
+        status=1
+        continue
+      fi
+      for json in "${off}"/BENCH_*.json; do
+        [[ -e "${json}" ]] || continue
+        if ! same_bench_payload "${json}" "${on}/$(basename "${json}")"; then
+          echo "FAIL ${name} (${tag}): $(basename "${json}") changes with" \
+               "PMIOT_METRICS=1" >&2
+          status=1
+          continue 2
+        fi
+      done
+      sed '/-- nondeterministic/,$d' "${on}/stderr.txt" > "${on}/metrics.txt"
+      if ! grep -q '^counter ' "${on}/metrics.txt"; then
+        echo "FAIL ${name} (${tag}): metrics snapshot has no counter" >&2
+        status=1
+        continue
+      fi
+      counter="${expect_counter[${name}]:-}"
+      if [[ -n "${counter}" ]] &&
+           ! grep -q "^counter ${counter} " "${on}/metrics.txt"; then
+        echo "FAIL ${name} (${tag}): metrics snapshot lacks ${counter}" >&2
+        status=1
+        continue
+      fi
+      if [[ -z "${metrics_reference}" ]]; then
+        metrics_reference="${on}/metrics.txt"
+      elif ! diff -u "${metrics_reference}" "${on}/metrics.txt"; then
+        echo "FAIL ${name} (${tag}): deterministic metrics differ from the" \
+             "first run" >&2
         status=1
         continue
       fi

@@ -1,7 +1,7 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <ostream>
 #include <sstream>
@@ -90,6 +90,17 @@ void validate(const CampaignConfig& config) {
   PMIOT_CHECK(config.homes_per_archetype >= 1, "campaign needs >= 1 home");
   PMIOT_CHECK(config.days >= 1, "campaign needs >= 1 day");
   PMIOT_CHECK(config.block_homes >= 1, "block_homes must be >= 1");
+  // Cell ids are 64-bit; a grid whose cell count would wrap is rejected.
+  std::uint64_t cells = 1;
+  for (const std::uint64_t n :
+       {std::uint64_t{config.archetypes.size()},
+        std::uint64_t{config.homes_per_archetype},
+        std::uint64_t{config.defenses.size()},
+        std::uint64_t{config.intensities.size()}}) {
+    PMIOT_CHECK(cells <= UINT64_MAX / n,
+                "campaign grid has more cells than a 64-bit cell id holds");
+    cells *= n;
+  }
 }
 
 }  // namespace
@@ -110,7 +121,7 @@ CampaignConfig parse_config(const std::string& text) {
       config.homes_per_archetype =
           static_cast<std::size_t>(text::parse_u64(value, kWhat));
     } else if (key == "days") {
-      config.days = static_cast<int>(text::parse_u64(value, kWhat));
+      config.days = text::parse_int(value, kWhat);
     } else if (key == "seed") {
       config.base_seed = text::parse_u64(value, kWhat);
     } else if (key == "block_homes") {
@@ -531,10 +542,7 @@ std::vector<FrontierRow> build_frontier(const CampaignResult& result) {
 void write_frontier_csv(std::ostream& os, const CampaignConfig& config,
                         const std::vector<FrontierRow>& rows) {
   os << "# pmiot campaign frontier v1\n";
-  char hash_hex[32];
-  std::snprintf(hash_hex, sizeof hash_hex, "%016llx",
-                static_cast<unsigned long long>(config_hash(config)));
-  os << "# config_hash=" << hash_hex << '\n';
+  os << "# config_hash=" << text::format_hash(config_hash(config)) << '\n';
   os << "archetype,defense,intensity,billing_error,analytics_error,"
         "extra_energy_kwh";
   for (const auto& attack : config.attacks) os << ",leakage:" << attack;

@@ -1,5 +1,8 @@
 #include "campaign/config_text.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -96,11 +99,25 @@ double parse_double(const std::string& value, const std::string& what) {
 }
 
 std::uint64_t parse_u64(const std::string& value, const std::string& what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  PMIOT_CHECK(end != nullptr && *end == '\0' && !value.empty(),
+  // strtoull would accept a sign (wrapping "-1" to 2^64 - 1) and leading
+  // blanks, so the first character must already be a digit.
+  PMIOT_CHECK(!value.empty() &&
+                  std::isdigit(static_cast<unsigned char>(value[0])),
               "malformed integer in " + what + ": " + value);
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+  PMIOT_CHECK(*end == '\0', "malformed integer in " + what + ": " + value);
+  PMIOT_CHECK(errno != ERANGE,
+              "integer out of range in " + what + ": " + value);
   return static_cast<std::uint64_t>(v);
+}
+
+int parse_int(const std::string& value, const std::string& what) {
+  const std::uint64_t v = parse_u64(value, what);
+  PMIOT_CHECK(v <= static_cast<std::uint64_t>(INT_MAX),
+              "integer out of range in " + what + ": " + value);
+  return static_cast<int>(v);
 }
 
 std::uint64_t fnv1a64(const std::string& text) {
@@ -110,6 +127,13 @@ std::uint64_t fnv1a64(const std::string& text) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+std::string format_hash(std::uint64_t hash) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
 }
 
 }  // namespace pmiot::campaign::text

@@ -36,10 +36,16 @@ std::vector<double> parse_doubles(const std::string& value,
                                   const std::string& what);
 
 /// The whole of `value` as a number; anything else throws InvalidArgument.
+/// Integers are unsigned decimal digits only (no sign) and must fit the
+/// result type.
 double parse_double(const std::string& value, const std::string& what);
 std::uint64_t parse_u64(const std::string& value, const std::string& what);
+int parse_int(const std::string& value, const std::string& what);
 
 /// 64-bit FNV-1a over the bytes of `text`.
 std::uint64_t fnv1a64(const std::string& text);
+
+/// A config hash as the 16 lowercase hex digits artifacts are stamped with.
+std::string format_hash(std::uint64_t hash);
 
 }  // namespace pmiot::campaign::text

@@ -31,11 +31,12 @@ struct ApplianceAttackModel final : AttackModel {
   std::vector<std::size_t> truth_idx;
 };
 
-/// Fitted state of SupervisedOccupancyAttack: one of the two supervised
-/// detectors, trained on the home's raw labelled history.
+/// Fitted state of SupervisedOccupancyAttack: the supervised detector,
+/// trained on the home's raw labelled history.
 struct SupervisedAttackModel final : AttackModel {
-  std::unique_ptr<niom::SupervisedNiom> knn;
-  std::unique_ptr<niom::ForestNiom> forest;
+  explicit SupervisedAttackModel(niom::SupervisedNiom::Options options)
+      : detector(options) {}
+  niom::SupervisedNiom detector;
 };
 
 }  // namespace
@@ -130,21 +131,14 @@ std::string SupervisedOccupancyAttack::name() const {
 
 std::unique_ptr<AttackModel> SupervisedOccupancyAttack::fit(
     const synth::HomeTrace& truth) const {
-  auto fitted = std::make_unique<SupervisedAttackModel>();
-  if (backend_ == Backend::kKnn) {
-    niom::SupervisedNiom::Options options;
-    options.allow_single_class = true;  // population homes may never be vacant
-    fitted->knn = std::make_unique<niom::SupervisedNiom>(options);
-    fitted->knn->fit(truth.aggregate, truth.occupancy);
-  } else {
-    // A deeper ensemble than the detector default: this attacker models a
-    // patient adversary with labelled history, and the one-time fit is
-    // exactly what population sweeps cache per home.
-    niom::ForestNiom::Options options;
-    options.num_trees = 100;
-    fitted->forest = std::make_unique<niom::ForestNiom>(options);
-    fitted->forest->fit(truth.aggregate, truth.occupancy);
-  }
+  niom::SupervisedNiom::Options options;
+  options.model = backend_;
+  // A deeper ensemble than the detector default: this attacker models a
+  // patient adversary with labelled history, and the one-time fit is
+  // exactly what population sweeps cache per home.
+  options.num_trees = 100;
+  auto fitted = std::make_unique<SupervisedAttackModel>(options);
+  fitted->detector.fit(truth.aggregate, truth.occupancy);
   return fitted;
 }
 
@@ -157,12 +151,8 @@ double SupervisedOccupancyAttack::leakage_with(
     model = local.get();
   }
   const auto& fitted = static_cast<const SupervisedAttackModel&>(*model);
-  const niom::OccupancyDetector& detector =
-      backend_ == Backend::kKnn
-          ? static_cast<const niom::OccupancyDetector&>(*fitted.knn)
-          : static_cast<const niom::OccupancyDetector&>(*fitted.forest);
-  const auto report = niom::evaluate(detector, released, truth.occupancy,
-                                     niom::waking_hours());
+  const auto report = niom::evaluate(fitted.detector, released,
+                                     truth.occupancy, niom::waking_hours());
   return std::max(0.0, report.mcc);
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "niom/detector.h"
 #include "synth/home.h"
 #include "timeseries/timeseries.h"
 
@@ -110,14 +111,14 @@ class ApplianceAttack final : public Attack {
 };
 
 /// Supervised occupancy attacker with a labelled per-home history (threat
-/// model of niom::SupervisedNiom): fit() trains a k-NN or random-forest
-/// window classifier on the home's raw trace, leakage_with() runs it on the
-/// released trace. The fit is the expensive stage, which is exactly what a
-/// population campaign's model cache amortizes. Leakage = max(0, MCC) over
-/// waking hours, like OccupancyAttack.
+/// model of niom::SupervisedNiom): fit() trains the detector's k-NN or
+/// random-forest window classifier on the home's raw trace, leakage_with()
+/// runs it on the released trace. The fit is the expensive stage, which is
+/// exactly what a population campaign's model cache amortizes. Leakage =
+/// max(0, MCC) over waking hours, like OccupancyAttack.
 class SupervisedOccupancyAttack final : public Attack {
  public:
-  enum class Backend { kKnn, kForest };
+  using Backend = niom::SupervisedNiom::Model;
 
   explicit SupervisedOccupancyAttack(Backend backend = Backend::kForest);
   std::unique_ptr<AttackModel> fit(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -16,12 +15,6 @@
 namespace pmiot::ml {
 namespace {
 
-obs::Counter& joint_states_pruned_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
-      "ml.fhmm.joint_states_pruned");
-  return c;
-}
-
 obs::Counter& chain_eliminations_counter() {
   static obs::Counter& c = obs::MetricsRegistry::instance().counter(
       "ml.fhmm.chain_eliminations");
@@ -30,34 +23,6 @@ obs::Counter& chain_eliminations_counter() {
 
 constexpr double kMinProb = 1e-9;
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-/// Keeps the `beam` highest entries of `delta` and masks the rest to -inf.
-/// Deterministic under ties: entries strictly above the cutoff all survive,
-/// then entries equal to the cutoff survive in ascending joint-id order
-/// until exactly `beam` remain.
-void prune_to_beam(std::vector<double>& delta, std::size_t beam,
-                   std::vector<double>& scratch) {
-  if (beam == 0 || beam >= delta.size()) return;
-  scratch = delta;
-  std::nth_element(scratch.begin(),
-                   scratch.begin() + static_cast<long>(beam) - 1,
-                   scratch.end(), std::greater<double>());
-  const double cutoff = scratch[beam - 1];
-  std::size_t above = 0;
-  for (double v : delta) above += v > cutoff ? 1 : 0;
-  std::size_t keep_at_cutoff = beam - above;
-  std::uint64_t pruned = 0;
-  for (auto& v : delta) {
-    if (v > cutoff) continue;
-    if (v == cutoff && keep_at_cutoff > 0) {
-      --keep_at_cutoff;
-      continue;
-    }
-    v = kNegInf;
-    ++pruned;
-  }
-  joint_states_pruned_counter().add(pruned);
-}
 
 }  // namespace
 
@@ -236,8 +201,7 @@ FhmmDecoding FactorialHmm::backtrack(
 // greedily lexicographically minimizes (a_0, .., a_{C-1}) over the argmax
 // set — i.e. exact ties resolve to the lowest joint id, matching the naive
 // joint scan's first-index-wins order (reference::fhmm_decode_naive).
-FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate,
-                                  FhmmDecodeOptions options) const {
+FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate) const {
   PMIOT_CHECK(!aggregate.empty(), "need observations");
   static obs::Timer& decode_timer =
       obs::MetricsRegistry::instance().timer("ml.fhmm.decode_factored");
@@ -280,7 +244,6 @@ FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate,
   std::vector<double> next_delta(k);
   std::vector<double> cur(k), nxt(k);
   std::vector<std::int32_t> cur_origin(k), nxt_origin(k);
-  std::vector<double> beam_scratch;
   std::vector<std::int32_t> psi(t_max * k, 0);
 
   // delta[j] = log_init[j] + (log_norm - d*d*inv_2var), d = obs -
@@ -289,7 +252,6 @@ FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate,
   simd::add_log_emission(log_init.data(), aggregate[0], joint_power_.data(),
                          k, log_norm, inv_2var, delta.data());
   for (std::size_t t = 1; t < t_max; ++t) {
-    prune_to_beam(delta, options.beam_width, beam_scratch);
     std::copy(delta.begin(), delta.end(), cur.begin());
     std::iota(cur_origin.begin(), cur_origin.end(), 0);
     for (std::size_t c = num_chains; c-- > 0;) {

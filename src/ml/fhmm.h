@@ -52,15 +52,6 @@ struct FhmmDecoding {
   double log_likelihood = 0.0;
 };
 
-struct FhmmDecodeOptions {
-  /// 0 (or >= joint_state_count()) decodes exactly. Otherwise only the
-  /// `beam_width` highest-scoring joint states survive each timestep
-  /// (deterministic: ties at the cutoff keep the lowest joint ids), which
-  /// bounds work growth for very large state spaces at the cost of
-  /// exactness.
-  std::size_t beam_width = 0;
-};
-
 class FactorialHmm {
  public:
   /// Upper bound on the joint state space (product of per-chain states).
@@ -83,11 +74,10 @@ class FactorialHmm {
   double noise_stddev() const noexcept { return noise_stddev_; }
 
   /// Viterbi decode of an aggregate trace by chainwise max-sum elimination,
-  /// O(T * K * sum_c n_c); pass options for an approximate beam. Score ties
-  /// break toward the lowest joint state id, so the decoded path is the
-  /// naive O(T * K^2) joint scan's (reference::fhmm_decode_naive).
-  FhmmDecoding decode(std::span<const double> aggregate,
-                      FhmmDecodeOptions options = {}) const;
+  /// O(T * K * sum_c n_c). Score ties break toward the lowest joint state
+  /// id, so the decoded path is the naive O(T * K^2) joint scan's
+  /// (reference::fhmm_decode_naive).
+  FhmmDecoding decode(std::span<const double> aggregate) const;
 
  private:
   /// Flat K x C table: entry [j * num_appliances() + c] is chain c's state

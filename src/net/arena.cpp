@@ -147,13 +147,7 @@ struct ArenaContext {
 };
 
 ArenaContext prepare(const ArenaOptions& o) {
-  PMIOT_CHECK(o.duration_s >= o.window_s && o.window_s > 0.0,
-              "need at least one full window");
-  PMIOT_CHECK(!o.defenses.empty() && !o.intensities.empty(),
-              "empty arena grid");
-  for (const double i : o.intensities) {
-    PMIOT_CHECK(i >= 0.0 && i <= 1.0, "intensity must be within [0, 1]");
-  }
+  validate(o);
   ArenaContext ctx;
   Rng train_rng(par::shard_seed(o.seed, kTrainHomeSalt));
   Rng test_rng(par::shard_seed(o.seed, kTestHomeSalt));
@@ -323,6 +317,20 @@ std::vector<double> extract_recovery_features(std::span<const Packet> packets,
   }
   f[3] = static_cast<double>(size_mode) / static_cast<double>(times.size());
   return f;
+}
+
+void validate(const ArenaOptions& options) {
+  PMIOT_CHECK(!options.defenses.empty() && !options.intensities.empty(),
+              "empty arena grid");
+  for (const double i : options.intensities) {
+    PMIOT_CHECK(i >= 0.0 && i <= 1.0, "intensity must be within [0, 1]");
+  }
+  PMIOT_CHECK(options.train_instances_per_type >= 1 &&
+                  options.test_instances_per_type >= 1,
+              "arena needs >= 1 instance per device type");
+  PMIOT_CHECK(std::isfinite(options.duration_s), "duration must be finite");
+  PMIOT_CHECK(options.window_s > 0.0 && options.duration_s >= options.window_s,
+              "need at least one full window");
 }
 
 ArenaResult run_arena(const ArenaOptions& options) {

@@ -93,8 +93,13 @@ struct ArenaResult {
   std::vector<ArenaCell> cells;  ///< defense-major, intensity-minor order
 };
 
+/// Throws InvalidArgument unless the grid is non-empty, every intensity
+/// lies in [0, 1], both homes hold >= 1 instance per device type, and the
+/// finite duration spans at least one full window.
+void validate(const ArenaOptions& options);
+
 /// Runs the full grid over the shared `par` pool (cells fan out;
-/// classifier fits inside a cell run inline).
+/// classifier fits inside a cell run inline). Validates `options` first.
 ArenaResult run_arena(const ArenaOptions& options);
 
 /// Empty string when equal, else a human-readable first divergence

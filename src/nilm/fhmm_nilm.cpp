@@ -9,8 +9,7 @@ namespace pmiot::nilm {
 
 FhmmNilm::FhmmNilm(const synth::HomeTrace& training,
                    const std::vector<std::string>& tracked, Rng& rng,
-                   FhmmNilmOptions options)
-    : decode_options_(options.decode) {
+                   FhmmNilmOptions options) {
   PMIOT_CHECK(!tracked.empty(), "need at least one tracked appliance");
   PMIOT_CHECK(options.states_per_appliance >= 2,
               "appliances need at least on/off states");
@@ -53,7 +52,7 @@ FhmmNilm::FhmmNilm(const synth::HomeTrace& training,
 
 std::vector<std::vector<double>> FhmmNilm::disaggregate(
     const ts::TimeSeries& aggregate) const {
-  auto decoding = fhmm_->decode(aggregate.values(), decode_options_);
+  auto decoding = fhmm_->decode(aggregate.values());
   // Drop the trailing background chain from the result.
   decoding.appliance_power.resize(names_.size());
   return std::move(decoding.appliance_power);

@@ -22,9 +22,6 @@ struct FhmmNilmOptions {
   int states_per_appliance = 2;
   /// Floor on the assumed aggregate observation noise (kW).
   double min_noise_kw = 0.05;
-  /// Decoder configuration (beam width) forwarded to every `disaggregate`
-  /// call. Defaults to exact decoding.
-  ml::FhmmDecodeOptions decode;
 };
 
 /// Trained FHMM disaggregator for a fixed appliance set.
@@ -55,7 +52,6 @@ class FhmmNilm {
  private:
   std::vector<std::string> names_;
   double noise_kw_ = 0.0;
-  ml::FhmmDecodeOptions decode_options_;
   std::unique_ptr<ml::FactorialHmm> fhmm_;
 };
 

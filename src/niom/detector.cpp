@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -113,13 +114,13 @@ std::vector<int> ThresholdNiom::detect(const ts::TimeSeries& power) const {
 
 namespace {
 
-/// Window feature vector shared by the supervised detectors: mean, stddev,
-/// range, and edge-ish burst count proxy (max-min over sub-windows).
+/// Window feature vector of the supervised detector (both models): mean,
+/// stddev, range, and edge-ish burst count proxy (max-min over sub-windows).
 std::vector<double> window_feature_row(const ts::WindowStat& win) {
   return {win.mean, std::sqrt(win.variance), win.range};
 }
 
-/// Builds the waking-hours training set shared by the supervised detectors:
+/// Builds the supervised detector's waking-hours training set:
 /// one feature row per waking window, majority occupancy as the label.
 /// Training restricts to waking hours because overnight the home is occupied
 /// but electrically idle, which would teach the classifier that quiet means
@@ -155,31 +156,37 @@ int build_waking_dataset(const ts::TimeSeries& power,
 
 }  // namespace
 
-SupervisedNiom::SupervisedNiom(Options options) : options_(options) {
+SupervisedNiom::SupervisedNiom(Options options)
+    : options_(options),
+      knn_(options.k),
+      forest_(ml::ForestOptions{.num_trees = options.num_trees, .tree = {}},
+              options.seed) {
+  // k and num_trees are checked by the classifiers themselves.
   PMIOT_CHECK(options.window_minutes >= 1, "window must be positive");
-  PMIOT_CHECK(options.k >= 1, "k must be positive");
-  knn_ = ml::KnnClassifier(options.k);
 }
 
-bool SupervisedNiom::fitted() const noexcept { return fitted_; }
+std::string SupervisedNiom::name() const {
+  return options_.model == Model::kKnn ? "niom-supervised-knn"
+                                       : "niom-supervised-forest";
+}
 
 void SupervisedNiom::fit(const ts::TimeSeries& power,
                          const std::vector<int>& occupancy_minutes) {
   const std::size_t w = window_samples(power, options_.window_minutes);
   ml::Dataset data;
-  const int single = build_waking_dataset(power, occupancy_minutes, w, data);
-  if (single >= 0) {
-    PMIOT_CHECK(options_.allow_single_class,
-                "training trace must contain both occupied and vacant windows");
-    constant_label_ = single;
-    fitted_ = true;
-    return;
-  }
-  constant_label_ = -1;
-  scaler_.fit(data);
-  scaler_.transform_in_place(data);
-  knn_.fit(data);
+  constant_label_ = build_waking_dataset(power, occupancy_minutes, w, data);
   fitted_ = true;
+  if (constant_label_ >= 0) return;
+  if (options_.model == Model::kKnn) {
+    scaler_.fit(data);
+    scaler_.transform_in_place(data);
+    knn_.fit(data);
+  } else {
+    // Trees split on raw thresholds, so no scaler is needed (or wanted: a
+    // scaler fitted on the defended trace would leak the defense into the
+    // attacker's model in a way the threat model does not grant).
+    forest_.fit(data);
+  }
 }
 
 std::vector<int> SupervisedNiom::detect(const ts::TimeSeries& power) const {
@@ -191,52 +198,14 @@ std::vector<int> SupervisedNiom::detect(const ts::TimeSeries& power) const {
   const auto windows = ts::window_stats(power.values(), w, w);
   // Batch all window features into one dataset so the kNN blocked batch
   // kernel can amortize the training matrix over every query.
+  const bool knn = options_.model == Model::kKnn;
   ml::Dataset queries;
   for (const auto& win : windows) {
-    queries.append(scaler_.transform(window_feature_row(win)), 0);
+    auto row = window_feature_row(win);
+    queries.append(knn ? scaler_.transform(row) : std::move(row), 0);
   }
-  const auto labels = knn_.predict_all(queries);
-  return expand(labels, w, power.size());
-}
-
-ForestNiom::ForestNiom(Options options)
-    : options_(options),
-      forest_(ml::ForestOptions{.num_trees = options.num_trees, .tree = {}},
-              options.seed) {
-  PMIOT_CHECK(options.window_minutes >= 1, "window must be positive");
-  PMIOT_CHECK(options.num_trees >= 1, "need at least one tree");
-}
-
-void ForestNiom::fit(const ts::TimeSeries& power,
-                     const std::vector<int>& occupancy_minutes) {
-  const std::size_t w = window_samples(power, options_.window_minutes);
-  ml::Dataset data;
-  const int single = build_waking_dataset(power, occupancy_minutes, w, data);
-  if (single >= 0) {
-    constant_label_ = single;
-    fitted_ = true;
-    return;
-  }
-  constant_label_ = -1;
-  // Trees split on raw thresholds, so no scaler is needed (or wanted: a
-  // scaler fitted on the defended trace would leak the defense into the
-  // attacker's model in a way the threat model does not grant).
-  forest_.fit(data);
-  fitted_ = true;
-}
-
-std::vector<int> ForestNiom::detect(const ts::TimeSeries& power) const {
-  PMIOT_CHECK(fitted_, "call fit() before detect()");
-  if (constant_label_ >= 0) {
-    return std::vector<int>(power.size(), constant_label_);
-  }
-  const std::size_t w = window_samples(power, options_.window_minutes);
-  const auto windows = ts::window_stats(power.values(), w, w);
-  ml::Dataset queries;
-  for (const auto& win : windows) {
-    queries.append(window_feature_row(win), 0);
-  }
-  const auto labels = forest_.predict_all(queries);
+  const auto labels =
+      knn ? knn_.predict_all(queries) : forest_.predict_all(queries);
   return expand(labels, w, power.size());
 }
 

@@ -62,23 +62,30 @@ class ThresholdNiom final : public OccupancyDetector {
   Options options_;
 };
 
-/// Supervised k-NN detector (Kleiminger et al. also evaluated supervised
-/// classifiers). Threat model: the attacker has a short labelled history
-/// for the target home (e.g. from a prior occupancy leak, social media, or
-/// a few days of physical observation) and trains per-window features
-/// against it.
+/// Supervised window classifier (Kleiminger et al. also evaluated
+/// supervised classifiers). Threat model: the attacker has a short labelled
+/// history for the target home (e.g. from a prior occupancy leak, social
+/// media, or a few days of physical observation) and trains per-window
+/// features against it. The fit is the expensive stage — campaign sweeps
+/// fit once per home and reuse the fitted detector across every released
+/// trace derived from that home.
+///
+/// When the training trace holds only one occupancy class in its
+/// waking-hours windows there is nothing to learn: fit() degrades to a
+/// constant detector that always answers the observed class, which scores
+/// zero MCC — the right leakage for an attacker whose history carries no
+/// signal.
 class SupervisedNiom final : public OccupancyDetector {
  public:
+  /// k-NN over standardized features, or bagged trees on the raw features.
+  enum class Model { kKnn, kForest };
+
   struct Options {
     int window_minutes = 15;
-    int k = 7;  ///< neighbours
-    /// When the training trace contains only one occupancy class in its
-    /// waking-hours windows, fit() normally throws (there is nothing to
-    /// learn). Population-scale sweeps set this to degrade to a constant
-    /// detector instead: detect() then always answers the single observed
-    /// class, which scores zero MCC — the right leakage for an attacker
-    /// whose history carries no signal.
-    bool allow_single_class = false;
+    Model model = Model::kKnn;
+    int k = 7;                ///< kKnn: neighbours
+    int num_trees = 25;       ///< kForest: ensemble size
+    std::uint64_t seed = 11;  ///< kForest: bootstrap/feature-subset seed
   };
 
   SupervisedNiom() : SupervisedNiom(Options{}) {}
@@ -90,49 +97,17 @@ class SupervisedNiom final : public OccupancyDetector {
            const std::vector<int>& occupancy_minutes);
 
   std::vector<int> detect(const ts::TimeSeries& power) const override;
-  std::string name() const override { return "niom-supervised-knn"; }
-
-  bool fitted() const noexcept;
-
- private:
-  Options options_;
-  ml::KnnClassifier knn_;
-  ml::StandardScaler scaler_;
-  bool fitted_ = false;
-  int constant_label_ = -1;  ///< >= 0: single-class degradation (see Options)
-};
-
-/// Random-forest variant of the supervised attacker (same threat model and
-/// window features as SupervisedNiom, bagged trees instead of k-NN). The
-/// fit is the expensive stage — campaign sweeps fit once per home and reuse
-/// the fitted forest across every released trace derived from that home.
-/// Single-class training traces always degrade to a constant detector.
-class ForestNiom final : public OccupancyDetector {
- public:
-  struct Options {
-    int window_minutes = 15;
-    int num_trees = 25;
-    std::uint64_t seed = 11;  ///< forest bootstrap/feature-subset seed
-  };
-
-  ForestNiom() : ForestNiom(Options{}) {}
-  explicit ForestNiom(Options options);
-
-  /// Trains on a labelled trace (per-minute ground-truth occupancy).
-  /// Must be called before detect().
-  void fit(const ts::TimeSeries& power,
-           const std::vector<int>& occupancy_minutes);
-
-  std::vector<int> detect(const ts::TimeSeries& power) const override;
-  std::string name() const override { return "niom-supervised-forest"; }
+  std::string name() const override;
 
   bool fitted() const noexcept { return fitted_; }
 
  private:
   Options options_;
+  ml::KnnClassifier knn_;
+  ml::StandardScaler scaler_;
   ml::RandomForest forest_;
   bool fitted_ = false;
-  int constant_label_ = -1;
+  int constant_label_ = -1;  ///< >= 0: single-class degradation
 };
 
 /// Kleiminger-style unsupervised HMM detector.

@@ -75,7 +75,6 @@ struct MetricsRegistry::Impl final : par::BatchObserver {
   // std::map keeps addresses stable for the life of the process and
   // iterates in name order, which is what snapshots emit.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers;
   std::vector<Counter*> counters_by_id;
@@ -262,17 +261,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->gauges.find(name);
-  if (it == impl_->gauges.end()) {
-    it = impl_->gauges
-             .emplace(std::string(name), std::unique_ptr<Gauge>(new Gauge))
-             .first;
-  }
-  return *it->second;
-}
-
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> edges) {
   std::lock_guard<std::mutex> lock(impl_->mu);
@@ -310,9 +298,6 @@ Snapshot MetricsRegistry::snapshot(const SnapshotOptions& opts) const {
   for (const auto& [name, c] : impl_->counters) {
     snap.counters.push_back({name, c->value()});
   }
-  for (const auto& [name, g] : impl_->gauges) {
-    snap.gauges.push_back({name, g->value()});
-  }
   for (const auto& [name, h] : impl_->histograms) {
     snap.histograms.push_back(
         {name, h->edges_, h->buckets_, h->sum_, h->count_});
@@ -339,9 +324,6 @@ void MetricsRegistry::reset_values_for_testing() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   for (auto& [name, c] : impl_->counters) {
     c->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, g] : impl_->gauges) {
-    g->value_.store(0, std::memory_order_relaxed);
   }
   for (auto& [name, h] : impl_->histograms) {
     std::fill(h->buckets_.begin(), h->buckets_.end(), 0);
@@ -374,9 +356,6 @@ void text_counters(std::ostringstream& os,
 std::string to_text(const Snapshot& snap) {
   std::ostringstream os;
   text_counters(os, snap.counters);
-  for (const auto& g : snap.gauges) {
-    os << "gauge " << g.name << ' ' << g.value << '\n';
-  }
   for (const auto& h : snap.histograms) {
     os << "histogram " << h.name << " count=" << h.count
        << " sum=" << json_number(h.sum) << " buckets=";
@@ -403,11 +382,6 @@ std::string to_json(const Snapshot& snap, std::string_view source) {
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     os << (i ? ", " : "") << '"' << json_escape(snap.counters[i].name)
        << "\": " << snap.counters[i].value;
-  }
-  os << "},\n  \"gauges\": {";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    os << (i ? ", " : "") << '"' << json_escape(snap.gauges[i].name)
-       << "\": " << snap.gauges[i].value;
   }
   os << "},\n  \"histograms\": [";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {

@@ -1,9 +1,9 @@
 // Deterministic observability: process-wide registry of named counters,
-// gauges, fixed-bucket histograms, and timers.
+// fixed-bucket histograms, and timers.
 //
 // The determinism contract (README "Determinism contract") extends to
-// metrics: counter, gauge, and histogram snapshots are bitwise identical at
-// any `PMIOT_THREADS`. Inside a `parallel_for` batch every increment lands
+// metrics: counter and histogram snapshots are bitwise identical at any
+// `PMIOT_THREADS`. Inside a `parallel_for` batch every increment lands
 // in a per-shard cell (installed via `par::BatchObserver`); cells are merged
 // into the registry totals in shard-index order at batch join, so even
 // floating-point histogram sums accumulate in a schedule-independent order.
@@ -78,30 +78,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written integer value (a size, a configuration knob). Gauges are
-/// not routed through per-shard cells: setting one from inside a parallel
-/// region would be order-dependent at any width, so the contract is that
-/// gauges are only set from serial code.
-class Gauge {
- public:
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(std::int64_t v) noexcept {
-    if (enabled()) value_.store(v, std::memory_order_relaxed);
-  }
-
-  std::int64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class MetricsRegistry;
-  Gauge() noexcept = default;
-
-  std::atomic<std::int64_t> value_{0};
-};
-
 /// Fixed-bucket histogram: `edges` are ascending upper bounds; a value v
 /// lands in the first bucket with v <= edge, or the overflow bucket, so
 /// there are edges.size() + 1 buckets. Tracks count and sum alongside.
@@ -152,17 +128,13 @@ class Timer {
 };
 
 /// Point-in-time copy of registry values, sorted by metric name. The
-/// `counters` / `gauges` / `histograms` sections are covered by the
-/// determinism contract; `timers` and `worker_shards` are populated only
+/// `counters` / `histograms` sections are covered by the determinism
+/// contract; `timers` and `worker_shards` are populated only
 /// when `SnapshotOptions::include_nondeterministic` is set.
 struct Snapshot {
   struct CounterValue {
     std::string name;
     std::uint64_t value = 0;
-  };
-  struct GaugeValue {
-    std::string name;
-    std::int64_t value = 0;
   };
   struct HistogramValue {
     std::string name;
@@ -179,7 +151,6 @@ struct Snapshot {
   };
 
   std::vector<CounterValue> counters;
-  std::vector<GaugeValue> gauges;
   std::vector<HistogramValue> histograms;
   // Excluded from the determinism contract:
   std::vector<TimerValue> timers;
@@ -203,7 +174,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   /// `edges` must be ascending; registering the same name again with
   /// different edges is an error (InvalidArgument).
   Histogram& histogram(std::string_view name, std::vector<double> edges);

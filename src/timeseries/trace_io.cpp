@@ -10,9 +10,22 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 
 namespace pmiot::ts {
 namespace {
+
+obs::Counter& samples_written_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
+      "timeseries.trace_io.samples_written");
+  return c;
+}
+
+obs::Counter& samples_read_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
+      "timeseries.trace_io.samples_read");
+  return c;
+}
 
 std::string timestamp_of(const TimeSeries& series, std::size_t i) {
   const auto date = series.date_at(i);
@@ -57,6 +70,7 @@ void write_csv(std::ostream& os, const TimeSeries& series,
   for (std::size_t i = 0; i < series.size(); ++i) {
     os << timestamp_of(series, i) << ',' << series[i] << '\n';
   }
+  samples_written_counter().add(series.size());
 }
 
 TimeSeries read_csv(std::istream& is) {
@@ -106,6 +120,7 @@ TimeSeries read_csv(std::istream& is) {
                 "timestamp " + stamp + " does not match declared grid (want " +
                     expected + ")");
   }
+  samples_read_counter().add(values.size());
   return TimeSeries(meta, std::move(values));
 }
 
@@ -315,6 +330,7 @@ void write_binary(std::ostream& os, const TimeSeries& series) {
     }
   }
   PMIOT_CHECK(os.good(), "binary trace write failed");
+  samples_written_counter().add(n);
 }
 
 TimeSeries read_binary(std::istream& is) {
@@ -324,6 +340,7 @@ TimeSeries read_binary(std::istream& is) {
   const std::string buf = std::move(sink).str();
   const auto* data = reinterpret_cast<const unsigned char*>(buf.data());
   const BinaryLayout layout = parse_binary_header(data, buf.size());
+  samples_read_counter().add(layout.num_rows);
   return TimeSeries(layout.meta,
                     copy_column(data + layout.value_offset, layout.num_rows));
 }

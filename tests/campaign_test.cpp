@@ -73,6 +73,27 @@ TEST(CampaignConfig, ParseRejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(parse_config("homes = 0\n"), InvalidArgument);
 }
 
+TEST(CampaignConfig, ParseRejectsHostileNumbers) {
+  // A sign strtoull would wrap to 2^64 - 1.
+  EXPECT_THROW(parse_config("homes = -1\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("seed = -5\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("homes = +3\n"), InvalidArgument);
+  // Out of range for 64 bits (ERANGE), not clamped to the maximum.
+  EXPECT_THROW(parse_config("homes = 99999999999999999999\n"),
+               InvalidArgument);
+  // Out of range for int, not truncated to 1 by the narrowing.
+  EXPECT_THROW(parse_config("days = 4294967297\n"), InvalidArgument);
+  EXPECT_THROW(parse_config("days = 2147483648\n"), InvalidArgument);
+  // In range for 64 bits, but 3 archetypes x 3 defenses x 5 intensities
+  // of that many homes wraps the 64-bit cell count.
+  EXPECT_THROW(parse_config("homes = 18446744073709551615\n"),
+               InvalidArgument);
+  // The largest values that do fit still parse.
+  EXPECT_EQ(parse_config("days = 2147483647\n").days, 2147483647);
+  EXPECT_EQ(parse_config("seed = 18446744073709551615\n").base_seed,
+            18446744073709551615ULL);
+}
+
 TEST(CampaignConfig, HashSeparatesGrids) {
   auto a = tiny_config();
   auto b = tiny_config();
@@ -95,6 +116,17 @@ TEST(CampaignConfig, ArchetypeHomeIsDeterministicAndValidates) {
 }
 
 // --- plan -------------------------------------------------------------------
+
+TEST(CampaignPlan, RejectsGridWhoseCellCountOverflows) {
+  auto config = tiny_config();
+  config.homes_per_archetype = std::size_t{1} << 62;
+  config.intensities = {0.0, 0.5, 1.0, 0.25};
+  EXPECT_THROW(CampaignPlan{config}, InvalidArgument);
+  config.intensities = {0.0};
+  config.defenses.resize(1);
+  config.archetypes.resize(1);
+  EXPECT_EQ(CampaignPlan{config}.total_cells(), std::uint64_t{1} << 62);
+}
 
 TEST(CampaignPlan, CellIdDecodeRoundTripsOverTheGrid) {
   const auto config = tiny_config();

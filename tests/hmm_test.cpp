@@ -337,43 +337,6 @@ TEST(FactorialHmm, TieBreaksTowardLowestJointStateLikeNaive) {
   EXPECT_EQ(factored.joint_path[2], 0u);
 }
 
-TEST(FactorialHmm, BeamAtFullWidthMatchesExactDecode) {
-  Rng rng(77);
-  const auto chains = random_chains(4, rng);
-  const auto aggregate = sample_aggregate(chains, 40, 0.1, rng);
-  FactorialHmm fhmm(chains, 0.1);
-
-  const auto exact = fhmm.decode(aggregate);
-  for (const std::size_t beam :
-       {fhmm.joint_state_count(), fhmm.joint_state_count() + 100}) {
-    FhmmDecodeOptions options;
-    options.beam_width = beam;
-    const auto beamed = fhmm.decode(aggregate, options);
-    EXPECT_EQ(beamed.joint_path, exact.joint_path) << "beam=" << beam;
-    EXPECT_EQ(beamed.log_likelihood, exact.log_likelihood);
-  }
-}
-
-TEST(FactorialHmm, NarrowBeamStillDecodesAndAgreesAcrossAlgorithms) {
-  Rng rng(78);
-  const auto chains = random_chains(3, rng);
-  const auto aggregate = sample_aggregate(chains, 30, 0.1, rng);
-  FactorialHmm fhmm(chains, 0.1);
-
-  FhmmDecodeOptions beamed;
-  beamed.beam_width = 4;
-  const auto factored = fhmm.decode(aggregate, beamed);
-  ASSERT_EQ(factored.joint_path.size(), aggregate.size());
-  EXPECT_TRUE(std::isfinite(factored.log_likelihood));
-
-  // The beam prunes on delta values both algorithms compute identically at
-  // t=0; on this short trace the surviving frontier stays aligned, so the
-  // naive decoder under the same beam returns the same path.
-  const auto naive =
-      reference::fhmm_decode_naive(fhmm, aggregate, beamed.beam_width);
-  EXPECT_EQ(factored.joint_path, naive.joint_path);
-}
-
 TEST(LearnChain, DiscoversPowerLevels) {
   Rng rng(8);
   std::vector<double> trace;

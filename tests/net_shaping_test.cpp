@@ -6,9 +6,11 @@
 // structural guarantees (full-intensity quantization, single VPN tuple).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 
+#include "campaign/config_text.h"
 #include "campaign/net_axis.h"
 #include "common/error.h"
 #include "common/parallel.h"
@@ -312,21 +314,45 @@ TEST(Arena, RejectsBadOptions) {
   options = tiny_arena();
   options.defenses = {"warp-drive"};
   EXPECT_THROW(run_arena(options), InvalidArgument);
+  options = tiny_arena();
+  options.test_instances_per_type = 0;
+  EXPECT_THROW(run_arena(options), InvalidArgument);
+  options = tiny_arena();
+  options.duration_s = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(run_arena(options), InvalidArgument);
 }
 
 // --- campaign net axis ------------------------------------------------------
 
 TEST(NetAxis, ConfigRoundTripsCanonically) {
-  campaign::NetArenaConfig config;
-  config.defenses = {"vpn", "constant-rate"};
-  config.intensities = {0.0, 0.125, 1.0};
-  config.duration_s = 1234.5;
-  config.base_seed = 99;
-  const auto text = campaign::canonical_net_text(config);
+  ArenaOptions options;
+  options.defenses = {"vpn", "constant-rate"};
+  options.intensities = {0.0, 0.125, 1.0};
+  options.duration_s = 1234.5;
+  options.seed = 99;
+  const auto text = campaign::canonical_net_text(options);
   const auto reparsed = campaign::parse_net_config(text);
   EXPECT_EQ(campaign::canonical_net_text(reparsed), text);
   EXPECT_EQ(campaign::net_config_hash(reparsed),
-            campaign::net_config_hash(config));
+            campaign::net_config_hash(options));
+}
+
+TEST(NetAxis, DefaultCanonicalTextAndHashArePinned) {
+  // The arena frontier's "config hash" line is taken over this text; a
+  // change to either literal orphans every published net frontier.
+  const ArenaOptions options;
+  EXPECT_EQ(campaign::canonical_net_text(options),
+            "attacks = \n"
+            "defenses = constant-rate, cover, decoy, vpn\n"
+            "duration_s = 3.6e+03\n"
+            "intensities = 0, 0.35, 0.7, 1\n"
+            "seed = 2018\n"
+            "test_instances = 2\n"
+            "train_instances = 2\n"
+            "window_s = 3e+02\n");
+  EXPECT_EQ(campaign::net_config_hash(options), 0x8502523c9dcee0c3ULL);
+  EXPECT_EQ(campaign::text::format_hash(campaign::net_config_hash(options)),
+            "8502523c9dcee0c3");
 }
 
 TEST(NetAxis, ParserRejectsBadInput) {
@@ -339,18 +365,36 @@ TEST(NetAxis, ParserRejectsBadInput) {
                InvalidArgument);
 }
 
+TEST(NetAxis, ParserRejectsHostileNumbers) {
+  // Each of these used to parse: a count that wrapped through the int
+  // narrowing to 1, a sign strtoull silently wrapped, and an infinite
+  // horizon that passes the one-full-window check.
+  EXPECT_THROW(campaign::parse_net_config("train_instances = 4294967297"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("test_instances = 4294967297"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("train_instances = -1"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("seed = 99999999999999999999"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("duration_s = inf"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("duration_s = nan"),
+               InvalidArgument);
+}
+
 TEST(NetAxis, FrontierCsvIsByteStable) {
-  campaign::NetArenaConfig config;
-  config.defenses = {"constant-rate", "vpn"};
-  config.intensities = {0.0, 1.0};
-  config.train_instances_per_type = 1;
-  config.test_instances_per_type = 1;
-  config.duration_s = 600.0;
-  config.window_s = 300.0;
-  const auto result = net::run_arena(campaign::to_arena_options(config));
+  ArenaOptions options;
+  options.defenses = {"constant-rate", "vpn"};
+  options.intensities = {0.0, 1.0};
+  options.train_instances_per_type = 1;
+  options.test_instances_per_type = 1;
+  options.duration_s = 600.0;
+  options.window_s = 300.0;
+  const auto result = run_arena(options);
   std::ostringstream a, b;
-  campaign::write_net_frontier_csv(a, config, result);
-  campaign::write_net_frontier_csv(b, config, result);
+  campaign::write_net_frontier_csv(a, options, result);
+  campaign::write_net_frontier_csv(b, options, result);
   EXPECT_EQ(a.str(), b.str());
   EXPECT_NE(a.str().find("defense,intensity,"), std::string::npos);
   // One header comment + one column header + one line per cell.

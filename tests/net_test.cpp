@@ -12,9 +12,7 @@
 #include "net/features.h"
 #include "net/fingerprint.h"
 #include "net/gateway.h"
-#include <sstream>
 
-#include "net/capture.h"
 #include "net/packet.h"
 #include "net/window_accumulator.h"
 #include "reference/window_features.h"
@@ -162,59 +160,6 @@ TEST(HomeNetwork, AllDevicesEmit) {
     }
     EXPECT_TRUE(found) << device.name;
   }
-}
-
-TEST(Capture, RoundTripsPackets) {
-  Rng rng(21);
-  const auto profile = make_device(DeviceType::kThermostat, 0, rng);
-  const auto packets = simulate_device(profile, 600.0, rng);
-  std::ostringstream os;
-  write_capture(os, packets);
-  std::istringstream is(os.str());
-  const auto loaded = read_capture(is);
-  ASSERT_EQ(loaded.size(), packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    EXPECT_NEAR(loaded[i].timestamp_s, packets[i].timestamp_s, 1e-6);
-    EXPECT_EQ(loaded[i].src_ip, packets[i].src_ip);
-    EXPECT_EQ(loaded[i].dst_ip, packets[i].dst_ip);
-    EXPECT_EQ(loaded[i].src_port, packets[i].src_port);
-    EXPECT_EQ(loaded[i].dst_port, packets[i].dst_port);
-    EXPECT_EQ(loaded[i].protocol, packets[i].protocol);
-    EXPECT_EQ(loaded[i].size_bytes, packets[i].size_bytes);
-  }
-}
-
-TEST(Capture, RejectsMalformedInput) {
-  {
-    std::istringstream is("nope\n");
-    EXPECT_THROW(read_capture(is), pmiot::InvalidArgument);
-  }
-  {
-    std::istringstream is(
-        "# pmiot-capture v1\n"
-        "0.5 icmp 10.0.0.1:1 > 10.0.0.2:2 100\n");
-    EXPECT_THROW(read_capture(is), pmiot::InvalidArgument);
-  }
-  {
-    std::istringstream is(
-        "# pmiot-capture v1\n"
-        "0.5 tcp 10.0.0.1:99999 > 10.0.0.2:2 100\n");
-    EXPECT_THROW(read_capture(is), pmiot::InvalidArgument);
-  }
-}
-
-TEST(Capture, FeaturesIdenticalAfterRoundTrip) {
-  Rng rng(22);
-  const auto profile = make_device(DeviceType::kCamera, 0, rng);
-  const auto packets = simulate_device(profile, 600.0, rng);
-  std::ostringstream os;
-  write_capture(os, packets);
-  std::istringstream is(os.str());
-  const auto loaded = read_capture(is);
-  const auto a = extract_window_features(packets, profile.ip, 0.0, 600.0);
-  const auto b = extract_window_features(loaded, profile.ip, 0.0, 600.0);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-6);
 }
 
 // --- features --------------------------------------------------------------------

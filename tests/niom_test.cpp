@@ -158,6 +158,8 @@ TEST(SupervisedNiom, RequiresFit) {
 }
 
 TEST(SupervisedNiom, RequiresBothClassesInTraining) {
+  // A history with no vacant waking window has nothing to learn from: both
+  // models degrade to a constant detector that answers the one class seen.
   Rng rng(35);
   auto cfg = synth::home_a();
   cfg.occupancy.employed = false;
@@ -166,9 +168,34 @@ TEST(SupervisedNiom, RequiresBothClassesInTraining) {
   cfg.occupancy.vacation_probability = 0.0;
   const auto always_home =
       synth::simulate_home(cfg, CivilDate{2017, 6, 5}, 3, rng);
-  SupervisedNiom detector;
-  EXPECT_THROW(detector.fit(always_home.aggregate, always_home.occupancy),
-               InvalidArgument);
+  for (const auto model :
+       {SupervisedNiom::Model::kKnn, SupervisedNiom::Model::kForest}) {
+    SupervisedNiom detector({.model = model});
+    detector.fit(always_home.aggregate, always_home.occupancy);
+    EXPECT_TRUE(detector.fitted());
+    const auto labels = detector.detect(always_home.aggregate);
+    EXPECT_EQ(labels, std::vector<int>(always_home.aggregate.size(), 1))
+        << detector.name();
+    const auto report = evaluate(detector, always_home.aggregate,
+                                 always_home.occupancy, waking_hours());
+    EXPECT_EQ(report.mcc, 0.0) << detector.name();
+  }
+}
+
+TEST(SupervisedNiom, ForestModelBeatsChanceWithLabels) {
+  // Same labelled week / test week as the k-NN case above.
+  Rng rng(31);
+  const auto train =
+      synth::simulate_home(synth::home_a(), CivilDate{2017, 5, 29}, 7, rng);
+  const auto test =
+      synth::simulate_home(synth::home_a(), CivilDate{2017, 6, 5}, 7, rng);
+  SupervisedNiom forest({.model = SupervisedNiom::Model::kForest});
+  EXPECT_EQ(forest.name(), "niom-supervised-forest");
+  forest.fit(train.aggregate, train.occupancy);
+  const auto report =
+      evaluate(forest, test.aggregate, test.occupancy, waking_hours());
+  EXPECT_GT(report.accuracy, 0.65);
+  EXPECT_GT(report.mcc, 0.0);
 }
 
 class NiomAccuracyBand : public ::testing::TestWithParam<std::uint64_t> {};

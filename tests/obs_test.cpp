@@ -1,4 +1,4 @@
-// Determinism suite for the observability layer: counter/gauge/histogram
+// Determinism suite for the observability layer: counter/histogram
 // snapshots must be bitwise identical at any pool width, the metrics-off
 // path must record nothing, and a failed batch must discard its per-shard
 // cells wholesale (never merge them partially by scheduling order).
@@ -41,7 +41,6 @@ void run_workload() {
   obs::Counter& events = registry().counter("test.obs.events");
   obs::Histogram& sizes =
       registry().histogram("test.obs.sizes", {1.0, 10.0, 100.0});
-  registry().gauge("test.obs.width").set(7);
 
   events.add(5);  // direct add outside any batch
   par::parallel_for(0, 16, [&](std::size_t i) {
@@ -95,7 +94,6 @@ TEST(Obs, WorkloadCountsAreExact) {
   run_workload();
   // 5 direct + sum(i+1, i<16)=136 in shards + 16 nested * (0+1+2)=48.
   EXPECT_EQ(registry().counter("test.obs.events").value(), 5u + 136u + 48u);
-  EXPECT_EQ(registry().gauge("test.obs.width").value(), 7);
 }
 
 TEST(Obs, ParBatchAndShardCountersTrackTopLevelBatches) {
@@ -119,7 +117,6 @@ TEST(Obs, MetricsOffReturnsEmptySnapshot) {
   const obs::Snapshot snap =
       registry().snapshot({.include_nondeterministic = true});
   EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.gauges.empty());
   EXPECT_TRUE(snap.histograms.empty());
   EXPECT_TRUE(snap.timers.empty());
   EXPECT_TRUE(snap.worker_shards.empty());
@@ -235,13 +232,11 @@ TEST(Obs, WorkerShardCountsOnlyInNondeterministicSnapshot) {
 TEST(Obs, JsonSnapshotFollowsBenchConventions) {
   MetricsOn on;
   registry().counter("test.obs.json").add(3);
-  registry().gauge("test.obs.json_gauge").set(-4);
   registry().histogram("test.obs.json_hist", {2.5}).observe(1.0);
   const std::string json = obs::to_json(
       registry().snapshot({.include_nondeterministic = true}), "obs_test");
   EXPECT_NE(json.find("\"source\": \"obs_test\""), std::string::npos);
   EXPECT_NE(json.find("\"test.obs.json\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"test.obs.json_gauge\": -4"), std::string::npos);
   EXPECT_NE(json.find("\"edges\": [2.5]"), std::string::npos);
   EXPECT_NE(json.find("\"worker_shards\""), std::string::npos);
 }
