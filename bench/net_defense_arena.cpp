@@ -4,8 +4,10 @@
 // Self-check (deterministic output only — CI diffs it across
 // PMIOT_THREADS ∈ {1, 4, 16} and PMIOT_SIMD ON/OFF):
 //   * intensity 0 is a bitwise passthrough for every registered defense;
-//   * shaped captures run through the streaming WindowAccumulator match
-//     the per-window extract_window_features reference bit for bit;
+//   * shaped captures run through the streaming WindowAccumulator and the
+//     arena's streaming recovery path match the per-window
+//     extract_window_features / extract_recovery_features references bit
+//     for bit;
 //   * the pooled arena == a width-1 pool (the serial reference), bitwise,
 //     and pool width 4 agrees too, in-process (ScopedPoolOverride);
 //   * the net arena config round-trips through its canonical text;
@@ -34,6 +36,7 @@
 #include "net/features.h"
 #include "net/shaping.h"
 #include "obs/metrics.h"
+#include "reference/recovery_features.h"
 #include "reference/window_features.h"
 
 using namespace pmiot;
@@ -114,6 +117,19 @@ int self_check() {
           if (row.features != reference) {
             return fail("WindowAccumulator diverges from "
                         "extract_window_features on '" +
+                        name + "' shaped traffic (device " + device.name +
+                        ", window " + std::to_string(row.window_index) + ")");
+          }
+        }
+        const auto recovery = net::windowed_recovery_features(
+            wan, device.ip, 1200.0, window_s);
+        for (const auto& row : recovery) {
+          const double t0 =
+              static_cast<double>(row.window_index) * window_s;
+          if (row.features != reference::extract_recovery_features(
+                                  wan, device.ip, t0, t0 + window_s)) {
+            return fail("streaming recovery features diverge from "
+                        "extract_recovery_features on '" +
                         name + "' shaped traffic (device " + device.name +
                         ", window " + std::to_string(row.window_index) + ")");
           }

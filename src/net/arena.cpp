@@ -1,10 +1,12 @@
 #include "net/arena.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <limits>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -14,6 +16,9 @@
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
 #include "net/features.h"
+#include "net/window_accumulator.h"
+#include "obs/metrics.h"
+#include "obs/scoped_timer.h"
 
 namespace pmiot::net {
 
@@ -32,6 +37,233 @@ constexpr std::uint64_t kTestHomeSalt = 0x9a2;
 constexpr std::uint64_t kCellSalt = 0x9a3;
 constexpr std::uint64_t kPretrainedSalt = 0x9a4;
 
+constexpr std::array<const char*, 4> kRecoveryFeatureNames = {
+    "iat_mode_frac",      // fraction of IATs in the modal 10 ms bin
+    "sub_mode_iat_frac",  // IATs under half the modal gap: queue bursts
+    "fine_burst_rate",    // max packets/s over 1 s buckets
+    "size_mode_frac",     // fraction of packets at the modal wire size
+};
+constexpr std::size_t kNumRecoveryFeatures = kRecoveryFeatureNames.size();
+
+obs::Counter& packets_routed_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
+      "net.arena.packets_routed");
+  return c;
+}
+
+obs::Counter& windows_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().counter("net.arena.windows");
+  return c;
+}
+
+obs::Counter& packets_added_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().counter("net.shape.packets_added");
+  return c;
+}
+
+/// Modal-count scratch shared by every recovery window one table build
+/// closes: dense counts for values in [0, kDenseValues), reset through the
+/// entries a window touched, so a close costs O(its packets) and allocates
+/// nothing. Values outside the dense range (IAT bins of gaps >= 655.36 s,
+/// negative or jumbo wire sizes) are sorted and counted at close.
+class ModalScratch {
+ public:
+  struct Mode {
+    std::size_t count = 0;
+    long value = 0;
+  };
+
+  void add(long value) {
+    if (value >= 0 && value < kDenseValues) {
+      const auto slot = static_cast<std::size_t>(value);
+      if (counts_[slot]++ == 0) touched_.push_back(slot);
+    } else {
+      overflow_.push_back(value);
+    }
+  }
+
+  /// The highest count, ties to the smallest value (what an ascending
+  /// ordered-map scan with a strict `>` picks); empties the scratch.
+  Mode take_mode() {
+    Mode best;
+    const auto consider = [&best](long value, std::size_t count) {
+      if (count > best.count || (count == best.count && value < best.value)) {
+        best = Mode{count, value};
+      }
+    };
+    for (const auto slot : touched_) {
+      consider(static_cast<long>(slot), counts_[slot]);
+      counts_[slot] = 0;
+    }
+    touched_.clear();
+    std::sort(overflow_.begin(), overflow_.end());
+    for (std::size_t i = 0; i < overflow_.size();) {
+      std::size_t j = i;
+      while (j < overflow_.size() && overflow_[j] == overflow_[i]) ++j;
+      consider(overflow_[i], j - i);
+      i = j;
+    }
+    overflow_.clear();
+    return best;
+  }
+
+ private:
+  static constexpr long kDenseValues = 65536;
+  std::vector<std::uint32_t> counts_ =
+      std::vector<std::uint32_t>(kDenseValues, 0);
+  std::vector<std::size_t> touched_;
+  std::vector<long> overflow_;
+};
+
+/// One recovery window [t0, t1): the in-window packets' timestamps and wire
+/// sizes, in arrival (= time) order. Every feature is computed at `close`.
+class RecoveryWindow {
+ public:
+  /// Opens [t0, t1), keeping any held packets at or after t0: the ones
+  /// that also fall in this window when rounding makes the previous
+  /// window's k·w + w exceed this one's (k+1)·w.
+  void open(double t0, double t1) {
+    PMIOT_CHECK(t1 > t0, "empty window");
+    const auto keep_from =
+        std::lower_bound(times_.begin(), times_.end(), t0) - times_.begin();
+    times_.erase(times_.begin(), times_.begin() + keep_from);
+    sizes_.erase(sizes_.begin(), sizes_.begin() + keep_from);
+    t0_ = t0;
+    t1_ = t1;
+  }
+
+  double t0() const noexcept { return t0_; }
+  double t1() const noexcept { return t1_; }
+
+  /// The packet at `timestamp_s` lies in [t0, t1) and after every packet
+  /// already held.
+  void add(double timestamp_s, int size_bytes) {
+    times_.push_back(timestamp_s);
+    sizes_.push_back(size_bytes);
+  }
+
+  /// Writes the `recovery_feature_names()` vector to `out` — the same
+  /// arithmetic, on the same values, as the per-window rescan
+  /// `reference::extract_recovery_features`.
+  void close(ModalScratch& scratch, double* out) const {
+    std::fill(out, out + kNumRecoveryFeatures, 0.0);
+    if (times_.empty()) return;
+    if (times_.size() >= 2) {
+      // Periodicity recovery: bin IATs at 10 ms and find the modal gap; a
+      // shaper's slot cadence concentrates mass in one bin, while its queue
+      // overflow shows up as gaps far *below* the mode.
+      for (std::size_t i = 1; i < times_.size(); ++i) {
+        scratch.add(std::lround((times_[i] - times_[i - 1]) * 100.0));
+      }
+      const auto mode = scratch.take_mode();
+      const auto num_iats = static_cast<double>(times_.size() - 1);
+      out[0] = static_cast<double>(mode.count) / num_iats;
+      const double mode_gap = static_cast<double>(mode.value) / 100.0;
+      if (mode_gap > 0.0) {
+        std::size_t sub = 0;
+        for (std::size_t i = 1; i < times_.size(); ++i) {
+          if (times_[i] - times_[i - 1] < 0.5 * mode_gap) ++sub;
+        }
+        out[1] = static_cast<double>(sub) / num_iats;
+      }
+    }
+    // Peak 1 s packet rate. Bucket indices never decrease over sorted
+    // times, so each occupied bucket is one run; empty buckets rate 0.
+    const auto num_buckets = std::max<std::size_t>(
+        static_cast<std::size_t>(std::ceil((t1_ - t0_) / 1.0)), 1);
+    const auto bucket_of = [&](double t) {
+      return std::min(static_cast<std::size_t>(t - t0_), num_buckets - 1);
+    };
+    const auto rate = [&](std::size_t bucket, std::size_t count) {
+      const double width =
+          std::min(1.0, (t1_ - t0_) - static_cast<double>(bucket));
+      return static_cast<double>(count) / width;
+    };
+    double burst = 0.0;
+    std::size_t bucket = bucket_of(times_.front());
+    std::size_t count = 0;
+    for (const double t : times_) {
+      const auto b = bucket_of(t);
+      if (b != bucket) {
+        burst = std::max(burst, rate(bucket, count));
+        bucket = b;
+        count = 0;
+      }
+      ++count;
+    }
+    out[2] = std::max(burst, rate(bucket, count));
+    for (const int size : sizes_) scratch.add(size);
+    out[3] = static_cast<double>(scratch.take_mode().count) /
+             static_cast<double>(sizes_.size());
+  }
+
+ private:
+  double t0_ = 0.0;
+  double t1_ = 0.0;
+  std::vector<double> times_;
+  std::vector<int> sizes_;
+};
+
+constexpr const char* kOrderMessage =
+    "packets must arrive in timestamp order (use sort_by_time)";
+
+/// Streaming recovery features for one device over the windows
+/// [k·w, k·w + w), k < num_windows — the window expressions the per-window
+/// calls used, so rounding can make neighbours overlap or leave a gap, and
+/// the stream honours both.
+class RecoveryStream {
+ public:
+  RecoveryStream(double window_s, std::size_t num_windows,
+                 ModalScratch& scratch)
+      : window_s_(window_s),
+        num_windows_(num_windows),
+        scratch_(&scratch),
+        rows_(num_windows * kNumRecoveryFeatures, 0.0) {
+    if (num_windows_ > 0) window_.open(0.0, window_s_);
+  }
+
+  /// `timestamp_s` must not precede the previous packet's (callers check).
+  void add(double timestamp_s, int size_bytes) {
+    while (current_ < num_windows_ && timestamp_s >= window_.t1()) {
+      close_window();
+    }
+    if (current_ == num_windows_ || timestamp_s < window_.t0()) return;
+    window_.add(timestamp_s, size_bytes);
+  }
+
+  /// Closes the remaining windows; row k is
+  /// [k * kNumRecoveryFeatures, (k + 1) * kNumRecoveryFeatures). Terminal.
+  std::vector<double> finish() {
+    while (current_ < num_windows_) close_window();
+    return std::move(rows_);
+  }
+
+ private:
+  void close_window() {
+    window_.close(*scratch_, rows_.data() + current_ * kNumRecoveryFeatures);
+    if (++current_ == num_windows_) return;
+    const double t0 = static_cast<double>(current_) * window_s_;
+    window_.open(t0, t0 + window_s_);
+  }
+
+  double window_s_;
+  std::size_t num_windows_;
+  ModalScratch* scratch_;
+  std::size_t current_ = 0;
+  RecoveryWindow window_;
+  std::vector<double> rows_;
+};
+
+/// Full windows in [0, duration_s), counted the way `WindowAccumulator`
+/// counts them: window k is kept iff (k + 1) * window_s <= duration_s.
+std::size_t full_window_count(double duration_s, double window_s) {
+  std::size_t n = 0;
+  while (static_cast<double>(n + 1) * window_s <= duration_s) ++n;
+  return n;
+}
+
 /// Every roster device's windows over one capture, defense-agnostic: the
 /// per-cell unit both training-set assembly and scoring consume.
 struct WindowTable {
@@ -41,44 +273,67 @@ struct WindowTable {
   std::vector<int> label;                 ///< actual device type
 };
 
-WindowTable build_window_table(std::span<const Packet> wan_packets,
+/// One pass over the whole (time-sorted) capture. Each packet the WAN
+/// observer sees — at least one non-LAN endpoint, `wan_view`'s rule — has
+/// at most one LAN endpoint, so it belongs to at most one roster device
+/// (src looked up first, then dst; tunnel traffic rewritten away from
+/// device addresses lands nowhere — exactly what the observer can
+/// attribute). It goes straight to that device's window accumulator and
+/// recovery stream.
+WindowTable build_window_table(std::span<const Packet> capture,
                                const std::vector<DeviceProfile>& roster,
                                double duration_s, double window_s) {
-  // One bucketing pass: a WAN packet has exactly one LAN endpoint, so it
-  // belongs to at most one roster device (tunnel traffic rewritten away
-  // from device addresses lands in no bucket — exactly what the observer
-  // can attribute).
+  static obs::Timer& timer =
+      obs::MetricsRegistry::instance().timer("net.arena.window_table");
+  obs::ScopedTimer span(timer);
+
   std::unordered_map<std::uint32_t, std::size_t> index;
   for (std::size_t i = 0; i < roster.size(); ++i) {
     index.emplace(roster[i].ip, i);
   }
-  std::vector<std::vector<Packet>> buckets(roster.size());
-  for (const auto& p : wan_packets) {
+  const auto num_windows = full_window_count(duration_s, window_s);
+  ModalScratch scratch;
+  std::vector<WindowAccumulator> accumulators;
+  std::vector<RecoveryStream> recovery;
+  accumulators.reserve(roster.size());
+  recovery.reserve(roster.size());
+  for (const auto& device : roster) {
+    accumulators.emplace_back(device.ip, window_s,
+                              /*keep_idle_windows=*/true);
+    recovery.emplace_back(window_s, num_windows, scratch);
+  }
+  std::uint64_t routed = 0;
+  for (const auto& p : capture) {
+    if (is_lan(p.src_ip) && is_lan(p.dst_ip)) continue;  // never on the WAN
     auto it = index.find(p.src_ip);
     if (it == index.end()) it = index.find(p.dst_ip);
-    if (it != index.end()) buckets[it->second].push_back(p);
+    if (it == index.end()) continue;
+    accumulators[it->second].add(p);
+    recovery[it->second].add(p.timestamp_s, p.size_bytes);
+    ++routed;
   }
 
   WindowTable table;
   for (std::size_t d = 0; d < roster.size(); ++d) {
-    const auto rows = windowed_features(buckets[d], roster[d].ip, duration_s,
-                                        window_s, /*keep_idle_windows=*/true);
+    const auto rows = accumulators[d].finish(duration_s);
+    const auto rec = recovery[d].finish();
+    PMIOT_ASSERT(rows.size() == num_windows,
+                 "window accumulator and recovery stream disagree");
     for (const auto& row : rows) {
-      const double t0 = static_cast<double>(row.window_index) * window_s;
-      auto recovery =
-          extract_recovery_features(buckets[d], roster[d].ip, t0,
-                                    t0 + window_s);
+      const auto* r = rec.data() + row.window_index * kNumRecoveryFeatures;
       // total == 0 implies both packet rates are zero, and vice versa.
       const bool silent = row.features[kFeaturePktRateUp] == 0.0 &&
                           row.features[kFeaturePktRateDown] == 0.0;
       auto ext = row.features;
-      ext.insert(ext.end(), recovery.begin(), recovery.end());
+      ext.insert(ext.end(), r, r + kNumRecoveryFeatures);
       table.base.push_back(row.features);
       table.ext.push_back(std::move(ext));
       table.silent.push_back(silent);
       table.label.push_back(static_cast<int>(roster[d].type));
     }
   }
+  packets_routed_counter().add(routed);
+  windows_counter().add(table.label.size());
   return table;
 }
 
@@ -155,9 +410,9 @@ ArenaContext prepare(const ArenaOptions& o) {
                                          o.duration_s, train_rng);
   ctx.test_home =
       simulate_home_network(o.test_instances_per_type, o.duration_s, test_rng);
-  const auto raw_wan = wan_view(ctx.train_home.packets);
-  ctx.raw_train = build_window_table(raw_wan, ctx.train_home.devices,
-                                     o.duration_s, o.window_s);
+  ctx.raw_train = build_window_table(ctx.train_home.packets,
+                                     ctx.train_home.devices, o.duration_s,
+                                     o.window_s);
   if (o.attacks.empty()) {
     ctx.panel = fingerprint_attacks();
   } else {
@@ -166,6 +421,18 @@ ArenaContext prepare(const ArenaOptions& o) {
     }
   }
   return ctx;
+}
+
+/// `TrafficDefense::apply` under its `net.shape.<defense>` stage timer.
+ShapedCapture shape(const TrafficDefense& defense, const HomeNetwork& home,
+                    double duration_s, double intensity, Rng& rng) {
+  obs::ScopedTimer span(
+      obs::MetricsRegistry::instance().timer("net.shape." + defense.name()));
+  auto shaped = defense.apply(home, duration_s, intensity, rng);
+  if (shaped.packets.size() > home.packets.size()) {
+    packets_added_counter().add(shaped.packets.size() - home.packets.size());
+  }
+  return shaped;
 }
 
 ArenaCell score_cell(const ArenaOptions& o, const ArenaContext& ctx,
@@ -181,16 +448,15 @@ ArenaCell score_cell(const ArenaOptions& o, const ArenaContext& ctx,
   Rng shape_train_rng(par::shard_seed(cell_seed, 0));
   Rng shape_test_rng(par::shard_seed(cell_seed, 1));
   const auto shaped_train =
-      defense->apply(ctx.train_home, o.duration_s, intensity, shape_train_rng);
+      shape(*defense, ctx.train_home, o.duration_s, intensity, shape_train_rng);
   const auto shaped_test =
-      defense->apply(ctx.test_home, o.duration_s, intensity, shape_test_rng);
+      shape(*defense, ctx.test_home, o.duration_s, intensity, shape_test_rng);
 
   const auto train_table =
-      build_window_table(wan_view(shaped_train.packets),
-                         ctx.train_home.devices, o.duration_s, o.window_s);
-  const auto test_table =
-      build_window_table(wan_view(shaped_test.packets), ctx.test_home.devices,
+      build_window_table(shaped_train.packets, ctx.train_home.devices,
                          o.duration_s, o.window_s);
+  const auto test_table = build_window_table(
+      shaped_test.packets, ctx.test_home.devices, o.duration_s, o.window_s);
 
   ArenaCell result;
   result.defense = defense_name;
@@ -244,79 +510,54 @@ SupervisedFingerprintAttack make_fingerprint_attack(const std::string& name) {
 }
 
 const std::vector<std::string>& recovery_feature_names() {
-  static const std::vector<std::string> names = {
-      "iat_mode_frac",      // fraction of IATs in the modal 10 ms bin
-      "sub_mode_iat_frac",  // IATs under half the modal gap: queue bursts
-      "fine_burst_rate",    // max packets/s over 1 s buckets
-      "size_mode_frac",     // fraction of packets at the modal wire size
-  };
+  static const std::vector<std::string> names(kRecoveryFeatureNames.begin(),
+                                              kRecoveryFeatureNames.end());
   return names;
 }
 
 std::vector<double> extract_recovery_features(std::span<const Packet> packets,
                                               std::uint32_t device_ip,
                                               double t0, double t1) {
-  PMIOT_CHECK(t1 > t0, "empty window");
-  std::vector<double> times;
-  std::map<int, std::size_t> size_counts;  // ordered: ties -> smallest
-  const auto num_buckets = std::max<std::size_t>(
-      static_cast<std::size_t>(std::ceil((t1 - t0) / 1.0)), 1);
-  std::vector<std::size_t> buckets(num_buckets, 0);
+  // Reused across calls on a thread: a fresh scratch would zero 256 KiB
+  // per window.
+  static thread_local ModalScratch scratch;
+  RecoveryWindow window;
+  window.open(t0, t1);
+  double last = -std::numeric_limits<double>::infinity();
   for (const auto& p : packets) {
+    PMIOT_CHECK(p.timestamp_s >= last, kOrderMessage);
+    last = p.timestamp_s;
     if (p.timestamp_s < t0 || p.timestamp_s >= t1) continue;
     if (p.src_ip != device_ip && p.dst_ip != device_ip) continue;
-    times.push_back(p.timestamp_s);
-    ++size_counts[p.size_bytes];
-    const auto bucket = std::min(
-        static_cast<std::size_t>(p.timestamp_s - t0), num_buckets - 1);
-    ++buckets[bucket];
+    window.add(p.timestamp_s, p.size_bytes);
   }
-
-  std::vector<double> f(recovery_feature_names().size(), 0.0);
-  if (times.empty()) return f;
-
-  std::sort(times.begin(), times.end());
-  if (times.size() >= 2) {
-    // Periodicity recovery: bin IATs at 10 ms and find the modal gap; a
-    // shaper's slot cadence concentrates mass in one bin, while its queue
-    // overflow shows up as gaps far *below* the mode.
-    std::map<long, std::size_t> iat_bins;
-    std::size_t num_iats = 0;
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      ++iat_bins[std::lround((times[i] - times[i - 1]) * 100.0)];
-      ++num_iats;
-    }
-    long mode_bin = 0;
-    std::size_t mode_count = 0;
-    for (const auto& [bin, count] : iat_bins) {
-      if (count > mode_count) {  // ties keep the smallest bin
-        mode_count = count;
-        mode_bin = bin;
-      }
-    }
-    f[0] = static_cast<double>(mode_count) / static_cast<double>(num_iats);
-    const double mode_gap = static_cast<double>(mode_bin) / 100.0;
-    if (mode_gap > 0.0) {
-      std::size_t sub = 0;
-      for (std::size_t i = 1; i < times.size(); ++i) {
-        if (times[i] - times[i - 1] < 0.5 * mode_gap) ++sub;
-      }
-      f[1] = static_cast<double>(sub) / static_cast<double>(num_iats);
-    }
-  }
-  double burst = 0.0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    const double width =
-        std::min(1.0, (t1 - t0) - static_cast<double>(b));
-    burst = std::max(burst, static_cast<double>(buckets[b]) / width);
-  }
-  f[2] = burst;
-  std::size_t size_mode = 0;
-  for (const auto& [size, count] : size_counts) {
-    size_mode = std::max(size_mode, count);
-  }
-  f[3] = static_cast<double>(size_mode) / static_cast<double>(times.size());
+  std::vector<double> f(kNumRecoveryFeatures);
+  window.close(scratch, f.data());
   return f;
+}
+
+std::vector<WindowRow> windowed_recovery_features(
+    std::span<const Packet> packets, std::uint32_t device_ip,
+    double duration_s, double window_s) {
+  PMIOT_CHECK(window_s > 0.0 && duration_s >= window_s,
+              "need at least one full window");
+  const auto num_windows = full_window_count(duration_s, window_s);
+  ModalScratch scratch;
+  RecoveryStream stream(window_s, num_windows, scratch);
+  double last = -std::numeric_limits<double>::infinity();
+  for (const auto& p : packets) {
+    PMIOT_CHECK(p.timestamp_s >= last, kOrderMessage);
+    last = p.timestamp_s;
+    if (p.src_ip != device_ip && p.dst_ip != device_ip) continue;
+    stream.add(p.timestamp_s, p.size_bytes);
+  }
+  const auto flat = stream.finish();
+  std::vector<WindowRow> rows(num_windows);
+  for (std::size_t k = 0; k < num_windows; ++k) {
+    const auto* r = flat.data() + k * kNumRecoveryFeatures;
+    rows[k] = WindowRow{k, std::vector<double>(r, r + kNumRecoveryFeatures)};
+  }
+  return rows;
 }
 
 void validate(const ArenaOptions& options) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "net/features.h"
 #include "net/packet.h"
 #include "net/shaping.h"
 
@@ -55,9 +56,22 @@ const std::vector<std::string>& recovery_feature_names();
 /// fraction and sub-modal (burst) fraction at 10 ms resolution, max 1 s
 /// packet rate, and modal-size fraction — the residual timing/size
 /// structure constant-rate shaping leaks through its bounded queue.
+/// `packets` may hold other devices' traffic but must be in timestamp order
+/// (`sort_by_time`); out-of-order input throws InvalidArgument ("packets
+/// must arrive in timestamp order"), as `WindowAccumulator` does.
 std::vector<double> extract_recovery_features(std::span<const Packet> packets,
                                               std::uint32_t device_ip,
                                               double t0, double t1);
+
+/// The recovery features of every full window [k·w, k·w + w) in one pass —
+/// the streaming path `run_arena` computes its recovery rows with, exposed
+/// for parity checks against the per-window rescan. One row per window
+/// whose end lies within `duration_s` (idle windows all-zero), tagged like
+/// `windowed_features`' rows. Same ordering precondition as
+/// `extract_recovery_features`.
+std::vector<WindowRow> windowed_recovery_features(
+    std::span<const Packet> packets, std::uint32_t device_ip,
+    double duration_s, double window_s);
 
 struct ArenaOptions {
   int train_instances_per_type = 2;  ///< attacker's lab home

@@ -22,6 +22,11 @@ obs::Counter& flow_evictions_counter() {
   return c;
 }
 
+// A closure type, not a function pointer, so the sorts inline it.
+constexpr auto earlier = [](const Packet& a, const Packet& b) {
+  return a.timestamp_s < b.timestamp_s;
+};
+
 }  // namespace
 
 std::uint32_t make_ip(int a, int b, int c, int d) {
@@ -113,10 +118,18 @@ void FlowTable::add(const Packet& packet) {
 }
 
 void sort_by_time(std::vector<Packet>& packets) {
-  std::stable_sort(packets.begin(), packets.end(),
-                   [](const Packet& a, const Packet& b) {
-                     return a.timestamp_s < b.timestamp_s;
-                   });
+  std::stable_sort(packets.begin(), packets.end(), earlier);
+}
+
+void merge_sorted_tail(std::vector<Packet>& packets, std::size_t prefix) {
+  PMIOT_CHECK(prefix <= packets.size(), "prefix longer than the capture");
+  const auto mid = packets.begin() + static_cast<std::ptrdiff_t>(prefix);
+  if (!std::is_sorted(packets.begin(), mid, earlier)) {
+    sort_by_time(packets);
+    return;
+  }
+  std::stable_sort(mid, packets.end(), earlier);
+  std::inplace_merge(packets.begin(), mid, packets.end(), earlier);
 }
 
 }  // namespace pmiot::net

@@ -6,6 +6,7 @@
 // synthetic; 10.0.0.0/24 is the LAN, everything else is "the Internet".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -98,7 +99,15 @@ class FlowTable {
 };
 
 /// Sorts packets by timestamp (generators emit per-device, merge for the
-/// gateway view).
+/// gateway view). Stable: equal timestamps keep their input order.
 void sort_by_time(std::vector<Packet>& packets);
+
+/// `sort_by_time` for a capture whose first `prefix` packets are already
+/// in order and whose tail was appended: stable-sorts only the tail and
+/// merges it in, so the result is identical to `sort_by_time(packets)` (a
+/// tied prefix packet precedes a tied tail packet). Falls back to the full
+/// sort when the prefix turns out unsorted. Throws InvalidArgument when
+/// `prefix` exceeds the capture.
+void merge_sorted_tail(std::vector<Packet>& packets, std::size_t prefix);
 
 }  // namespace pmiot::net

@@ -84,6 +84,10 @@ ShapedCapture ConstantRatePadding::apply(const HomeNetwork& home,
     out.packets.push_back(p);
   }
 
+  // Everything so far passed through in capture order; the lanes' output
+  // is appended after it and merged in at the end.
+  const std::size_t passed_through = out.packets.size();
+
   // Quantization grid: 1 byte (no-op) at θ→0, the MTU at θ=1, where every
   // cell is exactly 1400 bytes.
   const int quantum = std::max(
@@ -178,7 +182,7 @@ ShapedCapture ConstantRatePadding::apply(const HomeNetwork& home,
     for (const Packet* p : queue) emit_at_real_time(*p);
   }
 
-  sort_by_time(out.packets);
+  merge_sorted_tail(out.packets, passed_through);
   out.added_bytes = total_bytes(out.packets) - out.original_bytes;
   return out;
 }
@@ -190,6 +194,7 @@ ShapedCapture StochasticCoverTraffic::apply(const HomeNetwork& home,
   if (intensity <= 0.0) return passthrough(home);
 
   ShapedCapture out = passthrough(home);
+  const std::size_t real = out.packets.size();
   const double rate = intensity * kMaxCoverRatePerS;
   for (const auto& dev : home.devices) {
     // Exponential-gap exchanges to random *other-vendor* cloud blocks:
@@ -213,7 +218,7 @@ ShapedCapture StochasticCoverTraffic::apply(const HomeNetwork& home,
       t += rng.exponential(rate);
     }
   }
-  sort_by_time(out.packets);
+  merge_sorted_tail(out.packets, real);
   return out;
 }
 
@@ -223,6 +228,7 @@ ShapedCapture DecoyFlows::apply(const HomeNetwork& home, double duration_s,
   if (intensity <= 0.0) return passthrough(home);
 
   ShapedCapture out = passthrough(home);
+  const std::size_t real = out.packets.size();
   for (const auto& dev : home.devices) {
     // A decoy personality of a *different* class, bound to the same LAN
     // address: make_device pins ip to 10.0.0.10+instance, so reusing the
@@ -248,7 +254,7 @@ ShapedCapture DecoyFlows::apply(const HomeNetwork& home, double duration_s,
       out.added_bytes += out.packets[i].size_bytes;
     }
   }
-  sort_by_time(out.packets);
+  merge_sorted_tail(out.packets, real);
   return out;
 }
 

@@ -2,10 +2,14 @@
 // defense-vs-attack arena (net/arena.h), and the campaign-side network
 // axis (campaign/net_axis.h): the θ=0 passthrough contract, bitwise
 // determinism across pool widths, streaming-extractor parity on shaped
-// captures (window-boundary exclusivity included), and the per-defense
-// structural guarantees (full-intensity quantization, single VPN tuple).
+// captures (window-boundary exclusivity included), streaming recovery
+// parity and tail-merge shaping order on randomized captures, and the
+// per-defense structural guarantees (full-intensity quantization, single
+// VPN tuple).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -20,6 +24,8 @@
 #include "net/features.h"
 #include "net/shaping.h"
 #include "net/window_accumulator.h"
+#include "obs/metrics.h"
+#include "reference/recovery_features.h"
 #include "reference/window_features.h"
 
 namespace pmiot::net {
@@ -254,6 +260,155 @@ TEST(Arena, RecoveryFeaturesEmptyWindowIsZero) {
   EXPECT_EQ(f, std::vector<double>(recovery_feature_names().size(), 0.0));
 }
 
+/// A time-sorted capture built to stress the streaming recovery path:
+/// packets before 0 and past the last full window, packets exactly on
+/// k·w and k·w + w (which rounding can put in two windows, or in none),
+/// runs of equal timestamps, one idle window, a 10 ms time grid that
+/// makes IAT-bin and wire-size ties common, sizes outside [0, 65536), and
+/// other devices' traffic interleaved.
+std::vector<Packet> stress_capture(Rng& rng, std::uint32_t dev,
+                                   double window_s, std::size_t num_windows,
+                                   double duration_s, std::size_t n) {
+  const auto other = make_ip(10, 0, 0, 11);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  std::vector<double> times;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto kind = rng.uniform_int(0, 9);
+    if (kind == 0 && !times.empty()) {
+      times.push_back(times.back());  // a tie run
+    } else if (kind <= 2) {
+      const auto k = static_cast<double>(
+          rng.uniform_int(0, static_cast<std::int64_t>(num_windows)));
+      times.push_back(rng.bernoulli(0.5) ? k * window_s
+                                         : k * window_s + window_s);
+    } else if (kind <= 5) {
+      times.push_back(
+          std::round(rng.uniform(-window_s, duration_s + window_s) * 100.0) /
+          100.0);
+    } else {
+      times.push_back(rng.uniform(-window_s, duration_s + window_s));
+    }
+  }
+  const auto idle = static_cast<double>(
+      rng.uniform_int(0, static_cast<std::int64_t>(num_windows) - 1));
+  std::erase_if(times, [&](double t) {
+    return t >= idle * window_s && t < idle * window_s + window_s;
+  });
+
+  static constexpr int kSizes[] = {-7, 0, 60, 1400, 65535, 65536, 90000};
+  std::vector<Packet> packets;
+  for (const double t : times) {
+    const auto owner = rng.bernoulli(0.85) ? dev : other;
+    int size = kSizes[rng.uniform_int(0, 6)];
+    if (rng.bernoulli(0.3)) {
+      size = static_cast<int>(rng.uniform_int(-100, 70000));
+    }
+    packets.push_back(rng.bernoulli(0.5)
+                          ? Packet{t, owner, cloud, 40000, 443,
+                                   Protocol::kTcp, size}
+                          : Packet{t, cloud, owner, 443, 40000,
+                                   Protocol::kUdp, size});
+  }
+  sort_by_time(packets);
+  return packets;
+}
+
+TEST(Arena, StreamingRecoveryMatchesReferenceOnRandomCaptures) {
+  const auto dev = make_ip(10, 0, 0, 10);
+  struct Case {
+    double window_s;
+    std::size_t num_windows;
+    std::size_t packets;
+  };
+  // 7.3 s windows overlap or gap by an ulp from k = 6 on; 700.7 s windows
+  // with sparse traffic put IAT bins past the dense scratch (>= 655.36 s).
+  const Case cases[] = {{7.3, 40, 400}, {700.7, 16, 40}, {300.0, 4, 2000},
+                        {0.3, 30, 300}};
+  Rng rng(97);
+  std::size_t windows_checked = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const auto& c = cases[trial % 4];
+    const double duration_s =
+        static_cast<double>(c.num_windows) * c.window_s +
+        rng.uniform(0.0, 0.9) * c.window_s;
+    const auto packets = stress_capture(rng, dev, c.window_s, c.num_windows,
+                                        duration_s, c.packets);
+    const auto rows =
+        windowed_recovery_features(packets, dev, duration_s, c.window_s);
+    std::size_t full = 0;
+    while (static_cast<double>(full + 1) * c.window_s <= duration_s) ++full;
+    ASSERT_EQ(rows.size(), full) << "trial " << trial;
+    for (const auto& row : rows) {
+      const double t0 = static_cast<double>(row.window_index) * c.window_s;
+      const double t1 = t0 + c.window_s;
+      const auto expected =
+          reference::extract_recovery_features(packets, dev, t0, t1);
+      EXPECT_EQ(row.features, expected)
+          << "trial " << trial << " window " << row.window_index;
+      EXPECT_EQ(extract_recovery_features(packets, dev, t0, t1), expected)
+          << "trial " << trial << " window " << row.window_index;
+      ++windows_checked;
+    }
+  }
+  EXPECT_GT(windows_checked, 400u);
+}
+
+TEST(Arena, RecoveryFeaturesRejectOutOfOrderPackets) {
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  const std::vector<Packet> packets{
+      {5.0, dev, cloud, 40000, 443, Protocol::kTcp, 100},
+      {4.0, dev, cloud, 40000, 443, Protocol::kTcp, 100},
+  };
+  try {
+    (void)extract_recovery_features(packets, dev, 0.0, 10.0);
+    FAIL() << "out-of-order packets accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "packets must arrive in timestamp order"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)windowed_recovery_features(packets, dev, 10.0, 5.0),
+               InvalidArgument);
+  EXPECT_THROW((void)windowed_recovery_features(packets, dev, 4.0, 5.0),
+               InvalidArgument);  // no full window
+}
+
+// --- tail-merge shaping order -----------------------------------------------
+
+TEST(Shaping, MergeSortedTailEqualsFullStableSort) {
+  Rng rng(61);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 60));
+    std::vector<Packet> packets(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Few distinct timestamps, so most comparisons are ties; the port
+      // records the input position, exposing any stability difference.
+      packets[i].timestamp_s = static_cast<double>(rng.uniform_int(0, 5));
+      packets[i].src_port = static_cast<std::uint16_t>(i);
+    }
+    const auto prefix = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    // Most trials sort the prefix (the fast path); the rest leave it as
+    // drawn, which is usually unsorted and takes the fallback.
+    if (trial % 4 != 0) {
+      std::stable_sort(packets.begin(),
+                       packets.begin() + static_cast<std::ptrdiff_t>(prefix),
+                       [](const Packet& a, const Packet& b) {
+                         return a.timestamp_s < b.timestamp_s;
+                       });
+    }
+    auto expected = packets;
+    sort_by_time(expected);
+    merge_sorted_tail(packets, prefix);
+    EXPECT_TRUE(same_packets(packets, expected))
+        << "trial " << trial << " (n " << n << ", prefix " << prefix << ")";
+  }
+  std::vector<Packet> two(2);
+  EXPECT_THROW(merge_sorted_tail(two, 3), InvalidArgument);
+}
+
 // --- the arena --------------------------------------------------------------
 
 ArenaOptions tiny_arena() {
@@ -320,6 +475,42 @@ TEST(Arena, RejectsBadOptions) {
   options = tiny_arena();
   options.duration_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(run_arena(options), InvalidArgument);
+}
+
+// --- stage timers and counters ------------------------------------------------
+
+TEST(Arena, ReportsStageTimersAndCounters) {
+  auto& registry = obs::MetricsRegistry::instance();
+  registry.reset_values_for_testing();
+  obs::set_enabled_for_testing(true);
+  const auto options = tiny_arena();
+  (void)run_arena(options);
+  const auto snap = registry.snapshot({/*include_nondeterministic=*/true});
+  obs::set_enabled_for_testing(false);
+  registry.reset_values_for_testing();
+
+  const auto counter = [&](const std::string& name) {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  // One raw training table plus two shaped tables per cell, each holding
+  // every roster device's (kNumDeviceTypes at one instance) two windows.
+  const std::uint64_t tables = 1 + 2 * 4;
+  EXPECT_EQ(counter("net.arena.windows"), tables * kNumDeviceTypes * 2);
+  EXPECT_GT(counter("net.arena.packets_routed"), 0u);
+  EXPECT_GT(counter("net.shape.packets_added"), 0u);  // constant-rate pads
+
+  const auto timer_count = [&](const std::string& name) {
+    for (const auto& t : snap.timers) {
+      if (t.name == name) return t.count;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(timer_count("net.arena.window_table"), tables);
+  EXPECT_EQ(timer_count("net.shape.constant-rate"), 4u);  // 2 cells x 2 homes
+  EXPECT_EQ(timer_count("net.shape.vpn"), 4u);
 }
 
 // --- campaign net axis ------------------------------------------------------
