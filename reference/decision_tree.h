@@ -60,6 +60,10 @@ class SeedForest final : public ml::Classifier {
   int predict(std::span<const double> row) const override;
   std::string name() const override { return "seed-forest"; }
 
+  /// Every tree's vote for `row`, counted per class: the full vote whose
+  /// first maximum `predict` returns.
+  std::vector<int> votes(std::span<const double> row) const;
+
  private:
   ml::ForestOptions options_;
   Rng rng_;
