@@ -477,6 +477,29 @@ TEST(Arena, RejectsBadOptions) {
   EXPECT_THROW(run_arena(options), InvalidArgument);
 }
 
+// --- seed sweep --------------------------------------------------------------
+
+// A 2x2 grid over many seeds is the cheapest fuzzer of the whole pipeline:
+// shaping, windowing and every attack's fit. On this grid the old
+// split-threshold rounding aborted 14 of these 64 seeds.
+TEST(ArenaSeedSweep, SmallGridCompletesOnSeeds1To64) {
+  ArenaOptions options;
+  options.duration_s = 1800.0;
+  options.defenses = {"decoy", "vpn"};
+  options.intensities = {0.35, 1.0};
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    options.seed = seed;
+    ArenaResult result;
+    ASSERT_NO_THROW(result = run_arena(options)) << "seed " << seed;
+    ASSERT_EQ(result.cells.size(), 4u) << "seed " << seed;
+    for (const auto& cell : result.cells) {
+      EXPECT_GE(cell.privacy_mcc, -1.0) << "seed " << seed;
+      EXPECT_LE(cell.privacy_mcc, 1.0) << "seed " << seed;
+      EXPECT_GE(cell.added_bytes_fraction, 0.0) << "seed " << seed;
+    }
+  }
+}
+
 // --- stage timers and counters ------------------------------------------------
 
 TEST(Arena, ReportsStageTimersAndCounters) {
