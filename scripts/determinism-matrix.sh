@@ -33,6 +33,7 @@ declare -A expect_counter=(
   [sec4]=par.batches
   [fig2]=ml.fhmm.chain_eliminations
   [fleet]=fleet.packets
+  [campaign]=ml.forest.trees_walked
 )
 
 if [[ $# -eq 0 ]]; then
