@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/stats.h"
+#include "reference/flow_table.h"
 
 namespace pmiot::reference {
 namespace {
@@ -24,7 +25,7 @@ std::vector<double> extract_window_features(
   PMIOT_CHECK(t1 > t0, "empty window");
   const double window_s = t1 - t0;
 
-  net::FlowTable flow_table;
+  FlowTable flow_table;
   stats::Accumulator up_size, down_size;
   std::vector<double> up_times;
   double up_bytes = 0, down_bytes = 0;

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "ml/dataset.h"
 #include "obs/metrics.h"
+#include "obs/scoped_timer.h"
 
 namespace pmiot::fleet {
 
@@ -30,6 +31,12 @@ obs::Counter& quarantines_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("fleet.quarantines");
   return c;
+}
+
+obs::Timer& make_home_timer() {
+  static obs::Timer& t =
+      obs::MetricsRegistry::instance().timer("fleet.make_home");
+  return t;
 }
 
 net::SmartGateway home_gateway(const ml::Classifier& classifier,
@@ -65,35 +72,6 @@ net::GatewayOptions fleet_gateway_defaults() {
   gateway.window_s = 120.0;
   return gateway;
 }
-
-namespace {
-
-/// Stable time-sort of packets[begin..end) without `std::stable_sort`'s
-/// hidden temporary buffer: sort (timestamp, suffix index) pairs — the
-/// index tiebreak IS the stability guarantee — then apply the permutation
-/// through the arena's packet buffer. Bitwise identical ordering to
-/// `net::sort_by_time` on the same range.
-void stable_sort_suffix_by_time(std::vector<net::Packet>& packets,
-                                std::size_t begin, HomeArena& arena) {
-  const std::size_t n = packets.size() - begin;
-  if (n < 2) return;
-  arena.sort_keys.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    arena.sort_keys[i] = {packets[begin + i].timestamp_s,
-                          static_cast<std::uint32_t>(i)};
-  }
-  std::sort(arena.sort_keys.begin(), arena.sort_keys.begin() +
-                                         static_cast<std::ptrdiff_t>(n));
-  arena.sort_tmp.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    arena.sort_tmp[i] = packets[begin + arena.sort_keys[i].second];
-  }
-  std::copy(arena.sort_tmp.begin(),
-            arena.sort_tmp.begin() + static_cast<std::ptrdiff_t>(n),
-            packets.begin() + static_cast<std::ptrdiff_t>(begin));
-}
-
-}  // namespace
 
 // pmiot: no-alloc — the arena overloads exist so fleet passes can reuse
 // capture buffers; no definite heap allocation may creep back in (vector
@@ -145,15 +123,11 @@ void make_home_into(const FleetOptions& options, std::size_t home,
       }
     }
 
-    // Simulate straight into the shared capture: append raw, stable-sort
-    // just this device's suffix (what `simulate_device` would have done to
-    // its own vector), then filter the suffix in place. Packet content and
-    // order match the returning overload exactly; only the allocations are
-    // gone.
+    // Simulate straight into the shared capture: append raw, then filter
+    // this device's suffix in place (`remove_if` keeps order).
     const std::size_t before = out.packets.size();
     net::simulate_device_append(lifecycle.profile, options.duration_s, rng,
                                 out.packets);
-    stable_sort_suffix_by_time(out.packets, before, arena);
     if (lifecycle.join_s > 0.0 || lifecycle.leave_s < options.duration_s) {
       const auto first =
           out.packets.begin() + static_cast<std::ptrdiff_t>(before);
@@ -167,7 +141,15 @@ void make_home_into(const FleetOptions& options, std::size_t home,
     }
     out.devices.push_back(std::move(lifecycle));
   }
-  stable_sort_suffix_by_time(out.packets, 0, arena);
+  // One stable sort of the filtered concatenation. Equal timestamps keep
+  // device order, then each device's emission order — exactly what
+  // stable-sorting every device's packets and then the merged capture
+  // gives — and the lifecycle filter commutes with a stable sort.
+  // The only allocation reachable from here is the one-time registration
+  // of the net.sort.runs counter; warm calls allocate nothing, which
+  // `bench/fleet_gateway --self-check` probes at run time.
+  // pmiot-lint: allow(no-alloc)
+  net::sort_by_time(out.packets, arena.sort);
 }
 
 HomeCapture make_home(const FleetOptions& options, std::size_t home) {
@@ -267,7 +249,10 @@ FleetReport FleetGateway::process_fleet() const {
     // reuses warm capacity instead of reallocating per home.
     static thread_local HomeCapture home_buf;
     static thread_local HomeArena sort_arena;
-    make_home_into(options_, h, home_buf, sort_arena);
+    {
+      obs::ScopedTimer span(make_home_timer());
+      make_home_into(options_, h, home_buf, sort_arena);
+    }
     const HomeCapture& home = home_buf;
     const auto gateway = home_gateway(classifier_, detector_, options_, home);
     auto& s = scratch[h];

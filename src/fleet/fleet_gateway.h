@@ -91,13 +91,11 @@ struct HomeCapture {
 /// police identical captures.
 HomeCapture make_home(const FleetOptions& options, std::size_t home);
 
-/// Reusable sorting scratch for `make_home_into`: the (timestamp, index)
-/// key array and permutation buffer that replace `std::stable_sort`'s
-/// internal temporary, so repeated home generation performs no hidden
-/// allocations once capacities are warm.
+/// Reusable scratch for `make_home_into`: the buffers of its one
+/// capture-wide `net::sort_by_time`, so repeated home generation performs
+/// no hidden allocations once capacities are warm.
 struct HomeArena {
-  std::vector<std::pair<double, std::uint32_t>> sort_keys;
-  std::vector<net::Packet> sort_tmp;
+  net::SortScratch sort;
 };
 
 /// Arena variant of `make_home`: regenerates home `home` into `out`,

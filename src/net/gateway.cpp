@@ -1,12 +1,15 @@
 #include "net/gateway.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
 #include "common/table.h"
 #include "net/features.h"
+#include "net/window_accumulator.h"
 #include "obs/metrics.h"
+#include "obs/scoped_timer.h"
 
 namespace pmiot::net {
 
@@ -30,10 +33,27 @@ obs::Counter& quarantines_counter() {
   return c;
 }
 
+obs::Timer& extract_rows_timer() {
+  static obs::Timer& t =
+      obs::MetricsRegistry::instance().timer("net.extract_rows");
+  return t;
+}
+
+obs::Timer& policy_counts_timer() {
+  static obs::Timer& t =
+      obs::MetricsRegistry::instance().timer("net.policy_counts");
+  return t;
+}
+
 /// The quarantine remediation carve-out: UDP DNS only. TCP to port 53
 /// (zone transfers, DNS tunnels) is dropped like everything else.
 bool quarantine_exempt(const Packet& p) {
   return p.protocol == Protocol::kUdp && p.dst_port == 53;
+}
+
+/// Roster position of the registered device at `ip`, or -1.
+int slot_of(const std::array<std::int16_t, 256>& slots, std::uint32_t ip) {
+  return is_lan(ip) ? slots[ip & 0xff] : -1;
 }
 
 }  // namespace
@@ -67,47 +87,73 @@ int SmartGateway::window_count(double duration_s) const {
   return static_cast<int>(std::floor(duration_s / options_.window_s));
 }
 
+SmartGateway::DeviceSlots SmartGateway::device_slots() const {
+  DeviceSlots slots;
+  slots.fill(-1);
+  std::int16_t next = 0;
+  for (const auto& entry : devices_) slots[entry.first & 0xff] = next++;
+  return slots;
+}
+
 std::vector<DeviceRows> SmartGateway::extract_rows(
     std::span<const Packet> packets, double duration_s) const {
+  obs::ScopedTimer span(extract_rows_timer());
   const int windows = window_count(duration_s);
   std::vector<DeviceRows> out;
   out.reserve(devices_.size());
-  for (const auto& [ip, name] : devices_) {
-    DeviceRows device;
-    device.ip = ip;
-    device.name = name;
-    // A capture shorter than one window has no rows to extract; routine
-    // under fleet churn, not an error.
-    if (windows > 0) {
-      device.rows =
-          windowed_features(packets, ip, duration_s, options_.window_s,
-                            /*keep_idle_windows=*/false, options_.router_ip);
+  for (const auto& [ip, name] : devices_) out.push_back({ip, name, {}});
+  // A capture shorter than one window has no rows to extract; routine
+  // under fleet churn, not an error.
+  if (windows == 0 || out.empty()) return out;
+
+  // One pass: each packet goes to its src device's accumulator and, if
+  // different, its dst device's (a hub polling a registered peer counts
+  // for both). The order check covers every packet, whichever device it
+  // involves, so an unsorted capture throws as the per-device scans did.
+  std::vector<WindowAccumulator> accumulators;
+  accumulators.reserve(out.size());
+  for (const auto& device : out) {
+    accumulators.emplace_back(device.ip, options_.window_s,
+                              /*keep_idle_windows=*/false, options_.router_ip);
+  }
+  const auto slots = device_slots();
+  double last_timestamp = 0.0;
+  for (const auto& p : packets) {
+    PMIOT_CHECK(p.timestamp_s >= last_timestamp,
+                "packets must arrive in timestamp order (use sort_by_time)");
+    last_timestamp = p.timestamp_s;
+    const int src = slot_of(slots, p.src_ip);
+    const int dst = slot_of(slots, p.dst_ip);
+    if (src >= 0) accumulators[static_cast<std::size_t>(src)].add(p);
+    if (dst >= 0 && dst != src) {
+      accumulators[static_cast<std::size_t>(dst)].add(p);
     }
-    out.push_back(std::move(device));
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].rows = accumulators[i].finish(duration_s);
   }
   return out;
 }
 
 std::vector<PolicyCounts> SmartGateway::policy_counts(
     std::span<const Packet> packets, double duration_s) const {
+  obs::ScopedTimer span(policy_counts_timer());
   const auto windows = static_cast<std::size_t>(window_count(duration_s));
 
-  std::map<std::uint32_t, std::size_t> index;
   std::vector<PolicyCounts> out(devices_.size());
-  for (const auto& [ip, name] : devices_) {
-    const auto i = index.size();
-    index[ip] = i;
-    out[i].nonexempt_from.assign(windows + 1, 0);
-    out[i].lateral_nonexempt_from.assign(windows + 1, 0);
+  for (auto& pc : out) {
+    pc.nonexempt_from.assign(windows + 1, 0);
+    pc.lateral_nonexempt_from.assign(windows + 1, 0);
   }
 
+  const auto slots = device_slots();
   for (const auto& p : packets) {
-    const auto it = index.find(p.src_ip);
-    if (it == index.end()) continue;
-    auto& pc = out[it->second];
+    const int src = slot_of(slots, p.src_ip);
+    if (src < 0) continue;
+    auto& pc = out[static_cast<std::size_t>(src)];
     ++pc.policed;
     const bool lateral = is_lan(p.dst_ip) && p.dst_ip != options_.router_ip &&
-                         devices_.count(p.dst_ip) == 0;
+                         slot_of(slots, p.dst_ip) < 0;
     if (lateral) ++pc.lateral_total;
     if (quarantine_exempt(p)) continue;
     // Largest boundary index k in [0, windows] with timestamp >= k *

@@ -26,6 +26,7 @@
 // scoring/quarantine state machine plus counter derivation).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -134,7 +135,10 @@ class SmartGateway {
   // --- staged API (used by process() and by pmiot::fleet) -----------------
 
   /// Stage 1: windowed feature rows per registered device, in registration
-  /// (ascending IP) order — the order verdicts are reported in.
+  /// (ascending IP) order — the order verdicts are reported in. One pass
+  /// over the capture routes each packet to the accumulators of its
+  /// registered endpoints. Throws InvalidArgument on a capture that is not
+  /// in timestamp order, whichever devices the packet involves.
   std::vector<DeviceRows> extract_rows(std::span<const Packet> packets,
                                        double duration_s) const;
 
@@ -156,6 +160,12 @@ class SmartGateway {
                        double duration_s) const;
 
  private:
+  /// Roster position of each registered device, by the last octet of its
+  /// address (`register_device` admits LAN addresses only, so the octet
+  /// identifies a device); -1 where none is registered.
+  using DeviceSlots = std::array<std::int16_t, 256>;
+  DeviceSlots device_slots() const;
+
   const ml::Classifier& classifier_;
   const AnomalyDetector& detector_;
   GatewayOptions options_;

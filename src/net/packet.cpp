@@ -22,6 +22,12 @@ obs::Counter& flow_evictions_counter() {
   return c;
 }
 
+obs::Counter& sort_runs_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().counter("net.sort.runs");
+  return c;
+}
+
 // A closure type, not a function pointer, so the sorts inline it.
 constexpr auto earlier = [](const Packet& a, const Packet& b) {
   return a.timestamp_s < b.timestamp_s;
@@ -50,15 +56,11 @@ bool is_lan(std::uint32_t ip) noexcept {
 }
 
 std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
-  // SplitMix64 finalizer over the packed key fields; cheap and well mixed
-  // for the handful of bytes a flow key holds.
   std::uint64_t z = (static_cast<std::uint64_t>(key.ip_a) << 32) | key.ip_b;
   z ^= (static_cast<std::uint64_t>(key.port_a) << 24) |
        (static_cast<std::uint64_t>(key.port_b) << 8) |
        static_cast<std::uint64_t>(key.protocol);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::size_t>(z ^ (z >> 31));
+  return mix_bits(z);
 }
 
 FlowTable::FlowTable(double idle_timeout_s)
@@ -82,12 +84,15 @@ void FlowTable::add(const Packet& packet) {
     forward = false;
   }
 
-  // Find an active (non-timed-out) flow for the key.
-  if (const auto it = active_.find(key); it != active_.end()) {
-    Flow& flow = flows_[it->second];
+  // Find an active (non-timed-out) flow for the key; a new key is indexed
+  // at the flow appended below.
+  auto [index, inserted] =
+      active_.try_emplace(key, static_cast<std::uint32_t>(flows_.size()));
+  if (!inserted) {
+    Flow& flow = flows_[index];
     if (packet.timestamp_s - flow.last_ts > idle_timeout_s_) {
       // Timed out: retire it and start a new flow below.
-      active_.erase(it);
+      index = static_cast<std::uint32_t>(flows_.size());
       flow_evictions_counter().add();
     } else {
       flow.last_ts = std::max(flow.last_ts, packet.timestamp_s);
@@ -113,12 +118,58 @@ void FlowTable::add(const Packet& packet) {
     flow.bytes_ba = static_cast<std::uint64_t>(packet.size_bytes);
   }
   flows_.push_back(flow);
-  active_[key] = flows_.size() - 1;
   flow_inserts_counter().add();
 }
 
+void FlowTable::clear() noexcept {
+  flows_.clear();
+  active_.clear();
+}
+
 void sort_by_time(std::vector<Packet>& packets) {
-  std::stable_sort(packets.begin(), packets.end(), earlier);
+  SortScratch scratch;
+  sort_by_time(packets, scratch);
+}
+
+void sort_by_time(std::vector<Packet>& packets, SortScratch& scratch) {
+  // Run bounds: runs[i] is where run i starts; the last entry is n.
+  auto& runs = scratch.runs;
+  runs.clear();
+  const std::size_t n = packets.size();
+  if (n > 0) runs.push_back(0);
+  for (std::size_t i = 1; i < n; ++i) {
+    if (earlier(packets[i], packets[i - 1])) runs.push_back(i);
+  }
+  sort_runs_counter().add(runs.size());
+  runs.push_back(n);
+  if (runs.size() <= 2) return;  // empty or already one run
+
+  // Merge neighbouring runs pairwise, ping-ponging between `packets` and
+  // the buffer. std::merge takes the left run's element on ties, and the
+  // left run holds the earlier input positions, so every pass preserves
+  // input order among equal timestamps: the result is std::stable_sort's.
+  auto& buffer = scratch.buffer;
+  buffer.resize(n);
+  while (runs.size() > 2) {
+    const std::size_t num_runs = runs.size() - 1;
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < num_runs; r += 2) {
+      const auto lo = static_cast<std::ptrdiff_t>(runs[r]);
+      if (r + 1 == num_runs) {  // odd run out: carried over unmerged
+        std::copy(packets.begin() + lo, packets.end(), buffer.begin() + lo);
+      } else {
+        const auto mid = static_cast<std::ptrdiff_t>(runs[r + 1]);
+        const auto hi = static_cast<std::ptrdiff_t>(runs[r + 2]);
+        std::merge(packets.begin() + lo, packets.begin() + mid,
+                   packets.begin() + mid, packets.begin() + hi,
+                   buffer.begin() + lo, earlier);
+      }
+      runs[kept++] = runs[r];
+    }
+    runs[kept++] = n;
+    runs.resize(kept);
+    packets.swap(buffer);
+  }
 }
 
 void merge_sorted_tail(std::vector<Packet>& packets, std::size_t prefix) {

@@ -9,8 +9,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
+
+#include "net/open_table.h"
 
 namespace pmiot::net {
 
@@ -81,26 +82,35 @@ class FlowTable {
   /// deterministic because it reflects packet arrival, never hash order.
   const std::vector<Flow>& flows() const noexcept { return flows_; }
 
+  /// Forgets every flow; keeps the allocated capacity for reuse.
+  void clear() noexcept;
+
  private:
   double idle_timeout_s_;
   std::vector<Flow> flows_;
   // Index into `flows_` of the active flow per key. Tables in the
   // evaluation hold a few thousand flows and every packet does a lookup,
-  // so this must not degrade to a linear scan.
-  //
-  // Determinism contract: this map is only ever probed point-wise
-  // (find/erase/insert in FlowTable::add) and MUST NOT be iterated — all
-  // user-visible output flows through `flows_`, whose insertion order is
-  // the packet order. pmiot-lint's `unordered-iter` rule enforces this
-  // mechanically: iterating `active_` anywhere in this translation unit
-  // fails the `pmiot_lint.tree` ctest unless the site carries an explicit
-  // allow with a justification.
-  std::unordered_map<FlowKey, std::size_t, FlowKeyHash> active_;
+  // so this must not degrade to a linear scan. `OpenTable` has no
+  // iteration interface: all user-visible output flows through `flows_`,
+  // whose insertion order is the packet order.
+  OpenTable<FlowKey, FlowKeyHash> active_;
+};
+
+/// Reusable buffers for `sort_by_time`: the merge destination and the run
+/// bounds. Callers that sort many captures keep one to avoid reallocating.
+struct SortScratch {
+  std::vector<Packet> buffer;
+  std::vector<std::size_t> runs;
 };
 
 /// Sorts packets by timestamp (generators emit per-device, merge for the
-/// gateway view). Stable: equal timestamps keep their input order.
+/// gateway view). Stable: equal timestamps keep their input order. A
+/// natural-run merge sort: it finds the maximal non-decreasing runs and
+/// merges neighbours pairwise, so a capture of r emission runs costs
+/// O(n log r). The result may live in what was the scratch buffer (the
+/// two vectors are swapped), so pointers into `packets` do not survive.
 void sort_by_time(std::vector<Packet>& packets);
+void sort_by_time(std::vector<Packet>& packets, SortScratch& scratch);
 
 /// `sort_by_time` for a capture whose first `prefix` packets are already
 /// in order and whose tail was appended: stable-sorts only the tail and

@@ -28,16 +28,20 @@ obs::Counter& idle_windows_dropped_counter() {
   return c;
 }
 
-// Distinct-value tracker: only the count is ever read, and a window sees a
-// handful of peers/ports, so an unsorted vector beats a node-based set.
-template <typename T>
-void insert_unique(std::vector<T>& values, T value) {
-  if (std::find(values.begin(), values.end(), value) == values.end()) {
-    values.push_back(value);
-  }
-}
-
 }  // namespace
+
+void WindowAccumulator::State::reset() {
+  flow_table.clear();
+  up_size = stats::Accumulator{};
+  down_size = stats::Accumulator{};
+  up_times.clear();
+  up_bytes = down_bytes = 0.0;
+  udp = total = lan_pkts = dns = 0;
+  remotes.clear();
+  for (const auto port : ports) port_bits[port / 64] = 0;
+  ports.clear();
+  std::fill(buckets.begin(), buckets.end(), 0);
+}
 
 WindowAccumulator::WindowAccumulator(std::uint32_t device_ip, double window_s,
                                      bool keep_idle_windows,
@@ -75,7 +79,7 @@ void WindowAccumulator::add(const Packet& p) {
   if (is_lan(peer) && peer != router_ip_) {
     ++state_.lan_pkts;  // LAN peer other than the router
   } else if (!is_lan(peer)) {
-    insert_unique(state_.remotes, peer);
+    state_.remotes.try_emplace(peer, 0);
   }
   if (up && p.dst_port == 53) ++state_.dns;
   const double t0 = static_cast<double>(current_) * window_s_;
@@ -86,7 +90,12 @@ void WindowAccumulator::add(const Packet& p) {
     state_.up_size.add(p.size_bytes);
     state_.up_bytes += p.size_bytes;
     state_.up_times.push_back(p.timestamp_s);
-    insert_unique(state_.ports, p.dst_port);
+    auto& word = state_.port_bits[p.dst_port / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (p.dst_port % 64);
+    if ((word & bit) == 0) {
+      word |= bit;
+      state_.ports.push_back(p.dst_port);
+    }
   } else {
     state_.down_size.add(p.size_bytes);
     state_.down_bytes += p.size_bytes;
@@ -116,7 +125,8 @@ void WindowAccumulator::close_window() {
               static_cast<double>(state_.total);
       if (state_.up_times.size() >= 3) {
         std::sort(state_.up_times.begin(), state_.up_times.end());
-        std::vector<double> iats;
+        auto& iats = state_.iats;
+        iats.clear();
         for (std::size_t i = 1; i < state_.up_times.size(); ++i) {
           iats.push_back(state_.up_times[i] - state_.up_times[i - 1]);
         }
@@ -142,7 +152,8 @@ void WindowAccumulator::close_window() {
   }
   ++current_;
   window_end_ = static_cast<double>(current_ + 1) * window_s_;
-  state_ = State(num_buckets_);
+  // An idle window left the state untouched.
+  if (state_.total > 0) state_.reset();
 }
 
 std::vector<WindowRow> WindowAccumulator::finish(double duration_s) {

@@ -15,11 +15,13 @@
 // in the same order (a randomized property test in net_test enforces it).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/stats.h"
 #include "net/features.h"
+#include "net/open_table.h"
 #include "net/packet.h"
 
 namespace pmiot::net {
@@ -27,7 +29,8 @@ namespace pmiot::net {
 /// Streaming one-device feature extractor over consecutive windows of
 /// `window_s` seconds, aligned at t = 0. Feed packets in non-decreasing
 /// timestamp order via `add` (the whole capture is fine — other devices'
-/// packets are ignored), then call `finish` once.
+/// packets are ignored — but routing each device its own packets is what
+/// `SmartGateway::extract_rows` does), then call `finish` once.
 class WindowAccumulator {
  public:
   /// `keep_idle_windows`: emit an all-zero row for windows with no device
@@ -51,20 +54,34 @@ class WindowAccumulator {
   std::vector<WindowRow> finish(double duration_s);
 
  private:
-  /// Per-window incremental state; reset on every window close.
+  struct IpHash {
+    std::size_t operator()(std::uint32_t ip) const noexcept {
+      return mix_bits(ip);
+    }
+  };
+
+  /// Per-window incremental state, emptied in place on every window close
+  /// so its buffers keep their capacity across windows.
   struct State {
     FlowTable flow_table;
     stats::Accumulator up_size, down_size;
     std::vector<double> up_times;
     double up_bytes = 0.0, down_bytes = 0.0;
     std::size_t udp = 0, total = 0, lan_pkts = 0, dns = 0;
-    // Distinct peers/ports; only counts are read, so flat vectors with a
-    // linear membership check (windows see a handful of each).
-    std::vector<std::uint32_t> remotes;
-    std::vector<std::uint16_t> ports;
+    // Distinct remotes and upstream ports; only the counts are read. A
+    // scanner or DDoS window sees thousands of each, so membership is a
+    // hash probe and a bit test, never a scan.
+    OpenTable<std::uint32_t, IpHash> remotes;
+    std::vector<std::uint64_t> port_bits;  ///< one bit per port
+    std::vector<std::uint16_t> ports;      ///< set bits, to clear them
     std::vector<std::size_t> buckets;
+    std::vector<double> iats;  ///< close-time scratch
 
-    explicit State(std::size_t num_buckets) : buckets(num_buckets, 0) {}
+    explicit State(std::size_t num_buckets)
+        : port_bits(65536 / 64, 0), buckets(num_buckets, 0) {}
+
+    /// Back to the freshly constructed state, keeping capacity.
+    void reset();
   };
 
   void close_window();

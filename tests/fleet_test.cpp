@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -13,6 +17,7 @@
 #include "net/anomaly.h"
 #include "net/fingerprint.h"
 #include "reference/fleet_oracle.h"
+#include "reference/window_features.h"
 
 namespace pmiot::fleet {
 namespace {
@@ -97,6 +102,126 @@ TEST(Fleet, MakeHomeIntoReusedBuffersMatchFreshMakeHome) {
           << "home " << home << " packet " << i;
     }
   }
+}
+
+// --- routed extraction against the per-device reference rescan -------------
+
+/// A gateway over the home's roster plus `extra` registered addresses.
+net::SmartGateway roster_gateway(const FleetOptions& options,
+                                 const HomeCapture& home,
+                                 const std::vector<std::uint32_t>& extra) {
+  const auto& models = trained_models();
+  net::SmartGateway gateway(models.forest, models.detector, options.gateway);
+  for (const auto& device : home.devices) {
+    gateway.register_device(device.profile.ip, device.profile.name);
+  }
+  for (const auto ip : extra) {
+    gateway.register_device(ip, net::ip_to_string(ip));
+  }
+  return gateway;
+}
+
+/// `extract_rows` must equal, device by device and window by window, the
+/// reference rescan over the whole capture, keeping exactly the windows
+/// with device traffic.
+void expect_rows_match_reference(const net::SmartGateway& gateway,
+                                 const std::vector<net::Packet>& packets,
+                                 const FleetOptions& options,
+                                 const std::string& what) {
+  const double window_s = options.gateway.window_s;
+  const auto windows =
+      static_cast<std::size_t>(gateway.window_count(options.duration_s));
+  const auto devices = gateway.extract_rows(packets, options.duration_s);
+  for (const auto& device : devices) {
+    std::size_t next = 0;
+    for (std::size_t w = 0; w < windows; ++w) {
+      const auto want = reference::extract_window_features(
+          packets, device.ip, static_cast<double>(w) * window_s,
+          static_cast<double>(w + 1) * window_s, options.gateway.router_ip);
+      if (want[net::kFeaturePktRateUp] == 0.0 &&
+          want[net::kFeaturePktRateDown] == 0.0) {
+        continue;  // silent window: omitted
+      }
+      ASSERT_LT(next, device.rows.size()) << what << " " << device.name;
+      EXPECT_EQ(device.rows[next].window_index, w)
+          << what << " " << device.name;
+      EXPECT_EQ(device.rows[next].features, want)
+          << what << " " << device.name << " window " << w;
+      ++next;
+    }
+    EXPECT_EQ(next, device.rows.size()) << what << " " << device.name;
+  }
+}
+
+TEST(Fleet, RoutedExtractionMatchesPerDeviceReference) {
+  FleetOptions options;
+  options.duration_s = 600.0;
+  options.infected_fraction = 1.0;
+  const auto silent = net::make_ip(10, 0, 0, 250);  // registered, never sends
+  const auto nowhere = net::make_ip(0, 0, 0, 0);
+  std::set<net::Infection> infections;
+  std::size_t hub_to_peer = 0, unregistered_peer = 0;
+  for (std::size_t h = 0; h < 24; ++h) {
+    auto home = make_home(options, h);
+    infections.insert(home.devices[home.infected].profile.infection);
+    // A remote of 0.0.0.0 in both directions, for the first device.
+    const auto dev = home.devices.front().profile.ip;
+    home.packets.push_back(
+        net::Packet{130.5, dev, nowhere, 5, 7, net::Protocol::kUdp, 90});
+    home.packets.push_back(
+        net::Packet{131.5, nowhere, dev, 7, 5, net::Protocol::kUdp, 91});
+    net::sort_by_time(home.packets);
+    const auto gateway = roster_gateway(options, home, {silent});
+
+    std::set<std::uint32_t> roster{silent};
+    for (const auto& d : home.devices) roster.insert(d.profile.ip);
+    for (const auto& p : home.packets) {
+      const bool src = roster.count(p.src_ip) != 0;
+      const bool dst = roster.count(p.dst_ip) != 0;
+      if (src && dst && p.src_ip != p.dst_ip) ++hub_to_peer;
+      if (src != dst && net::is_lan(src ? p.dst_ip : p.src_ip) &&
+          (src ? p.dst_ip : p.src_ip) != options.gateway.router_ip) {
+        ++unregistered_peer;
+      }
+      EXPECT_NE(p.src_ip, silent);
+    }
+    expect_rows_match_reference(gateway, home.packets, options,
+                                "home " + std::to_string(h));
+  }
+  // The homes exercised every routing case.
+  const std::set<net::Infection> all{net::Infection::kScanner,
+                                     net::Infection::kDdosBot,
+                                     net::Infection::kExfiltrator};
+  EXPECT_EQ(infections, all);
+  EXPECT_GT(hub_to_peer, 0u);
+  EXPECT_GT(unregistered_peer, 0u);
+}
+
+TEST(Fleet, RoutedExtractionOnCaptureShorterThanOneWindow) {
+  FleetOptions options;
+  options.duration_s = 100.0;  // under the 120 s window
+  const auto home = make_home(options, 5);
+  ASSERT_FALSE(home.packets.empty());
+  const auto gateway = roster_gateway(options, home, {});
+  const auto devices = gateway.extract_rows(home.packets, options.duration_s);
+  ASSERT_EQ(devices.size(), home.devices.size());
+  for (const auto& device : devices) EXPECT_TRUE(device.rows.empty());
+}
+
+TEST(Fleet, RoutedExtractionRejectsOutOfOrderUnregisteredTraffic) {
+  FleetOptions options;
+  options.duration_s = 600.0;
+  auto home = make_home(options, 2);
+  const auto gateway = roster_gateway(options, home, {});
+  // A packet between two unregistered hosts, earlier than its predecessor.
+  const auto mid = home.packets.begin() +
+                   static_cast<std::ptrdiff_t>(home.packets.size() / 2);
+  const double t = mid->timestamp_s - 5.0;
+  home.packets.insert(mid, net::Packet{t, net::make_ip(10, 0, 0, 201),
+                                       net::make_ip(52, 0, 0, 1), 1, 2,
+                                       net::Protocol::kTcp, 60});
+  EXPECT_THROW(gateway.extract_rows(home.packets, options.duration_s),
+               InvalidArgument);
 }
 
 TEST(Fleet, MakeHomeRespectsRosterAndLifecycles) {

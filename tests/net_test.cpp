@@ -2,7 +2,10 @@
 // features, fingerprinting, anomaly detection, and the smart gateway.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "ml/random_forest.h"
@@ -15,6 +18,8 @@
 
 #include "net/packet.h"
 #include "net/window_accumulator.h"
+#include "obs/metrics.h"
+#include "reference/flow_table.h"
 #include "reference/window_features.h"
 
 namespace pmiot::net {
@@ -64,6 +69,194 @@ TEST(FlowTable, DistinguishesProtocols) {
   table.add(Packet{0.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
   table.add(Packet{0.1, dev, cloud, 1, 443, Protocol::kUdp, 100});
   EXPECT_EQ(table.flows().size(), 2u);
+}
+
+// Every field of two flow lists, in order.
+void expect_same_flows(const std::vector<Flow>& got,
+                       const std::vector<Flow>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto& a = got[i];
+    const auto& b = want[i];
+    ASSERT_TRUE(a.key == b.key && a.first_ts == b.first_ts &&
+                a.last_ts == b.last_ts && a.packets_ab == b.packets_ab &&
+                a.packets_ba == b.packets_ba && a.bytes_ab == b.bytes_ab &&
+                a.bytes_ba == b.bytes_ba)
+        << what << ": flow " << i;
+  }
+}
+
+// Time-ordered traffic between a few LAN hosts and remotes over few ports,
+// in both directions, with gaps longer than the idle timeout so keys are
+// retired and reopened; `ddos_ports` adds that many upstream packets to
+// random ports, which grows the index far past its initial capacity.
+std::vector<Packet> random_flow_traffic(Rng& rng, int packets,
+                                        int ddos_ports) {
+  std::vector<Packet> out;
+  double t = 0.0;
+  for (int i = 0; i < packets + ddos_ports; ++i) {
+    t += rng.bernoulli(0.05) ? rng.uniform(100.0, 300.0)
+                             : rng.uniform(0.0, 2.0);
+    const auto lan =
+        make_ip(10, 0, 0, static_cast<int>(rng.uniform_int(10, 13)));
+    if (i >= packets) {  // flood: one new flow per packet, mostly
+      const auto port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
+      out.push_back(Packet{t, lan, make_ip(203, 0, 113, 7), 4000, port,
+                           Protocol::kUdp, 600});
+      continue;
+    }
+    const auto remote =
+        rng.bernoulli(0.2)
+            ? make_ip(10, 0, 0, static_cast<int>(rng.uniform_int(10, 13)))
+            : make_ip(52, 20, 0, static_cast<int>(rng.uniform_int(0, 3)));
+    const auto local =
+        static_cast<std::uint16_t>(rng.uniform_int(40000, 40002));
+    const std::uint16_t service = rng.bernoulli(0.5) ? 443 : 53;
+    const auto proto = rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
+    const auto size = static_cast<int>(rng.uniform_int(40, 1400));
+    if (rng.bernoulli(0.5)) {
+      out.push_back(Packet{t, lan, remote, local, service, proto, size});
+    } else {
+      out.push_back(Packet{t, remote, lan, service, local, proto, size});
+    }
+  }
+  return out;
+}
+
+TEST(FlowTable, MatchesReferenceTableOnRandomTraffic) {
+  FlowTable reused(60.0);  // cleared and refilled across seeds
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Rng rng(500 + seed);
+    const int ddos = seed % 4 == 3 ? 5000 : 0;
+    const auto packets = random_flow_traffic(rng, 600, ddos);
+    FlowTable fresh(60.0);
+    reference::FlowTable oracle(60.0);
+    reused.clear();
+    for (const auto& p : packets) {
+      fresh.add(p);
+      reused.add(p);
+      oracle.add(p);
+    }
+    const std::string what = "seed " + std::to_string(seed);
+    expect_same_flows(fresh.flows(), oracle.flows(), what + " fresh");
+    expect_same_flows(reused.flows(), oracle.flows(), what + " reused");
+    if (ddos > 0) {
+      EXPECT_GT(oracle.flows().size(), 4000u) << what;
+    }
+  }
+}
+
+TEST(FlowTable, IdleTimeoutReplacesTheSameKeyInBothDirections) {
+  FlowTable table(30.0);
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  table.add(Packet{0.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
+  table.add(Packet{100.0, cloud, dev, 443, 1, Protocol::kTcp, 50});  // new flow
+  table.add(Packet{110.0, dev, cloud, 1, 443, Protocol::kTcp, 70});  // joins it
+  table.add(Packet{200.0, dev, cloud, 1, 443, Protocol::kTcp, 10});  // new flow
+  ASSERT_EQ(table.flows().size(), 3u);
+  EXPECT_EQ(table.flows()[1].packets_ba, 1u);
+  EXPECT_EQ(table.flows()[1].packets_ab, 1u);
+  EXPECT_EQ(table.flows()[1].bytes(), 120u);
+  EXPECT_EQ(table.flows()[2].packets(), 1u);
+  table.clear();
+  EXPECT_TRUE(table.flows().empty());
+  table.add(Packet{300.0, dev, cloud, 1, 443, Protocol::kTcp, 10});
+  ASSERT_EQ(table.flows().size(), 1u);
+  EXPECT_EQ(table.flows()[0].first_ts, 300.0);
+}
+
+// --- the run-merge time sort ------------------------------------------------
+
+// Packets tagged with their input position (in size_bytes) so a stability
+// violation shows up as a tag mismatch.
+std::vector<Packet> tagged(const std::vector<double>& times) {
+  std::vector<Packet> out;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    out.push_back(Packet{times[i], make_ip(10, 0, 0, 10), make_ip(52, 20, 0, 1),
+                         1, 443, Protocol::kTcp, static_cast<int>(i)});
+  }
+  return out;
+}
+
+void expect_sorts_like_stable_sort(std::vector<Packet> packets,
+                                   SortScratch& scratch,
+                                   const std::string& what) {
+  auto want = packets;
+  std::stable_sort(want.begin(), want.end(),
+                   [](const Packet& a, const Packet& b) {
+                     return a.timestamp_s < b.timestamp_s;
+                   });
+  auto fresh = packets;
+  sort_by_time(fresh);
+  sort_by_time(packets, scratch);
+  for (const auto* got : {&fresh, &packets}) {
+    ASSERT_EQ(got->size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const auto& p = (*got)[i];
+      ASSERT_EQ(p.timestamp_s, want[i].timestamp_s) << what << " @" << i;
+      ASSERT_EQ(p.size_bytes, want[i].size_bytes) << what << " @" << i;
+    }
+  }
+}
+
+TEST(SortByTime, MatchesStableSortOnRunsWithCrossRunTies) {
+  SortScratch scratch;  // reused across every case
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(900 + seed);
+    // A few sorted runs on a coarse time grid, so many timestamps tie
+    // across runs; an occasional shuffled stretch adds short runs.
+    std::vector<double> times;
+    const auto runs = rng.uniform_int(1, 17);
+    for (std::int64_t r = 0; r < runs; ++r) {
+      double t = static_cast<double>(rng.uniform_int(0, 5));
+      const auto len = rng.uniform_int(0, 300);
+      for (std::int64_t i = 0; i < len; ++i) {
+        times.push_back(t);
+        if (rng.bernoulli(0.6)) t += static_cast<double>(rng.uniform_int(1, 3));
+      }
+    }
+    if (seed % 5 == 0) {
+      for (int i = 0; i < 50; ++i) {
+        times.push_back(static_cast<double>(rng.uniform_int(0, 40)));
+      }
+    }
+    expect_sorts_like_stable_sort(tagged(times), scratch,
+                                  "seed " + std::to_string(seed));
+  }
+}
+
+TEST(SortByTime, EdgeCases) {
+  SortScratch scratch;  // reused across every case
+  const std::vector<std::pair<std::string, std::vector<double>>> cases = {
+      {"empty", {}},
+      {"one packet", {3.0}},
+      {"already sorted", {0.0, 1.0, 1.0, 2.0, 5.0}},
+      {"reversed", {5.0, 4.0, 3.0, 2.0, 1.0, 0.0}},
+      {"all equal", {2.0, 2.0, 2.0, 2.0}},
+      {"three runs", {1.0, 2.0, 0.0, 2.0, 1.0, 1.0}},
+      {"five runs", {3.0, 2.0, 4.0, 1.0, 1.0, 0.0, 9.0, 2.0}},
+      {"two runs", {1.0, 2.0, 3.0, 1.0, 2.0, 3.0}},
+  };
+  for (const auto& [name, times] : cases) {
+    expect_sorts_like_stable_sort(tagged(times), scratch, name);
+  }
+}
+
+TEST(SortByTime, CountsRunsOncePerCall) {
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& runs = registry.counter("net.sort.runs");
+  registry.reset_values_for_testing();
+  obs::set_enabled_for_testing(true);
+  auto packets = tagged({1.0, 2.0, 0.0, 2.0, 1.0, 1.0});  // three runs
+  sort_by_time(packets);
+  const auto counted = runs.value();
+  sort_by_time(packets);  // now one run
+  const auto counted_sorted = runs.value() - counted;
+  obs::set_enabled_for_testing(false);
+  registry.reset_values_for_testing();
+  EXPECT_EQ(counted, 3u);
+  EXPECT_EQ(counted_sorted, 1u);
 }
 
 TEST(Device, ProfilesDifferByType) {
