@@ -16,9 +16,12 @@ inline double ms_between(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-/// Reports a self-check mismatch on stderr; returns the bench's exit code.
-inline int fail(const std::string& what) {
-  std::cerr << "MISMATCH: " << what << '\n';
+/// Reports a self-check mismatch on stderr, `parts` streamed after the
+/// "MISMATCH: " prefix; returns the bench's exit code.
+template <typename... Parts>
+int fail(const Parts&... parts) {
+  std::cerr << "MISMATCH: ";
+  (std::cerr << ... << parts) << '\n';
   return EXIT_FAILURE;
 }
 

@@ -257,9 +257,7 @@ int main(int argc, char** argv) {
   const auto s1 = Clock::now();
   if (const auto d = campaign::describe_divergence(planned, serial);
       !d.empty()) {
-    std::cerr << "MISMATCH: reference grid planner vs serial oracle: " << d
-              << '\n';
-    return EXIT_FAILURE;
+    return fail("reference grid planner vs serial oracle: ", d);
   }
 
   const double planned_ms = ms_between(c0, c1);

@@ -35,6 +35,7 @@ namespace {
 
 using bench::Clock;
 using bench::ms_between;
+using bench::fail;
 
 /// Sticky n-state appliance chain with distinct, well-separated powers.
 ml::ApplianceChain make_chain(const std::string& name, std::size_t n,
@@ -137,18 +138,15 @@ int main() {
   if (factored.joint_path != naive.joint_path) {
     std::size_t first = 0;
     while (factored.joint_path[first] == naive.joint_path[first]) ++first;
-    std::cerr << "MISMATCH: factored and naive paths diverge at t=" << first
-              << " (factored " << factored.joint_path[first] << ", naive "
-              << naive.joint_path[first] << ")\n";
-    return EXIT_FAILURE;
+    return fail("factored and naive paths diverge at t=", first, " (factored ",
+                factored.joint_path[first], ", naive ", naive.joint_path[first],
+                ")");
   }
   const double ll_tol =
       1e-6 * (1.0 + std::fabs(naive.log_likelihood));
   if (std::fabs(factored.log_likelihood - naive.log_likelihood) > ll_tol) {
-    std::cerr << "MISMATCH: log-likelihoods differ beyond rounding ("
-              << factored.log_likelihood << " vs " << naive.log_likelihood
-              << ")\n";
-    return EXIT_FAILURE;
+    return fail("log-likelihoods differ beyond rounding (",
+                factored.log_likelihood, " vs ", naive.log_likelihood, ")");
   }
   std::cout << "self-check OK: decoded paths identical over " << kTrace
             << " timesteps, log-likelihood matches to rounding\n\n";
@@ -233,9 +231,7 @@ int main() {
     // (out_a/out_b now hold the stage results; emission equality is covered
     // exhaustively by tests/simd_test.cpp — here we sanity-check the stage.)
     if (out_a != out_b || org_a != org_b) {
-      std::cerr << "MISMATCH: dispatched fhmm_stage_group differs from "
-                   "scalar\n";
-      return EXIT_FAILURE;
+      return fail("dispatched fhmm_stage_group differs from scalar");
     }
 
     double sink = 0.0;

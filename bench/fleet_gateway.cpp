@@ -37,6 +37,7 @@ namespace {
 
 using bench::Clock;
 using bench::ms_between;
+using bench::fail;
 
 }  // namespace
 
@@ -89,9 +90,7 @@ int main(int argc, char** argv) {
   // the per-home serial oracle bitwise.
   const auto divergence = fleet::describe_divergence(batched, serial);
   if (!divergence.empty()) {
-    std::cerr << "MISMATCH: fleet pass diverges from serial oracle: "
-              << divergence << '\n';
-    return EXIT_FAILURE;
+    return fail("fleet pass diverges from serial oracle: ", divergence);
   }
   if (batched.quarantined_devices == 0) {
     std::cerr << "SUSPECT: no device quarantined across the whole fleet\n";
@@ -123,9 +122,8 @@ int main(int argc, char** argv) {
     }
     const std::uint64_t steady = g_heap_allocations.load() - before;
     if (steady != 0) {
-      std::cerr << "MISMATCH: steady-state shard phase allocated " << steady
-                << " time(s) replaying " << probe << " warm homes\n";
-      return EXIT_FAILURE;
+      return fail("steady-state shard phase allocated ", steady,
+                  " time(s) replaying ", probe, " warm homes");
     }
     std::cout << "self-check OK: steady-state home capture allocated 0 times ("
               << probe << " warm homes replayed)\n";

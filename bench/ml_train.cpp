@@ -48,6 +48,7 @@ namespace {
 
 using bench::Clock;
 using bench::ms_between;
+using bench::fail;
 
 /// Gaussian-cluster classification data: one centroid per class, the first
 /// half of the features informative, the rest pure noise.
@@ -203,9 +204,8 @@ int main(int argc, char** argv) {
 
   for (const auto& row : probe.rows) {
     if (forest.predict(row) != seed_forest.predict(row)) {
-      std::cerr << "MISMATCH: parallel presorted forest disagrees with the "
-                   "serial seed replica\n";
-      return EXIT_FAILURE;
+      return fail("parallel presorted forest disagrees with the serial seed "
+                  "replica");
     }
   }
   std::cout << "self-check OK: forest predictions identical to the serial "
@@ -228,13 +228,11 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < probe.size(); ++i) {
     if (batch[i] != knn.predict(probe.rows[i])) {
-      std::cerr << "MISMATCH: kNN predict_all differs from per-row predict\n";
-      return EXIT_FAILURE;
+      return fail("kNN predict_all differs from per-row predict");
     }
     if (batch[i] != naive[i]) {
-      std::cerr << "MISMATCH: kNN batch kernel differs from the naive "
-                   "full-sort reference\n";
-      return EXIT_FAILURE;
+      return fail("kNN batch kernel differs from the naive full-sort "
+                  "reference");
     }
   }
   std::cout << "self-check OK: kNN batch == per-row predict == naive "
@@ -307,8 +305,7 @@ int main(int argc, char** argv) {
     simd::scalar::knn_tile_dist2(q0.data(), d, cols.data(), rows, q2,
                                  norm2.data(), out_b.data());
     if (out_a != out_b) {
-      std::cerr << "MISMATCH: dispatched knn_tile_dist2 differs from scalar\n";
-      return EXIT_FAILURE;
+      return fail("dispatched knn_tile_dist2 differs from scalar");
     }
 
     constexpr int kReps = 2000;

@@ -31,6 +31,7 @@ namespace {
 
 using bench::Clock;
 using bench::ms_between;
+using bench::fail;
 
 std::vector<net::Packet> day_capture(std::size_t packets, double duration_s,
                                      std::uint32_t device_ip, Rng& rng) {
@@ -138,15 +139,12 @@ int main() {
   }
 
   if (streamed.size() != rescan.size()) {
-    std::cerr << "MISMATCH: row counts differ\n";
-    return EXIT_FAILURE;
+    return fail("row counts differ");
   }
   for (std::size_t w = 0; w < rescan.size(); ++w) {
     for (std::size_t k = 0; k < rescan[w].features.size(); ++k) {
       if (streamed[w].features[k] != rescan[w].features[k]) {
-        std::cerr << "MISMATCH at window " << w << " feature "
-                  << net::feature_names()[k] << '\n';
-        return EXIT_FAILURE;
+        return fail("at window ", w, " feature ", net::feature_names()[k]);
       }
     }
   }
@@ -198,8 +196,7 @@ int main() {
   const auto b2 = Clock::now();
   for (std::size_t t = 0; t < load.size(); ++t) {
     if (naive[t] != hoisted[t]) {
-      std::cerr << "MISMATCH: daily targets diverge at sample " << t << '\n';
-      return EXIT_FAILURE;
+      return fail("daily targets diverge at sample ", t);
     }
   }
 

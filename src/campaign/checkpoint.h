@@ -1,8 +1,7 @@
 // Campaign checkpoint/resume: append-only binary cell stream.
 //
-// "pmiotcp" container, version 1 (conventions follow the pmiotbt trace
-// container in timeseries/trace_io.cpp: fixed little-endian header,
-// explicit sizes, validation on every load):
+// "pmiotcp" container, version 1: fixed little-endian 64-byte header,
+// explicit sizes, validation on every load.
 //
 //   offset  len  field
 //        0    8  magic "pmiotcp\0"

@@ -85,13 +85,6 @@ void mask_adjacent_neq(const double* xs, std::size_t n, unsigned char* out) {
   }
 }
 
-double strided_sum(const double* xs, std::size_t n) {
-  double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) acc[i % 8] += xs[i];
-  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-}
-
 }  // namespace scalar
 
 #ifdef PMIOT_SIMD_AVX2
@@ -245,26 +238,6 @@ __attribute__((target("avx2"))) void mask_adjacent_neq(const double* xs,
   for (; i < m; ++i) out[i] = xs[i] != xs[i + 1] ? 1 : 0;
 }
 
-__attribute__((target("avx2"))) double strided_sum(const double* xs,
-                                                   std::size_t n) {
-  // Same fixed 8-lane striping as the scalar reference: v0 holds lanes
-  // 0..3, v1 lanes 4..7, the tail lands in its i%8 lane, and the final
-  // combine is the reference's pairwise tree — width-independent.
-  __m256d v0 = _mm256_setzero_pd();
-  __m256d v1 = _mm256_setzero_pd();
-  const std::size_t n8 = n - n % 8;
-  for (std::size_t i = 0; i < n8; i += 8) {
-    v0 = _mm256_add_pd(v0, _mm256_loadu_pd(xs + i));
-    v1 = _mm256_add_pd(v1, _mm256_loadu_pd(xs + i + 4));
-  }
-  alignas(32) double acc[8];
-  _mm256_store_pd(acc, v0);
-  _mm256_store_pd(acc + 4, v1);
-  for (std::size_t i = n8; i < n; ++i) acc[i % 8] += xs[i];
-  return ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
-         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
-}
-
 }  // namespace avx2
 #endif  // PMIOT_SIMD_AVX2
 
@@ -345,13 +318,6 @@ void mask_adjacent_neq(const double* xs, std::size_t n, unsigned char* out) {
   }
 #endif
   scalar::mask_adjacent_neq(xs, n, out);
-}
-
-double strided_sum(const double* xs, std::size_t n) {
-#ifdef PMIOT_SIMD_AVX2
-  if (active()) return avx2::strided_sum(xs, n);
-#endif
-  return scalar::strided_sum(xs, n);
 }
 
 }  // namespace pmiot::simd

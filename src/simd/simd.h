@@ -13,11 +13,6 @@
 //    matched including NaN). `fig2_nilm_error`, `sec4_traffic_fingerprint`
 //    and `fleet_gateway --self-check` therefore print the same bytes with
 //    PMIOT_SIMD ON or OFF.
-//  * The one reduction primitive, `strided_sum`, does NOT promise the
-//    left-to-right sum; instead it pins a fixed-width deterministic
-//    reduction tree (8 striped accumulators combined pairwise) that is
-//    independent of the hardware vector width. It is used only by new
-//    code (bench checksums); legacy outputs never ran through it.
 //
 // Dispatch: the public functions branch once per call on `active()`
 // (compiled-in support && runtime AVX2 cpuid), so one binary carries both
@@ -81,18 +76,10 @@ void mask_leq(const double* xs, std::size_t n, double threshold,
 /// tree's splittable-boundary mask (NaN != NaN is true, matching !(a==b)).
 void mask_adjacent_neq(const double* xs, std::size_t n, unsigned char* out);
 
-/// Deterministic-reduction sum: 8 striped accumulators (acc[l] sums
-/// xs[l], xs[l+8], ... in index order) combined as
-/// ((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7)). NOT the left-to-right sum, but
-/// identical at every vector width — the pinned contract for new
-/// reductions that want SIMD without width-dependent results.
-double strided_sum(const double* xs, std::size_t n);
-
 }  // namespace scalar
 
 // Dispatching entry points: AVX2 when `active()`, scalar otherwise.
-// Results are bit-identical either way (strided_sum by its fixed-tree
-// contract, everything else by per-element op-order equality).
+// Results are bit-identical either way (per-element op-order equality).
 
 void log_emission_scan(const double* xs, std::size_t n, double mean,
                        double log_norm, double inv_2var, double* out);
@@ -108,6 +95,5 @@ void knn_tile_dist2(const double* q, std::size_t d, const double* cols,
 void mask_leq(const double* xs, std::size_t n, double threshold,
               unsigned char* out);
 void mask_adjacent_neq(const double* xs, std::size_t n, unsigned char* out);
-double strided_sum(const double* xs, std::size_t n);
 
 }  // namespace pmiot::simd

@@ -268,26 +268,33 @@ TEST(Fleet, MakeHomeRespectsRosterAndLifecycles) {
 
 TEST(Fleet, FleetPassMatchesSerialOracleAcrossPoolWidths) {
   const auto& models = trained_models();
-  FleetOptions options;
-  options.homes = 24;
-  options.duration_s = 600.0;
-  options.base_seed = 7;
-  const FleetGateway fleet(models.forest, models.detector, options);
-  const auto oracle =
-      reference::run_fleet_serial(models.forest, models.detector, options);
-  EXPECT_GT(oracle.packets, 0u);
+  const auto check = [&](std::size_t homes, std::uint64_t base_seed) {
+    SCOPED_TRACE("homes " + std::to_string(homes) + ", base seed " +
+                 std::to_string(base_seed));
+    FleetOptions options;
+    options.homes = homes;
+    options.duration_s = 600.0;
+    options.base_seed = base_seed;
+    const FleetGateway fleet(models.forest, models.detector, options);
+    const auto oracle =
+        reference::run_fleet_serial(models.forest, models.detector, options);
+    EXPECT_GT(oracle.packets, 0u);
 
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-    par::ThreadPool pool(width);
-    par::ScopedPoolOverride scoped(pool);
+    for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+      par::ThreadPool pool(width);
+      par::ScopedPoolOverride scoped(pool);
+      const auto batched = fleet.process_fleet();
+      EXPECT_EQ(describe_divergence(batched, oracle), "")
+          << "pool width " << width;
+      EXPECT_GT(batched.windows_classified, 0u);
+    }
+    // And at the process-default pool width.
     const auto batched = fleet.process_fleet();
-    EXPECT_EQ(describe_divergence(batched, oracle), "")
-        << "pool width " << width;
-    EXPECT_GT(batched.windows_classified, 0u);
-  }
-  // And at the process-default pool width.
-  const auto batched = fleet.process_fleet();
-  EXPECT_EQ(describe_divergence(batched, oracle), "");
+    EXPECT_EQ(describe_divergence(batched, oracle), "");
+  };
+  check(24, 7);
+  // Seed sweep: a smaller fleet over base seeds 1-32.
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) check(16, seed);
 }
 
 TEST(Fleet, SoakChurnOverLongHorizon) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "core/privacy.h"
 #include "defense/chpr.h"
@@ -15,15 +14,13 @@
 #include "solar/sundance.h"
 #include "solar/sunspot.h"
 #include "synth/solar_gen.h"
-#include "timeseries/trace_io.h"
 #include "zkp/meter.h"
 
 namespace pmiot {
 namespace {
 
 TEST(Integration, HomeChprNiomPipeline) {
-  // Simulate -> defend -> attack, with the trace round-tripped through the
-  // CSV interchange format in the middle (as a user workflow would).
+  // Simulate -> defend -> attack.
   auto config = synth::home_b();
   std::vector<synth::ApplianceSpec> appliances;
   for (const auto& spec : config.appliances) {
@@ -37,16 +34,11 @@ TEST(Integration, HomeChprNiomPipeline) {
   const auto chpr =
       defense::apply_chpr(home.aggregate, draws, defense::ChprOptions{}, rng);
 
-  std::ostringstream os;
-  ts::write_csv(os, chpr.masked, 9);
-  std::istringstream is(os.str());
-  const auto reloaded = ts::read_csv(is);
-
   niom::ThresholdNiom attack;
   const auto raw = niom::evaluate(attack, home.aggregate, home.occupancy,
                                   niom::waking_hours());
   const auto masked =
-      niom::evaluate(attack, reloaded, home.occupancy, niom::waking_hours());
+      niom::evaluate(attack, chpr.masked, home.occupancy, niom::waking_hours());
   EXPECT_LT(masked.mcc, raw.mcc * 0.6);
   EXPECT_EQ(chpr.comfort_violation_minutes, 0);
 }

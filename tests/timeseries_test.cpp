@@ -2,17 +2,11 @@
 // statistics, filters, edge detection, and ASCII rendering.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cstdint>
-#include <cstdio>
 #include <limits>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include <sstream>
-
 #include "timeseries/ascii_plot.h"
-#include "timeseries/trace_io.h"
 #include "timeseries/edges.h"
 #include "timeseries/timeseries.h"
 
@@ -238,266 +232,6 @@ TEST(AsciiBinaryStrip, MajorityDownsampling) {
   for (std::size_t i = 50; i < 100; ++i) labels[i] = 1;
   const auto strip = ascii_binary_strip(labels, 10);
   EXPECT_EQ(strip, ".....#####");
-}
-
-TEST(TraceIo, RoundTripsThroughCsv) {
-  Rng rng(1);
-  TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 30, 300},
-               std::vector<double>{});
-  for (int i = 0; i < 100; ++i) s.push_back(rng.uniform(0.0, 8.0));
-  std::ostringstream os;
-  write_csv(os, s, 9);
-  std::istringstream is(os.str());
-  const auto loaded = read_csv(is);
-  ASSERT_EQ(loaded.size(), s.size());
-  EXPECT_EQ(loaded.meta(), s.meta());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_NEAR(loaded[i], s[i], 1e-8);
-  }
-}
-
-TEST(TraceIo, HeaderCarriesTimestamps) {
-  TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 0, 60}, {1.0, 2.0});
-  std::ostringstream os;
-  write_csv(os, s);
-  const auto text = os.str();
-  EXPECT_NE(text.find("# pmiot-trace v1"), std::string::npos);
-  EXPECT_NE(text.find("2017-06-01T00:00,"), std::string::npos);
-  EXPECT_NE(text.find("2017-06-01T00:01,"), std::string::npos);
-}
-
-TEST(TraceIo, RoundTripsThroughCrlfCsv) {
-  // A trace written or edited on Windows carries \r\n line endings; the
-  // reader must strip the trailing \r from the header, the metadata line,
-  // and every data row.
-  Rng rng(7);
-  TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 30, 300},
-               std::vector<double>{});
-  for (int i = 0; i < 50; ++i) s.push_back(rng.uniform(0.0, 8.0));
-  std::ostringstream os;
-  write_csv(os, s, 9);
-
-  std::string crlf;
-  for (char c : os.str()) {
-    if (c == '\n') crlf += '\r';
-    crlf += c;
-  }
-  std::istringstream is(crlf);
-  const auto loaded = read_csv(is);
-  ASSERT_EQ(loaded.size(), s.size());
-  EXPECT_EQ(loaded.meta(), s.meta());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_NEAR(loaded[i], s[i], 1e-8);
-  }
-
-  // And a CRLF trace re-serializes identically to its LF twin.
-  std::ostringstream os2;
-  write_csv(os2, loaded, 9);
-  std::istringstream lf(os.str());
-  std::ostringstream os3;
-  write_csv(os3, read_csv(lf), 9);
-  EXPECT_EQ(os2.str(), os3.str());
-}
-
-TEST(TraceIo, ToleratesTrailingBlankLine) {
-  const std::string base =
-      "# pmiot-trace v1\n"
-      "# start=2017-06-01 start_minute=0 interval_seconds=60\n"
-      "2017-06-01T00:00,1.0\n"
-      "2017-06-01T00:01,2.0\n";
-  for (const char* tail : {"\n", "\r\n", ""}) {
-    std::istringstream is(base + tail);
-    const auto loaded = read_csv(is);
-    ASSERT_EQ(loaded.size(), 2u);
-    EXPECT_DOUBLE_EQ(loaded[0], 1.0);
-    EXPECT_DOUBLE_EQ(loaded[1], 2.0);
-  }
-}
-
-TEST(TraceIo, CrlfDoesNotMaskCorruption) {
-  // Only one trailing \r is forgiven; an interior \r is still junk.
-  std::istringstream is(
-      "# pmiot-trace v1\r\n"
-      "# start=2017-06-01 start_minute=0 interval_seconds=60\r\n"
-      "2017-06-01T00:00,1.0\r\r\n");
-  EXPECT_THROW(read_csv(is), pmiot::InvalidArgument);
-}
-
-TEST(TraceIo, RejectsCorruptedInput) {
-  {
-    std::istringstream is("not a trace\n");
-    EXPECT_THROW(read_csv(is), pmiot::InvalidArgument);
-  }
-  {
-    std::istringstream is(
-        "# pmiot-trace v1\n"
-        "# start=2017-06-01 start_minute=0 interval_seconds=60\n"
-        "2017-06-01T00:05,1.0\n");  // timestamp off the declared grid
-    EXPECT_THROW(read_csv(is), pmiot::InvalidArgument);
-  }
-  {
-    std::istringstream is(
-        "# pmiot-trace v1\n"
-        "# start=2017-06-01 start_minute=0 interval_seconds=60\n"
-        "2017-06-01T00:00,banana\n");
-    EXPECT_THROW(read_csv(is), pmiot::InvalidArgument);
-  }
-}
-
-// --- binary columnar container ---
-
-TEST(TraceIo, BinaryRoundTripsBitExact) {
-  Rng rng(11);
-  TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 30, 300},
-               std::vector<double>{});
-  for (int i = 0; i < 257; ++i) s.push_back(rng.uniform(-5.0, 8.0));
-  std::ostringstream os(std::ios::binary);
-  write_binary(os, s);
-  std::istringstream is(os.str(), std::ios::binary);
-  const auto loaded = read_binary(is);
-  EXPECT_EQ(loaded.meta(), s.meta());
-  ASSERT_EQ(loaded.size(), s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[i]),
-              std::bit_cast<std::uint64_t>(s[i]));
-  }
-}
-
-TEST(TraceIo, BinaryEmptySeries) {
-  const TimeSeries s(TraceMeta{CivilDate{2020, 2, 29}, 15, 30},
-                     std::vector<double>{});
-  std::ostringstream os(std::ios::binary);
-  write_binary(os, s);
-  std::istringstream is(os.str(), std::ios::binary);
-  const auto loaded = read_binary(is);
-  EXPECT_EQ(loaded.meta(), s.meta());
-  EXPECT_EQ(loaded.size(), 0u);
-}
-
-TEST(TraceIo, BinarySingleSample) {
-  const TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 0, 60}, {42.5});
-  std::ostringstream os(std::ios::binary);
-  write_binary(os, s);
-  std::istringstream is(os.str(), std::ios::binary);
-  const auto loaded = read_binary(is);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded[0], 42.5);
-}
-
-TEST(TraceIo, BinaryCarriesNonFiniteValues) {
-  // The CSV format cannot represent these; the binary container stores the
-  // raw bit patterns, so NaN payloads, infinities, and -0.0 all survive.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 0, 60},
-                     {nan, inf, -inf, -0.0, 1.0});
-  std::ostringstream os(std::ios::binary);
-  write_binary(os, s);
-  std::istringstream is(os.str(), std::ios::binary);
-  const auto loaded = read_binary(is);
-  ASSERT_EQ(loaded.size(), s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[i]),
-              std::bit_cast<std::uint64_t>(s[i]))
-        << "sample " << i;
-  }
-}
-
-TEST(TraceIo, BinaryRejectsCorruption) {
-  const TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 0, 60}, {1.0, 2.0});
-  std::ostringstream os(std::ios::binary);
-  write_binary(os, s);
-  const std::string good = os.str();
-  {
-    std::istringstream is(std::string("XXXXXXXX") + good.substr(8),
-                          std::ios::binary);
-    EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);  // wrong magic
-  }
-  {
-    std::string bumped = good;
-    bumped[8] = 9;  // unsupported version
-    std::istringstream is(bumped, std::ios::binary);
-    EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);
-  }
-  {
-    std::istringstream is(good.substr(0, 10), std::ios::binary);
-    EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);  // cut header
-  }
-  {
-    std::istringstream is(good.substr(0, 80), std::ios::binary);
-    EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);  // cut directory
-  }
-  {
-    std::istringstream is(good.substr(0, good.size() - 8), std::ios::binary);
-    EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);  // cut column
-  }
-  {
-    std::istringstream is(std::string(), std::ios::binary);
-    EXPECT_THROW(read_binary(is), pmiot::InvalidArgument);  // empty file
-  }
-}
-
-TEST(TraceIo, CsvBinaryCsvRoundTripIsExact) {
-  // CSV -> binary -> CSV must reproduce the CSV serialization byte for
-  // byte: the binary side stores the parsed doubles bit-exactly. The CRLF
-  // variant exercises the same path through the Windows-style reader.
-  const std::string base =
-      "# pmiot-trace v1\n"
-      "# start=2017-06-01 start_minute=30 interval_seconds=300\n"
-      "2017-06-01T00:30,0.412345678\n"
-      "2017-06-01T00:35,7.125\n"
-      "2017-06-01T00:40,-3.000000001\n";
-  std::string crlf;
-  for (char c : base) {
-    if (c == '\n') crlf += '\r';
-    crlf += c;
-  }
-  for (const std::string& text : {base, crlf}) {
-    std::istringstream csv_in(text);
-    const auto from_csv = read_csv(csv_in);
-    std::ostringstream bin(std::ios::binary);
-    write_binary(bin, from_csv);
-    std::istringstream bin_in(bin.str(), std::ios::binary);
-    const auto from_binary = read_binary(bin_in);
-    EXPECT_EQ(from_binary, from_csv);
-    std::ostringstream csv_a, csv_b;
-    write_csv(csv_a, from_csv, 9);
-    write_csv(csv_b, from_binary, 9);
-    EXPECT_EQ(csv_a.str(), csv_b.str());
-  }
-}
-
-TEST(TraceIo, BinaryFileRoundTripIsBitExact) {
-  Rng rng(13);
-  TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 0, 60},
-               std::vector<double>{});
-  for (int i = 0; i < 1000; ++i) s.push_back(rng.uniform(0.0, 3.0));
-  const std::string path = testing::TempDir() + "pmiot_trace_file.bin";
-  save_binary(path, s);
-
-  const auto loaded = load_binary(path);
-  EXPECT_EQ(loaded.meta(), s.meta());
-  ASSERT_EQ(loaded.size(), s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(loaded[i]),
-              std::bit_cast<std::uint64_t>(s[i]));
-  }
-  EXPECT_THROW(load_binary(testing::TempDir() + "no_such_trace.bin"),
-               InvalidArgument);
-  std::remove(path.c_str());
-}
-
-TEST(TraceIo, LoadTraceSniffsFormat) {
-  const TimeSeries s(TraceMeta{CivilDate{2017, 6, 1}, 0, 60},
-                     {1.0, 2.5, 3.25});
-  const std::string bin_path = testing::TempDir() + "pmiot_sniff.bin";
-  const std::string csv_path = testing::TempDir() + "pmiot_sniff.csv";
-  save_binary(bin_path, s);
-  save_csv(csv_path, s);
-  EXPECT_EQ(load_trace(bin_path), s);
-  EXPECT_EQ(load_trace(csv_path), s);
-  std::remove(bin_path.c_str());
-  std::remove(csv_path.c_str());
 }
 
 class ResampleFactors : public ::testing::TestWithParam<int> {};
