@@ -34,6 +34,7 @@ declare -A expect_counter=(
   [fig2]=ml.fhmm.chain_eliminations
   [fleet]=fleet.packets
   [campaign]=ml.forest.trees_walked
+  [arena]=net.arena.windows
 )
 
 if [[ $# -eq 0 ]]; then

@@ -50,17 +50,43 @@ double sum(std::span<const double> xs) {
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
-double quantile(std::span<const double> xs, double q) {
-  PMIOT_CHECK(!xs.empty(), "quantile of empty range");
+namespace {
+
+/// Where quantile q of n values lies in their sorted order: it
+/// interpolates order statistics `lo` and `hi` by `frac`.
+struct QuantilePosition {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+
+QuantilePosition quantile_position(std::size_t n, double q) {
+  PMIOT_CHECK(n > 0, "quantile of empty range");
   PMIOT_CHECK(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
+}
+
+}  // namespace
+
+double quantile(std::span<const double> xs, double q) {
+  const auto at = quantile_position(xs.size(), q);
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
   if (sorted.size() == 1) return sorted[0];
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return sorted[at.lo] * (1.0 - at.frac) + sorted[at.hi] * at.frac;
+}
+
+double quantile_in_place(std::span<double> xs, double q) {
+  const auto at = quantile_position(xs.size(), q);
+  if (xs.size() == 1) return xs[0];
+  // Order statistic lo in place; everything after it is no smaller, so
+  // order statistic hi = lo + 1 is the minimum of that upper part.
+  const auto lo = xs.begin() + static_cast<std::ptrdiff_t>(at.lo);
+  std::nth_element(xs.begin(), lo, xs.end());
+  const double hi = at.hi == at.lo ? *lo : *std::min_element(lo + 1, xs.end());
+  return *lo * (1.0 - at.frac) + hi * at.frac;
 }
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {

@@ -38,6 +38,12 @@ double median(std::span<const double> xs);
 /// Linear-interpolation quantile, q in [0,1]. Requires non-empty input.
 double quantile(std::span<const double> xs, double q);
 
+/// `quantile` without the copy and the sort: selects the two order
+/// statistics it interpolates between (`nth_element`, then the minimum of
+/// the part above) and leaves `xs` reordered. Bitwise the same value as
+/// `quantile` unless `xs` holds a NaN or zeros of both signs.
+double quantile_in_place(std::span<double> xs, double q);
+
 /// Pearson correlation coefficient. Returns 0 when either side is constant.
 /// Requires equally sized, non-empty inputs.
 double pearson(std::span<const double> xs, std::span<const double> ys);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -264,8 +263,8 @@ std::size_t full_window_count(double duration_s, double window_s) {
   return n;
 }
 
-/// Every roster device's windows over one capture, defense-agnostic: the
-/// per-cell unit both training-set assembly and scoring consume.
+/// Every roster device's windows over one capture, defense-agnostic: what
+/// both training-set assembly and scoring consume.
 struct WindowTable {
   std::vector<std::vector<double>> base;  ///< feature_names() vector
   std::vector<std::vector<double>> ext;   ///< base + recovery features
@@ -278,8 +277,8 @@ struct WindowTable {
 /// at most one LAN endpoint, so it belongs to at most one roster device
 /// (src looked up first, then dst; tunnel traffic rewritten away from
 /// device addresses lands nowhere — exactly what the observer can
-/// attribute). It goes straight to that device's window accumulator and
-/// recovery stream.
+/// attribute). Its `DeviceSlots` entry sends it straight to that device's
+/// window accumulator and recovery stream.
 WindowTable build_window_table(std::span<const Packet> capture,
                                const std::vector<DeviceProfile>& roster,
                                double duration_s, double window_s) {
@@ -287,10 +286,8 @@ WindowTable build_window_table(std::span<const Packet> capture,
       obs::MetricsRegistry::instance().timer("net.arena.window_table");
   obs::ScopedTimer span(timer);
 
-  std::unordered_map<std::uint32_t, std::size_t> index;
-  for (std::size_t i = 0; i < roster.size(); ++i) {
-    index.emplace(roster[i].ip, i);
-  }
+  DeviceSlots slots;
+  for (const auto& device : roster) slots.add(device.ip);
   const auto num_windows = full_window_count(duration_s, window_s);
   ModalScratch scratch;
   std::vector<WindowAccumulator> accumulators;
@@ -305,11 +302,12 @@ WindowTable build_window_table(std::span<const Packet> capture,
   std::uint64_t routed = 0;
   for (const auto& p : capture) {
     if (is_lan(p.src_ip) && is_lan(p.dst_ip)) continue;  // never on the WAN
-    auto it = index.find(p.src_ip);
-    if (it == index.end()) it = index.find(p.dst_ip);
-    if (it == index.end()) continue;
-    accumulators[it->second].add(p);
-    recovery[it->second].add(p.timestamp_s, p.size_bytes);
+    int slot = slots[p.src_ip];
+    if (slot < 0) slot = slots[p.dst_ip];
+    if (slot < 0) continue;
+    const auto d = static_cast<std::size_t>(slot);
+    accumulators[d].add(p);
+    recovery[d].add(p.timestamp_s, p.size_bytes);
     ++routed;
   }
 
@@ -346,13 +344,37 @@ ml::Dataset training_rows(const WindowTable& table, bool recovery) {
   return data;
 }
 
-AttackScore evaluate_attack(const SupervisedFingerprintAttack& attack,
-                            const WindowTable& raw_train,
-                            const WindowTable& shaped_train,
-                            const WindowTable& test, std::uint64_t seed) {
-  const auto& train_table = attack.adaptive ? shaped_train : raw_train;
-  const auto train = training_rows(train_table, attack.recovery);
+bool has_visible_window(const WindowTable& table) {
+  return std::find(table.silent.begin(), table.silent.end(), false) !=
+         table.silent.end();
+}
 
+/// One attack's trained model. `model` is null for a blinded attacker:
+/// fewer than two visible training windows.
+struct FittedAttack {
+  std::unique_ptr<ml::Classifier> model;
+  ml::StandardScaler scaler;  ///< fitted for the kNN backend only
+};
+
+FittedAttack fit_attack(const SupervisedFingerprintAttack& attack,
+                        const WindowTable& train_table, std::uint64_t seed) {
+  FittedAttack fitted;
+  auto train = training_rows(train_table, attack.recovery);
+  if (train.size() < 2) return fitted;
+  if (attack.backend == SupervisedFingerprintAttack::Backend::kKnn) {
+    fitted.scaler.fit(train);
+    fitted.scaler.transform_in_place(train);
+    fitted.model = std::make_unique<ml::KnnClassifier>(5);
+  } else {
+    fitted.model =
+        std::make_unique<ml::RandomForest>(ml::ForestOptions{}, seed);
+  }
+  fitted.model->fit(train);
+  return fitted;
+}
+
+AttackScore score_attack(const SupervisedFingerprintAttack& attack,
+                         const FittedAttack& fitted, const WindowTable& test) {
   std::vector<int> predicted(test.label.size(), kSilentClass);
   ml::Dataset query;
   std::vector<std::size_t> query_rows;
@@ -361,66 +383,29 @@ AttackScore evaluate_attack(const SupervisedFingerprintAttack& attack,
     query.append(attack.recovery ? test.ext[i] : test.base[i], test.label[i]);
     query_rows.push_back(i);
   }
-
-  // A blinded attacker (every training window silent) has no model; every
-  // visible test window gets its best uninformed guess, class 0.
-  if (train.size() >= 2 && !query_rows.empty()) {
-    std::unique_ptr<ml::Classifier> model;
-    ml::StandardScaler scaler;
-    ml::Dataset scaled_train = train;
-    ml::Dataset scaled_query = query;
-    if (attack.backend == SupervisedFingerprintAttack::Backend::kKnn) {
-      scaler.fit(train);
-      scaler.transform_in_place(scaled_train);
-      scaler.transform_in_place(scaled_query);
-      model = std::make_unique<ml::KnnClassifier>(5);
-    } else {
-      model = std::make_unique<ml::RandomForest>(ml::ForestOptions{}, seed);
-    }
-    model->fit(scaled_train);
-    const auto votes = model->predict_all(scaled_query);
+  if (fitted.model && !query_rows.empty()) {
+    if (fitted.scaler.fitted()) fitted.scaler.transform_in_place(query);
+    const auto votes = fitted.model->predict_all(query);
     for (std::size_t q = 0; q < query_rows.size(); ++q) {
       predicted[query_rows[q]] = votes[q];
     }
   } else {
+    // No model: every visible test window gets the best uninformed guess,
+    // class 0.
     for (const auto i : query_rows) predicted[i] = 0;
   }
-
   const ml::ConfusionMatrix confusion(predicted, test.label,
                                       kSilentClass + 1);
   return AttackScore{attack.name, confusion.mcc(), confusion.accuracy()};
 }
 
-/// Inputs shared by every cell, computed once up front: the two simulated
-/// homes and the raw (unshaped) training-home windows the non-adaptive
-/// attacks pre-train on.
-struct ArenaContext {
-  HomeNetwork train_home;
-  HomeNetwork test_home;
-  WindowTable raw_train;
+std::vector<SupervisedFingerprintAttack> panel_of(const ArenaOptions& o) {
+  if (o.attacks.empty()) return fingerprint_attacks();
   std::vector<SupervisedFingerprintAttack> panel;
-};
-
-ArenaContext prepare(const ArenaOptions& o) {
-  validate(o);
-  ArenaContext ctx;
-  Rng train_rng(par::shard_seed(o.seed, kTrainHomeSalt));
-  Rng test_rng(par::shard_seed(o.seed, kTestHomeSalt));
-  ctx.train_home = simulate_home_network(o.train_instances_per_type,
-                                         o.duration_s, train_rng);
-  ctx.test_home =
-      simulate_home_network(o.test_instances_per_type, o.duration_s, test_rng);
-  ctx.raw_train = build_window_table(ctx.train_home.packets,
-                                     ctx.train_home.devices, o.duration_s,
-                                     o.window_s);
-  if (o.attacks.empty()) {
-    ctx.panel = fingerprint_attacks();
-  } else {
-    for (const auto& name : o.attacks) {
-      ctx.panel.push_back(make_fingerprint_attack(name));
-    }
+  for (const auto& name : o.attacks) {
+    panel.push_back(make_fingerprint_attack(name));
   }
-  return ctx;
+  return panel;
 }
 
 /// `TrafficDefense::apply` under its `net.shape.<defense>` stage timer.
@@ -433,56 +418,6 @@ ShapedCapture shape(const TrafficDefense& defense, const HomeNetwork& home,
     packets_added_counter().add(shaped.packets.size() - home.packets.size());
   }
   return shaped;
-}
-
-ArenaCell score_cell(const ArenaOptions& o, const ArenaContext& ctx,
-                     std::size_t cell) {
-  const auto& defense_name = o.defenses[cell / o.intensities.size()];
-  const double intensity = o.intensities[cell % o.intensities.size()];
-  const auto defense = make_traffic_defense(defense_name);
-
-  // All cell randomness hangs off (seed, cell index) — never off which
-  // thread got here first.
-  const auto cell_seed =
-      par::shard_seed(par::shard_seed(o.seed, kCellSalt), cell);
-  Rng shape_train_rng(par::shard_seed(cell_seed, 0));
-  Rng shape_test_rng(par::shard_seed(cell_seed, 1));
-  const auto shaped_train =
-      shape(*defense, ctx.train_home, o.duration_s, intensity, shape_train_rng);
-  const auto shaped_test =
-      shape(*defense, ctx.test_home, o.duration_s, intensity, shape_test_rng);
-
-  const auto train_table =
-      build_window_table(shaped_train.packets, ctx.train_home.devices,
-                         o.duration_s, o.window_s);
-  const auto test_table = build_window_table(
-      shaped_test.packets, ctx.test_home.devices, o.duration_s, o.window_s);
-
-  ArenaCell result;
-  result.defense = defense_name;
-  result.intensity = intensity;
-  result.added_bytes_fraction = shaped_test.added_bytes_fraction();
-  result.mean_added_latency_s = shaped_test.mean_added_latency_s();
-  for (std::size_t a = 0; a < ctx.panel.size(); ++a) {
-    const auto& attack = ctx.panel[a];
-    // Pre-trained attacks use one arena-wide seed (the same model in every
-    // cell); adaptive ones refit per cell.
-    const auto attack_seed = attack.adaptive
-                                 ? par::shard_seed(cell_seed, 2 + a)
-                                 : par::shard_seed(o.seed, kPretrainedSalt);
-    const auto score = evaluate_attack(attack, ctx.raw_train, train_table,
-                                       test_table, attack_seed);
-    if (!attack.adaptive) {
-      result.naive_mcc = std::max(result.naive_mcc, score.mcc);
-    }
-    // Privacy is read under the strongest attacker, whoever that is — at
-    // some cells (decoy at full blast) the pre-trained model out-scores
-    // the retrained ones, and crediting the defense for confusing only
-    // adaptive attackers would overstate protection.
-    result.privacy_mcc = std::max(result.privacy_mcc, score.mcc);
-    result.attacks.push_back(score);
-  }
-  return result;
 }
 
 }  // namespace
@@ -563,6 +498,7 @@ std::vector<WindowRow> windowed_recovery_features(
 void validate(const ArenaOptions& options) {
   PMIOT_CHECK(!options.defenses.empty() && !options.intensities.empty(),
               "empty arena grid");
+  for (const auto& name : options.defenses) (void)make_traffic_defense(name);
   for (const double i : options.intensities) {
     PMIOT_CHECK(i >= 0.0 && i <= 1.0, "intensity must be within [0, 1]");
   }
@@ -574,13 +510,116 @@ void validate(const ArenaOptions& options) {
               "need at least one full window");
 }
 
-ArenaResult run_arena(const ArenaOptions& options) {
-  const auto ctx = prepare(options);
-  ArenaResult result;
-  result.cells.resize(options.defenses.size() * options.intensities.size());
-  par::parallel_for(0, result.cells.size(), [&](std::size_t cell) {
-    result.cells[cell] = score_cell(options, ctx, cell);  // slot write only
+ArenaResult run_arena(const ArenaOptions& o) {
+  validate(o);
+  const auto panel = panel_of(o);
+  const auto num_cells = o.defenses.size() * o.intensities.size();
+  const auto defense_of = [&](std::size_t cell) -> const std::string& {
+    return o.defenses[cell / o.intensities.size()];
+  };
+  const auto intensity_of = [&](std::size_t cell) {
+    return o.intensities[cell % o.intensities.size()];
+  };
+  // All cell randomness hangs off (seed, cell index) — never off which
+  // thread got there first.
+  const auto cell_seed = [&](std::size_t cell) {
+    return par::shard_seed(par::shard_seed(o.seed, kCellSalt), cell);
+  };
+
+  // Set-up: the attacker's lab home (h = 0) and the observed home (h = 1),
+  // and the raw window table of each.
+  constexpr std::size_t kHomes = 2;
+  std::array<HomeNetwork, kHomes> homes;
+  std::array<WindowTable, kHomes> raw;
+  par::parallel_for(0, kHomes, [&](std::size_t h) {
+    Rng rng(par::shard_seed(o.seed, h == 0 ? kTrainHomeSalt : kTestHomeSalt));
+    homes[h] = simulate_home_network(h == 0 ? o.train_instances_per_type
+                                            : o.test_instances_per_type,
+                                     o.duration_s, rng);
+    raw[h] = build_window_table(homes[h].packets, homes[h].devices,
+                                o.duration_s, o.window_s);
   });
+
+  // Phase 1: the pre-trained attacks' models — fitted once on raw traffic
+  // with one arena-wide seed, so every cell scores the same model — and,
+  // for every cell with θ > 0, each home shaped and windowed. A θ = 0 cell
+  // shapes nothing: the `TrafficDefense` contract makes its capture the
+  // raw one with a zero bill, so it reads the raw tables.
+  std::vector<std::size_t> pretrained_attacks;
+  for (std::size_t a = 0; a < panel.size(); ++a) {
+    if (!panel[a].adaptive) pretrained_attacks.push_back(a);
+  }
+  std::vector<std::size_t> shaped_cells;
+  for (std::size_t cell = 0; cell < num_cells; ++cell) {
+    if (intensity_of(cell) > 0.0) shaped_cells.push_back(cell);
+  }
+  std::vector<FittedAttack> pretrained(panel.size());
+  std::vector<WindowTable> shaped(num_cells * kHomes);
+  ArenaResult result;
+  result.cells.resize(num_cells);
+  const auto num_fits = pretrained_attacks.size();
+  par::parallel_for(
+      0, num_fits + shaped_cells.size() * kHomes, [&](std::size_t task) {
+        if (task < num_fits) {
+          const auto a = pretrained_attacks[task];
+          pretrained[a] = fit_attack(panel[a], raw[0],
+                                     par::shard_seed(o.seed, kPretrainedSalt));
+          return;
+        }
+        const auto cell = shaped_cells[(task - num_fits) / kHomes];
+        const auto h = (task - num_fits) % kHomes;
+        const auto defense = make_traffic_defense(defense_of(cell));
+        Rng rng(par::shard_seed(cell_seed(cell), h));
+        const auto capture =
+            shape(*defense, homes[h], o.duration_s, intensity_of(cell), rng);
+        shaped[cell * kHomes + h] =
+            build_window_table(capture.packets, homes[h].devices,
+                               o.duration_s, o.window_s);
+        if (h == 1) {  // the bill is read off the observed home
+          result.cells[cell].added_bytes_fraction =
+              capture.added_bytes_fraction();
+          result.cells[cell].mean_added_latency_s =
+              capture.mean_added_latency_s();
+        }
+      });
+  const auto table = [&](std::size_t cell,
+                         std::size_t h) -> const WindowTable& {
+    return intensity_of(cell) > 0.0 ? shaped[cell * kHomes + h] : raw[h];
+  };
+
+  // Phase 2: one task per (cell, attack). A pre-trained attack only scores;
+  // an adaptive one retrains on the cell's shaped lab home first, unless
+  // the observed home shows it nothing to score.
+  std::vector<AttackScore> scores(num_cells * panel.size());
+  par::parallel_for(0, scores.size(), [&](std::size_t task) {
+    const auto cell = task / panel.size();
+    const auto a = task % panel.size();
+    const auto& attack = panel[a];
+    const auto& test = table(cell, 1);
+    FittedAttack adapted;
+    if (attack.adaptive && has_visible_window(test)) {
+      adapted = fit_attack(attack, table(cell, 0),
+                           par::shard_seed(cell_seed(cell), 2 + a));
+    }
+    scores[task] =
+        score_attack(attack, attack.adaptive ? adapted : pretrained[a], test);
+  });
+
+  for (std::size_t cell = 0; cell < num_cells; ++cell) {
+    auto& c = result.cells[cell];
+    c.defense = defense_of(cell);
+    c.intensity = intensity_of(cell);
+    for (std::size_t a = 0; a < panel.size(); ++a) {
+      const auto& score = scores[cell * panel.size() + a];
+      if (!panel[a].adaptive) c.naive_mcc = std::max(c.naive_mcc, score.mcc);
+      // Privacy is read under the strongest attacker, whoever that is — at
+      // some cells (decoy at full blast) the pre-trained model out-scores
+      // the retrained ones, and crediting the defense for confusing only
+      // adaptive attackers would overstate protection.
+      c.privacy_mcc = std::max(c.privacy_mcc, score.mcc);
+      c.attacks.push_back(score);
+    }
+  }
   return result;
 }
 

@@ -13,7 +13,7 @@
 //
 // Determinism contract: every cell's randomness comes from a
 // `par::shard_seed` chain keyed by (seed, cell index) — never from
-// execution order — and each cell writes only its own result slot, so
+// execution order — and each task writes only its own result slot, so
 // `run_arena` is bitwise identical at any `PMIOT_THREADS` — including a
 // width-1 pool, the serial reference the bench self-check compares against.
 #pragma once
@@ -107,13 +107,18 @@ struct ArenaResult {
   std::vector<ArenaCell> cells;  ///< defense-major, intensity-minor order
 };
 
-/// Throws InvalidArgument unless the grid is non-empty, every intensity
-/// lies in [0, 1], both homes hold >= 1 instance per device type, and the
-/// finite duration spans at least one full window.
+/// Throws InvalidArgument unless the grid is non-empty, every defense name
+/// is known, every intensity lies in [0, 1], both homes hold >= 1 instance
+/// per device type, and the finite duration spans at least one full window.
 void validate(const ArenaOptions& options);
 
-/// Runs the full grid over the shared `par` pool (cells fan out;
-/// classifier fits inside a cell run inline). Validates `options` first.
+/// Runs the full grid over the shared `par` pool in three batches of
+/// fine-grained tasks: the two homes and their raw window tables; the
+/// pre-trained attacks' one shared fit each plus, per θ > 0 cell, each
+/// home shaped and windowed (θ = 0 cells reuse the raw tables); then one
+/// fit-and/or-score task per (cell, attack). Nested parallel loops (forest
+/// fits, batched prediction) run inline inside a task. Validates `options`
+/// first.
 ArenaResult run_arena(const ArenaOptions& options);
 
 /// Empty string when equal, else a human-readable first divergence

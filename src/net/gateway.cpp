@@ -1,7 +1,6 @@
 #include "net/gateway.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -51,11 +50,6 @@ bool quarantine_exempt(const Packet& p) {
   return p.protocol == Protocol::kUdp && p.dst_port == 53;
 }
 
-/// Roster position of the registered device at `ip`, or -1.
-int slot_of(const std::array<std::int16_t, 256>& slots, std::uint32_t ip) {
-  return is_lan(ip) ? slots[ip & 0xff] : -1;
-}
-
 }  // namespace
 
 const char* to_string(Zone zone) {
@@ -87,11 +81,9 @@ int SmartGateway::window_count(double duration_s) const {
   return static_cast<int>(std::floor(duration_s / options_.window_s));
 }
 
-SmartGateway::DeviceSlots SmartGateway::device_slots() const {
+DeviceSlots SmartGateway::device_slots() const {
   DeviceSlots slots;
-  slots.fill(-1);
-  std::int16_t next = 0;
-  for (const auto& entry : devices_) slots[entry.first & 0xff] = next++;
+  for (const auto& entry : devices_) slots.add(entry.first);
   return slots;
 }
 
@@ -122,8 +114,8 @@ std::vector<DeviceRows> SmartGateway::extract_rows(
     PMIOT_CHECK(p.timestamp_s >= last_timestamp,
                 "packets must arrive in timestamp order (use sort_by_time)");
     last_timestamp = p.timestamp_s;
-    const int src = slot_of(slots, p.src_ip);
-    const int dst = slot_of(slots, p.dst_ip);
+    const int src = slots[p.src_ip];
+    const int dst = slots[p.dst_ip];
     if (src >= 0) accumulators[static_cast<std::size_t>(src)].add(p);
     if (dst >= 0 && dst != src) {
       accumulators[static_cast<std::size_t>(dst)].add(p);
@@ -148,12 +140,12 @@ std::vector<PolicyCounts> SmartGateway::policy_counts(
 
   const auto slots = device_slots();
   for (const auto& p : packets) {
-    const int src = slot_of(slots, p.src_ip);
+    const int src = slots[p.src_ip];
     if (src < 0) continue;
     auto& pc = out[static_cast<std::size_t>(src)];
     ++pc.policed;
     const bool lateral = is_lan(p.dst_ip) && p.dst_ip != options_.router_ip &&
-                         slot_of(slots, p.dst_ip) < 0;
+                         slots[p.dst_ip] < 0;
     if (lateral) ++pc.lateral_total;
     if (quarantine_exempt(p)) continue;
     // Largest boundary index k in [0, windows] with timestamp >= k *

@@ -26,7 +26,6 @@
 // scoring/quarantine state machine plus counter derivation).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -160,10 +159,8 @@ class SmartGateway {
                        double duration_s) const;
 
  private:
-  /// Roster position of each registered device, by the last octet of its
-  /// address (`register_device` admits LAN addresses only, so the octet
-  /// identifies a device); -1 where none is registered.
-  using DeviceSlots = std::array<std::int16_t, 256>;
+  /// Roster position of each registered device (`register_device` admits
+  /// LAN addresses only), in `devices_` order.
   DeviceSlots device_slots() const;
 
   const ml::Classifier& classifier_;

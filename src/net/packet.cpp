@@ -51,8 +51,11 @@ std::string ip_to_string(std::uint32_t ip) {
   return buf;
 }
 
-bool is_lan(std::uint32_t ip) noexcept {
-  return (ip >> 8) == (make_ip(10, 0, 0, 0) >> 8);
+void DeviceSlots::add(std::uint32_t ip) {
+  PMIOT_CHECK(is_lan(ip), "device slots hold LAN addresses only");
+  auto& slot = slots_[ip & 0xff];
+  PMIOT_CHECK(slot < 0, "device address added twice: " + ip_to_string(ip));
+  slot = next_++;
 }
 
 std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {

@@ -6,6 +6,7 @@
 // synthetic; 10.0.0.0/24 is the LAN, everything else is "the Internet".
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -35,7 +36,30 @@ std::uint32_t make_ip(int a, int b, int c, int d);
 std::string ip_to_string(std::uint32_t ip);
 
 /// True for addresses inside the home LAN (10.0.0.0/24 here).
-bool is_lan(std::uint32_t ip) noexcept;
+inline bool is_lan(std::uint32_t ip) noexcept {
+  return (ip >> 8) == 0x0a0000;  // 10.0.0
+}
+
+/// Roster position of each device by the last octet of its address: on the
+/// /24 LAN the octet identifies the address, so routing a packet to its
+/// device is one table load rather than a hash probe.
+class DeviceSlots {
+ public:
+  DeviceSlots() noexcept { slots_.fill(-1); }
+
+  /// Gives `ip` the next slot (0, 1, ... in call order). Throws
+  /// InvalidArgument unless `ip` is a LAN address not added before.
+  void add(std::uint32_t ip);
+
+  /// The slot of `ip`, or -1 when no added device has that address.
+  int operator[](std::uint32_t ip) const noexcept {
+    return is_lan(ip) ? slots_[ip & 0xff] : -1;
+  }
+
+ private:
+  std::array<std::int16_t, 256> slots_;
+  std::int16_t next_ = 0;
+};
 
 /// Canonical bidirectional flow identity (sorted endpoints).
 struct FlowKey {

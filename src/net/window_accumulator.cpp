@@ -124,15 +124,18 @@ void WindowAccumulator::close_window() {
       f[11] = static_cast<double>(state_.lan_pkts) /
               static_cast<double>(state_.total);
       if (state_.up_times.size() >= 3) {
-        std::sort(state_.up_times.begin(), state_.up_times.end());
+        // `add` admits packets in time order only, so `up_times` is
+        // already sorted and its neighbour gaps are the IATs.
         auto& iats = state_.iats;
         iats.clear();
         for (std::size_t i = 1; i < state_.up_times.size(); ++i) {
           iats.push_back(state_.up_times[i] - state_.up_times[i - 1]);
         }
-        f[12] = stats::median(iats);
         const double m = stats::mean(iats);
         f[13] = m > 0 ? stats::stddev(iats) / m : 0.0;
+        // Last: the selection reorders `iats`, and the sums above must
+        // see them in arrival order.
+        f[12] = stats::quantile_in_place(iats, 0.5);
       }
       double burst = 0.0;
       for (std::size_t b = 0; b < state_.buckets.size(); ++b) {

@@ -8,6 +8,10 @@
 // packet sizes, distinct remote/port trackers, a per-window flow table,
 // burst buckets),
 // and emits a finished feature vector every time a window boundary passes.
+// Closing a window sorts nothing: packets arrive in time order, so the
+// upstream timestamps' neighbour gaps are the IATs, and their median is
+// selected in place (`stats::quantile_in_place`) rather than read off a
+// sorted copy.
 //
 // The output is bit-for-bit identical to the per-window rescan
 // `reference::extract_window_features` on each window [k·w, (k+1)·w) of the
@@ -65,7 +69,7 @@ class WindowAccumulator {
   struct State {
     FlowTable flow_table;
     stats::Accumulator up_size, down_size;
-    std::vector<double> up_times;
+    std::vector<double> up_times;  ///< in arrival (= time) order
     double up_bytes = 0.0, down_bytes = 0.0;
     std::size_t udp = 0, total = 0, lan_pkts = 0, dns = 0;
     // Distinct remotes and upstream ports; only the counts are read. A
@@ -75,7 +79,7 @@ class WindowAccumulator {
     std::vector<std::uint64_t> port_bits;  ///< one bit per port
     std::vector<std::uint16_t> ports;      ///< set bits, to clear them
     std::vector<std::size_t> buckets;
-    std::vector<double> iats;  ///< close-time scratch
+    std::vector<double> iats;  ///< close-time scratch; the median reorders it
 
     explicit State(std::size_t num_buckets)
         : port_bits(65536 / 64, 0), buckets(num_buckets, 0) {}

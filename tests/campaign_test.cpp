@@ -5,6 +5,7 @@
 // pool widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -399,6 +400,25 @@ TEST(CampaignRun, FrontierRequiresCompleteResult) {
   const auto result = run_campaign(config, partial);
   EXPECT_EQ(result.cells_evaluated, 3u);
   EXPECT_THROW((void)build_frontier(result), InvalidArgument);
+}
+
+// The cheapest fuzzer of the whole energy pipeline: the default grid at
+// one home per archetype over many seeds. Every run must complete and
+// equal its width-1 pool run.
+TEST(CampaignSeedSweep, OneHomePerArchetypeCompletesOnSeeds1To32) {
+  CampaignConfig config;
+  config.homes_per_archetype = 1;
+  par::ThreadPool serial(1);
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    config.base_seed = seed;
+    CampaignResult result;
+    ASSERT_NO_THROW(result = run_campaign(config)) << "seed " << seed;
+    EXPECT_EQ(std::count(result.done.begin(), result.done.end(), 0), 0)
+        << "seed " << seed;
+    par::ScopedPoolOverride scoped(serial);
+    EXPECT_EQ(describe_divergence(result, run_campaign(config)), "")
+        << "seed " << seed;
+  }
 }
 
 TEST(CampaignRegistries, RejectUnknownNames) {

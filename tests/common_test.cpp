@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -204,6 +206,27 @@ TEST(Stats, QuantileEndpointsAndMiddle) {
   EXPECT_DOUBLE_EQ(stats::quantile(xs, 1.0), 50.0);
   EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.5), 30.0);
   EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.25), 20.0);
+}
+
+TEST(Stats, QuantileInPlaceMatchesSortingQuantileBitwise) {
+  Rng rng(7);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 24));
+    std::vector<double> xs(n);
+    // Few distinct values, so most trials hold ties.
+    for (auto& x : xs) x = 0.125 * static_cast<double>(rng.uniform_int(0, 6));
+    for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
+      auto scratch = xs;
+      EXPECT_EQ(bits(stats::quantile_in_place(scratch, q)),
+                bits(stats::quantile(xs, q)))
+          << "trial " << trial << " q " << q;
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW(stats::quantile_in_place(empty, 0.5), InvalidArgument);
+  std::vector<double> one{1.0};
+  EXPECT_THROW(stats::quantile_in_place(one, 1.5), InvalidArgument);
 }
 
 TEST(Stats, QuantileRejectsBadQ) {

@@ -469,6 +469,8 @@ TEST(Arena, RejectsBadOptions) {
   options = tiny_arena();
   options.defenses = {"warp-drive"};
   EXPECT_THROW(run_arena(options), InvalidArgument);
+  options.intensities = {0.0};  // no cell shapes; the name is still checked
+  EXPECT_THROW(run_arena(options), InvalidArgument);
   options = tiny_arena();
   options.test_instances_per_type = 0;
   EXPECT_THROW(run_arena(options), InvalidArgument);
@@ -502,38 +504,85 @@ TEST(ArenaSeedSweep, SmallGridCompletesOnSeeds1To64) {
 
 // --- stage timers and counters ------------------------------------------------
 
-TEST(Arena, ReportsStageTimersAndCounters) {
+/// Runs the grid with metrics on and returns everything it recorded.
+obs::Snapshot metered_run(const ArenaOptions& options) {
   auto& registry = obs::MetricsRegistry::instance();
   registry.reset_values_for_testing();
   obs::set_enabled_for_testing(true);
-  const auto options = tiny_arena();
   (void)run_arena(options);
-  const auto snap = registry.snapshot({/*include_nondeterministic=*/true});
+  auto snap = registry.snapshot({/*include_nondeterministic=*/true});
   obs::set_enabled_for_testing(false);
   registry.reset_values_for_testing();
+  return snap;
+}
 
-  const auto counter = [&](const std::string& name) {
-    for (const auto& c : snap.counters) {
-      if (c.name == name) return c.value;
-    }
-    return std::uint64_t{0};
-  };
-  // One raw training table plus two shaped tables per cell, each holding
-  // every roster device's (kNumDeviceTypes at one instance) two windows.
-  const std::uint64_t tables = 1 + 2 * 4;
-  EXPECT_EQ(counter("net.arena.windows"), tables * kNumDeviceTypes * 2);
-  EXPECT_GT(counter("net.arena.packets_routed"), 0u);
-  EXPECT_GT(counter("net.shape.packets_added"), 0u);  // constant-rate pads
+std::uint64_t counter_value(const obs::Snapshot& snap,
+                            const std::string& name) {
+  for (const auto& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
 
-  const auto timer_count = [&](const std::string& name) {
-    for (const auto& t : snap.timers) {
-      if (t.name == name) return t.count;
-    }
-    return std::uint64_t{0};
-  };
-  EXPECT_EQ(timer_count("net.arena.window_table"), tables);
-  EXPECT_EQ(timer_count("net.shape.constant-rate"), 4u);  // 2 cells x 2 homes
-  EXPECT_EQ(timer_count("net.shape.vpn"), 4u);
+std::uint64_t timer_count(const obs::Snapshot& snap, const std::string& name) {
+  for (const auto& t : snap.timers) {
+    if (t.name == name) return t.count;
+  }
+  return 0;
+}
+
+TEST(Arena, ReportsStageTimersAndCounters) {
+  const auto snap = metered_run(tiny_arena());
+  // One raw table per home, plus one shaped table per home for each of the
+  // 2 cells at θ = 1 (θ = 0 cells read the raw tables): 2 + 2·2. Each table
+  // holds every roster device's (kNumDeviceTypes at one instance) two
+  // windows.
+  const std::uint64_t tables = 2 + 2 * 2;
+  EXPECT_EQ(counter_value(snap, "net.arena.windows"),
+            tables * kNumDeviceTypes * 2);
+  EXPECT_GT(counter_value(snap, "net.arena.packets_routed"), 0u);
+  EXPECT_GT(counter_value(snap, "net.shape.packets_added"), 0u);  // padding
+
+  EXPECT_EQ(timer_count(snap, "net.arena.window_table"), tables);
+  // Each defense shapes only its θ = 1 cell: 1 cell x 2 homes.
+  EXPECT_EQ(timer_count(snap, "net.shape.constant-rate"), 2u);
+  EXPECT_EQ(timer_count(snap, "net.shape.vpn"), 2u);
+}
+
+// The pre-trained attack is fitted once per grid and shared by every cell.
+TEST(Arena, PretrainedAttackFitsOncePerGrid) {
+  auto options = tiny_arena();
+  options.attacks = {"naive-forest"};
+  EXPECT_EQ(timer_count(metered_run(options), "ml.forest.fit"), 1u);
+  options.intensities = {0.0, 0.5, 1.0};  // 6 cells instead of 4
+  EXPECT_EQ(timer_count(metered_run(options), "ml.forest.fit"), 1u);
+}
+
+// The pre-trained seed does not depend on the attack's panel position, so
+// a reordered sub-panel scores the shared model exactly as the full panel
+// does — at any pool width.
+TEST(Arena, SubPanelMatchesFullPanelAtEveryWidth) {
+  auto options = tiny_arena();
+  options.attacks = {"adaptive-knn", "naive-forest"};
+  const auto base = run_arena(options);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    par::ThreadPool pool(width);
+    par::ScopedPoolOverride override_pool(pool);
+    EXPECT_EQ(describe_divergence(base, run_arena(options)), "")
+        << "pool width " << width;
+  }
+  const auto full = run_arena(tiny_arena());
+  ASSERT_EQ(base.cells.size(), full.cells.size());
+  ASSERT_EQ(full.cells.front().attacks.front().attack, "naive-forest");
+  for (std::size_t c = 0; c < base.cells.size(); ++c) {
+    const auto& sub = base.cells[c].attacks[1];
+    const auto& ref = full.cells[c].attacks[0];
+    ASSERT_EQ(sub.attack, "naive-forest");
+    EXPECT_EQ(sub.mcc, ref.mcc) << "cell " << c;
+    EXPECT_EQ(sub.accuracy, ref.accuracy) << "cell " << c;
+    EXPECT_EQ(base.cells[c].naive_mcc, full.cells[c].naive_mcc)
+        << "cell " << c;
+  }
 }
 
 // --- campaign net axis ------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
@@ -33,6 +35,18 @@ TEST(Ip, RoundTripAndLanCheck) {
   EXPECT_TRUE(is_lan(ip));
   EXPECT_FALSE(is_lan(make_ip(52, 20, 0, 1)));
   EXPECT_THROW(make_ip(256, 0, 0, 1), InvalidArgument);
+}
+
+TEST(Ip, DeviceSlotsRouteByLastOctet) {
+  DeviceSlots slots;
+  slots.add(make_ip(10, 0, 0, 12));
+  slots.add(make_ip(10, 0, 0, 10));
+  EXPECT_EQ(slots[make_ip(10, 0, 0, 12)], 0);
+  EXPECT_EQ(slots[make_ip(10, 0, 0, 10)], 1);
+  EXPECT_EQ(slots[make_ip(10, 0, 0, 11)], -1);  // LAN, never added
+  EXPECT_EQ(slots[make_ip(52, 20, 0, 12)], -1);  // same octet, off the LAN
+  EXPECT_THROW(slots.add(make_ip(52, 20, 0, 1)), InvalidArgument);
+  EXPECT_THROW(slots.add(make_ip(10, 0, 0, 10)), InvalidArgument);
 }
 
 TEST(FlowTable, AggregatesBidirectionalFlow) {
@@ -614,6 +628,49 @@ TEST(WindowAccumulator, MatchesReferenceOnSimulatedHome) {
         EXPECT_EQ(rows[w].features[k], reference[k]) << device.name;
       }
     }
+  }
+}
+
+// The IAT median and CV at the smallest windows that have them and with
+// tied gaps: 3 and 4 upstream packets (2 and 3 IATs, the even and odd
+// median), gaps arriving largest first, and repeated and zero gaps.
+TEST(WindowAccumulator, IatMedianMatchesReferenceAtTheEdges) {
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  const std::vector<std::vector<double>> up_times = {
+      {0.0, 5.0, 6.0},                        // IATs 5, 1
+      {60.0, 70.0, 71.0, 71.5},               // IATs 10, 1, 0.5
+      {120.0, 121.0, 122.0, 123.0, 130.0},    // IATs 1, 1, 1, 7
+      {180.0, 180.25, 180.5, 180.5, 181.0},   // IATs 0.25, 0.25, 0, 0.5
+      {240.0, 243.0, 246.0, 249.0},           // IATs 3, 3, 3
+  };
+  const std::vector<double> medians = {3.0, 1.0, 1.0, 0.25, 3.0};
+  const double window_s = 60.0;
+  std::vector<Packet> packets;
+  for (const auto& window : up_times) {
+    for (const double t : window) {
+      packets.push_back(Packet{t, dev, cloud, 40000, 443, Protocol::kTcp, 100});
+      // Downstream replies never enter the upstream IATs.
+      packets.push_back(
+          Packet{t + 0.1, cloud, dev, 443, 40000, Protocol::kTcp, 900});
+    }
+  }
+  sort_by_time(packets);
+  const double duration_s = window_s * static_cast<double>(up_times.size());
+  WindowAccumulator acc(dev, window_s);
+  for (const auto& p : packets) acc.add(p);
+  const auto rows = acc.finish(duration_s);
+  ASSERT_EQ(rows.size(), up_times.size());
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t w = 0; w < rows.size(); ++w) {
+    const auto reference = extract_window_features(
+        packets, dev, static_cast<double>(w) * window_s,
+        static_cast<double>(w + 1) * window_s);
+    EXPECT_EQ(rows[w].features[12], medians[w]) << "window " << w;
+    EXPECT_EQ(bits(rows[w].features[12]), bits(reference[12]))
+        << "window " << w;
+    EXPECT_EQ(bits(rows[w].features[13]), bits(reference[13]))
+        << "window " << w;
   }
 }
 
