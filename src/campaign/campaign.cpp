@@ -14,6 +14,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "obs/scoped_timer.h"
 #include "synth/appliance.h"
 
 namespace pmiot::campaign {
@@ -48,6 +49,60 @@ obs::Counter& appended_counter() {
       "campaign.checkpoint_records_appended");
   return c;
 }
+
+obs::Counter& checkpoint_bytes_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().counter("campaign.checkpoint.bytes");
+  return c;
+}
+
+obs::Timer& apply_timer() {
+  static obs::Timer& t =
+      obs::MetricsRegistry::instance().timer("defense.apply");
+  return t;
+}
+
+obs::Timer& baseline_timer() {
+  static obs::Timer& t =
+      obs::MetricsRegistry::instance().timer("core.baseline");
+  return t;
+}
+
+obs::Timer& append_timer() {
+  static obs::Timer& t =
+      obs::MetricsRegistry::instance().timer("campaign.checkpoint.append");
+  return t;
+}
+
+/// Registry attack whose fit and scoring feed the timers
+/// `attack.<registry name>.fit` / `.score`, registered once per attack.
+class TimedAttack final : public core::Attack {
+ public:
+  TimedAttack(std::unique_ptr<core::Attack> inner, const std::string& name)
+      : inner_(std::move(inner)),
+        fit_timer_(obs::MetricsRegistry::instance().timer("attack." + name +
+                                                          ".fit")),
+        score_timer_(obs::MetricsRegistry::instance().timer("attack." + name +
+                                                            ".score")) {}
+
+  std::unique_ptr<core::AttackModel> fit(
+      const synth::HomeTrace& truth) const override {
+    obs::ScopedTimer span(fit_timer_);
+    return inner_->fit(truth);
+  }
+  double leakage_with(const core::AttackModel* model,
+                      const ts::TimeSeries& released,
+                      const synth::HomeTrace& truth) const override {
+    obs::ScopedTimer span(score_timer_);
+    return inner_->leakage_with(model, released, truth);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<core::Attack> inner_;
+  obs::Timer& fit_timer_;
+  obs::Timer& score_timer_;
+};
 
 /// Every home starts on the same civil Monday; the horizon, not the
 /// calendar, is the knob.
@@ -248,7 +303,9 @@ std::unique_ptr<core::Attack> make_attack(const std::string& name) {
 core::PrivacyEvaluator make_evaluator(const CampaignConfig& config) {
   std::vector<std::unique_ptr<core::Attack>> attacks;
   attacks.reserve(config.attacks.size());
-  for (const auto& name : config.attacks) attacks.push_back(make_attack(name));
+  for (const auto& name : config.attacks) {
+    attacks.push_back(std::make_unique<TimedAttack>(make_attack(name), name));
+  }
   return core::PrivacyEvaluator(std::move(attacks));
 }
 
@@ -326,7 +383,10 @@ void score_cell(const core::PrivacyEvaluator& evaluator,
                 std::span<const std::unique_ptr<core::AttackModel>> models,
                 double intensity, Rng& point_rng, double* out,
                 std::size_t payload_doubles) {
-  const auto outcome = defense.apply(trace, intensity, point_rng);
+  const auto outcome = [&] {
+    obs::ScopedTimer span(apply_timer());
+    return defense.apply(trace, intensity, point_rng);
+  }();
   std::span<double> leakage(out + 3, payload_doubles - 3);
   const core::UtilityScores scores =
       evaluator.score_into(base, outcome.released, trace, models, leakage);
@@ -407,6 +467,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
         models_counter().add(slot.models.size());
         for (std::size_t d = 0; d < D; ++d) {
           Rng bl_rng(baseline_seed(config, {a, h, d, 0}));
+          obs::ScopedTimer span(baseline_timer());
           slot.baselines[d] =
               evaluator.baseline(*defenses[d], slot.trace, bl_rng);
         }
@@ -443,6 +504,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
         ++new_cells;
         cells_counter().add();
         if (writer) {
+          obs::ScopedTimer span(append_timer());
           writer->append(cell,
                          std::span<const double>(
                              result.values.data() + cell * P, P));
@@ -456,6 +518,7 @@ CampaignResult run_campaign(const CampaignConfig& config,
       if (writer) writer->flush();
     }
   }
+  if (writer) checkpoint_bytes_counter().add(writer->bytes_written());
   return result;
 }
 

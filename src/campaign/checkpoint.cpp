@@ -166,6 +166,7 @@ void CheckpointWriter::open_fresh(const std::string& path,
   encode_header(head, plan, config_hash, base_seed);
   const std::size_t wrote = std::fwrite(head, 1, kHeaderBytes, file_);
   PMIOT_CHECK(wrote == kHeaderBytes, "cannot write checkpoint header");
+  bytes_written_ += kHeaderBytes;
   std::fflush(file_);
 }
 
@@ -186,6 +187,7 @@ void CheckpointWriter::append(std::uint64_t cell_id,
   const std::size_t wrote =
       std::fwrite(record_buf_.data(), 1, record_buf_.size(), file_);
   PMIOT_CHECK(wrote == record_buf_.size(), "cannot append checkpoint record");
+  bytes_written_ += wrote;
 }
 
 void CheckpointWriter::flush() {

@@ -88,6 +88,10 @@ class CheckpointWriter {
   /// loses at most the current block).
   void flush();
 
+  /// Bytes this writer has written (the header of a fresh file, then every
+  /// record), for the `campaign.checkpoint.bytes` counter.
+  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
+
  private:
   void open_fresh(const std::string& path, const CampaignPlan& plan,
                   std::uint64_t config_hash, std::uint64_t base_seed);
@@ -95,6 +99,7 @@ class CheckpointWriter {
   std::FILE* file_ = nullptr;
   std::vector<unsigned char> record_buf_;
   std::size_t payload_doubles_ = 0;
+  std::uint64_t bytes_written_ = 0;
 };
 
 }  // namespace pmiot::campaign

@@ -24,6 +24,27 @@ std::size_t window_samples(const ts::TimeSeries& power, int window_minutes) {
   return w;
 }
 
+/// True when any of the `count` samples from index `first` on has its
+/// minute of day in `window`. Steps from one scored stretch of the day to
+/// the next rather than visiting every sample.
+bool any_sample_scored(const ts::TraceMeta& meta, std::size_t first,
+                       std::size_t count, const EvaluateOptions& window) {
+  // Minute of day m is scored iff its seconds of day lie in [begin, end).
+  const long begin = static_cast<long>(window.score_start_minute) * 60;
+  const long end = static_cast<long>(window.score_end_minute) * 60;
+  const long origin = static_cast<long>(meta.start_minute) * 60;
+  const long interval = meta.interval_seconds;
+  for (std::size_t j = 0; j < count;) {
+    const long second =
+        (origin + static_cast<long>(first + j) * interval) % kSecondsPerDay;
+    if (second >= begin && second < end) return true;
+    const long until_scored =
+        second < begin ? begin - second : kSecondsPerDay - second + begin;
+    j += static_cast<std::size_t>((until_scored + interval - 1) / interval);
+  }
+  return false;
+}
+
 /// Expands per-window labels to per-sample labels.
 std::vector<int> expand(const std::vector<int>& window_labels,
                         std::size_t window, std::size_t total) {
@@ -53,6 +74,13 @@ void smooth_labels(std::vector<int>& labels, int radius) {
 
 }  // namespace
 
+void check_scoring_window(const EvaluateOptions& window) {
+  PMIOT_CHECK(window.score_start_minute >= 0 &&
+                  window.score_start_minute < window.score_end_minute &&
+                  window.score_end_minute <= kMinutesPerDay,
+              "scoring window must satisfy 0 <= start < end <= minutes per day");
+}
+
 ThresholdNiom::ThresholdNiom(Options options) : options_(options) {
   PMIOT_CHECK(options.mean_factor > 0.0 && options.stddev_factor > 0.0,
               "threshold factors must be positive");
@@ -60,7 +88,8 @@ ThresholdNiom::ThresholdNiom(Options options) : options_(options) {
               "empty night calibration window");
 }
 
-std::vector<int> ThresholdNiom::detect(const ts::TimeSeries& power) const {
+std::vector<int> ThresholdNiom::detect(const ts::TimeSeries& power,
+                                       const EvaluateOptions&) const {
   const std::size_t w = window_samples(power, options_.window_minutes);
   const auto windows = ts::window_stats(power.values(), w, w);
   PMIOT_ASSERT(!windows.empty(), "no windows");
@@ -138,10 +167,13 @@ int build_waking_dataset(const ts::TimeSeries& power,
   PMIOT_CHECK(aligned.size() >= power.size(),
               "occupancy does not cover the training trace");
 
+  const EvaluateOptions waking = waking_hours();
   bool saw_occupied = false, saw_vacant = false;
   for (const auto& win : windows) {
     const int mod = power.minute_of_day_at(win.first);
-    if (mod < 8 * 60 || mod >= 23 * 60) continue;
+    if (mod < waking.score_start_minute || mod >= waking.score_end_minute) {
+      continue;
+    }
     std::size_t ones = 0;
     for (std::size_t j = 0; j < w; ++j) ones += aligned[win.first + j] != 0;
     const int label = 2 * ones >= w ? 1 : 0;
@@ -189,23 +221,37 @@ void SupervisedNiom::fit(const ts::TimeSeries& power,
   }
 }
 
-std::vector<int> SupervisedNiom::detect(const ts::TimeSeries& power) const {
+std::vector<int> SupervisedNiom::detect(const ts::TimeSeries& power,
+                                        const EvaluateOptions& scored) const {
   PMIOT_CHECK(fitted_, "call fit() before detect()");
+  check_scoring_window(scored);
   if (constant_label_ >= 0) {
     return std::vector<int>(power.size(), constant_label_);
   }
   const std::size_t w = window_samples(power, options_.window_minutes);
   const auto windows = ts::window_stats(power.values(), w, w);
-  // Batch all window features into one dataset so the kNN blocked batch
-  // kernel can amortize the training matrix over every query.
+  // Batch the features of every window a scored sample reads into one
+  // dataset, so the kNN blocked batch kernel can amortize the training
+  // matrix over every query. The last window also labels the samples after
+  // it (see expand).
   const bool knn = options_.model == Model::kKnn;
   ml::Dataset queries;
-  for (const auto& win : windows) {
-    auto row = window_feature_row(win);
+  std::vector<std::size_t> classified;
+  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
+    const std::size_t first = windows[wi].first;
+    const std::size_t labelled =
+        wi + 1 == windows.size() ? power.size() - first : w;
+    if (!any_sample_scored(power.meta(), first, labelled, scored)) continue;
+    auto row = window_feature_row(windows[wi]);
     queries.append(knn ? scaler_.transform(row) : std::move(row), 0);
+    classified.push_back(wi);
   }
-  const auto labels =
+  const auto predicted =
       knn ? knn_.predict_all(queries) : forest_.predict_all(queries);
+  std::vector<int> labels(windows.size(), 0);
+  for (std::size_t q = 0; q < classified.size(); ++q) {
+    labels[classified[q]] = predicted[q];
+  }
   return expand(labels, w, power.size());
 }
 
@@ -213,7 +259,8 @@ HmmNiom::HmmNiom(Options options) : options_(options) {
   PMIOT_CHECK(options.em_iterations >= 1, "need at least one EM iteration");
 }
 
-std::vector<int> HmmNiom::detect(const ts::TimeSeries& power) const {
+std::vector<int> HmmNiom::detect(const ts::TimeSeries& power,
+                                 const EvaluateOptions&) const {
   const std::size_t w = window_samples(power, options_.window_minutes);
   const auto windows = ts::window_stats(power.values(), w, w);
 

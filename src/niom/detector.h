@@ -15,12 +15,32 @@
 #include <string>
 #include <vector>
 
+#include "common/civil_time.h"
 #include "ml/dataset.h"
 #include "ml/knn.h"
 #include "ml/random_forest.h"
 #include "timeseries/timeseries.h"
 
 namespace pmiot::niom {
+
+/// The minute-of-day window a detection is scored over. The literature the
+/// paper cites (and its own Figure 1, which plots 8am-11pm) scores
+/// detection during waking hours: overnight the home is occupied but
+/// electrically indistinguishable from vacant, which is a labelling
+/// artifact rather than detector error.
+struct EvaluateOptions {
+  int score_start_minute = 0;              ///< inclusive, minute of day
+  int score_end_minute = kMinutesPerDay;   ///< exclusive
+};
+
+/// The 8am-11pm waking-hours window used by the paper's figures.
+inline EvaluateOptions waking_hours() {
+  return EvaluateOptions{8 * 60, 23 * 60};
+}
+
+/// Throws InvalidArgument unless
+/// 0 <= score_start_minute < score_end_minute <= kMinutesPerDay.
+void check_scoring_window(const EvaluateOptions& window);
 
 /// Interface shared by occupancy detectors (and reused by the core privacy
 /// evaluator as the canonical occupancy *attack*).
@@ -30,9 +50,21 @@ class OccupancyDetector {
  public:
   virtual ~OccupancyDetector() = default;
 
-  /// Per-sample 0/1 occupancy estimate, same length/resolution as `power`.
+  /// Per-sample 0/1 occupancy estimate, same length/resolution as `power`,
+  /// with every sample's label specified (the whole day is scored).
   /// Requires at least one full detection window of samples.
-  virtual std::vector<int> detect(const ts::TimeSeries& power) const = 0;
+  std::vector<int> detect(const ts::TimeSeries& power) const {
+    return detect(power, EvaluateOptions{});
+  }
+
+  /// Same, for a caller that reads only the labels of samples whose
+  /// minute of day falls in `scored` (a valid window, see
+  /// check_scoring_window). Those labels equal `detect(power)`'s; labels
+  /// of the other samples are unspecified, so a detector whose windows
+  /// are classified independently may skip the windows no scored sample
+  /// reads.
+  virtual std::vector<int> detect(const ts::TimeSeries& power,
+                                  const EvaluateOptions& scored) const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -55,7 +87,11 @@ class ThresholdNiom final : public OccupancyDetector {
   ThresholdNiom() : ThresholdNiom(Options{}) {}
   explicit ThresholdNiom(Options options);
 
-  std::vector<int> detect(const ts::TimeSeries& power) const override;
+  /// Labels every sample: the night calibration and the smoothing read
+  /// windows outside any scoring window.
+  using OccupancyDetector::detect;
+  std::vector<int> detect(const ts::TimeSeries& power,
+                          const EvaluateOptions& scored) const override;
   std::string name() const override { return "niom-threshold"; }
 
  private:
@@ -75,6 +111,13 @@ class ThresholdNiom final : public OccupancyDetector {
 /// constant detector that always answers the observed class, which scores
 /// zero MCC — the right leakage for an attacker whose history carries no
 /// signal.
+///
+/// Each window is classified on its own features, so detection classifies
+/// only the windows a scored sample reads: a window is classified when any
+/// sample it labels has its minute of day in the scoring window, and every
+/// other window is labelled 0. Tail rule: the samples after the last full
+/// window carry the last window's label, so the last window is classified
+/// when any of them is scored, even if its own samples are not.
 class SupervisedNiom final : public OccupancyDetector {
  public:
   /// k-NN over standardized features, or bagged trees on the raw features.
@@ -96,7 +139,9 @@ class SupervisedNiom final : public OccupancyDetector {
   void fit(const ts::TimeSeries& power,
            const std::vector<int>& occupancy_minutes);
 
-  std::vector<int> detect(const ts::TimeSeries& power) const override;
+  using OccupancyDetector::detect;
+  std::vector<int> detect(const ts::TimeSeries& power,
+                          const EvaluateOptions& scored) const override;
   std::string name() const override;
 
   bool fitted() const noexcept { return fitted_; }
@@ -122,7 +167,10 @@ class HmmNiom final : public OccupancyDetector {
   HmmNiom() : HmmNiom(Options{}) {}
   explicit HmmNiom(Options options);
 
-  std::vector<int> detect(const ts::TimeSeries& power) const override;
+  /// Labels every sample: Viterbi decodes the whole window sequence.
+  using OccupancyDetector::detect;
+  std::vector<int> detect(const ts::TimeSeries& power,
+                          const EvaluateOptions& scored) const override;
   std::string name() const override { return "niom-hmm"; }
 
  private:

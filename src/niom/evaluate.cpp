@@ -28,8 +28,7 @@ NiomReport score_predictions(const std::string& name,
                              const EvaluateOptions& options) {
   PMIOT_CHECK(predicted.size() == power.size(),
               "prediction length mismatch");
-  PMIOT_CHECK(options.score_end_minute > options.score_start_minute,
-              "empty scoring window");
+  check_scoring_window(options);
   const auto truth = align_occupancy(power, occupancy_minutes);
 
   std::vector<int> scored_pred, scored_truth;
@@ -73,7 +72,7 @@ NiomReport evaluate(const OccupancyDetector& detector,
                     const ts::TimeSeries& power,
                     const std::vector<int>& occupancy_minutes,
                     const EvaluateOptions& options) {
-  const auto predicted = detector.detect(power);
+  const auto predicted = detector.detect(power, options);
   PMIOT_ASSERT(predicted.size() == power.size(),
                "detector returned wrong length");
   return score_predictions(detector.name(), predicted, power,

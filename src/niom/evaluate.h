@@ -25,24 +25,12 @@ struct NiomReport {
   double recall = 0.0;
 };
 
-/// Scoring options. The literature the paper cites (and its own Figure 1,
-/// which plots 8am-11pm) scores detection during waking hours: overnight the
-/// home is occupied but electrically indistinguishable from vacant, which is
-/// a labelling artifact rather than detector error.
-struct EvaluateOptions {
-  int score_start_minute = 0;              ///< inclusive, minute of day
-  int score_end_minute = kMinutesPerDay;   ///< exclusive
-};
-
-/// The 8am-11pm waking-hours window used by the paper's figures.
-inline EvaluateOptions waking_hours() {
-  return EvaluateOptions{8 * 60, 23 * 60};
-}
-
 /// Runs `detector` on `power` and scores it against per-minute ground truth
 /// `occupancy_minutes` (downsampled to the trace resolution by majority),
-/// counting only samples whose minute-of-day falls in the scoring window.
-/// Requires the occupancy horizon to cover the power trace.
+/// counting only samples whose minute-of-day falls in the scoring window
+/// (`EvaluateOptions`, detector.h), which is also passed to the detector.
+/// Requires the occupancy horizon to cover the power trace and a valid
+/// window (check_scoring_window; score_predictions checks it).
 NiomReport evaluate(const OccupancyDetector& detector,
                     const ts::TimeSeries& power,
                     const std::vector<int>& occupancy_minutes,

@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "niom/detector.h"
 #include "niom/evaluate.h"
+#include "obs/metrics.h"
 #include "synth/home.h"
 
 namespace pmiot::niom {
@@ -92,6 +93,36 @@ TEST(Evaluate, RejectsEmptyWindow) {
   bad.score_end_minute = 100;
   EXPECT_THROW(evaluate(detector, home.aggregate, home.occupancy, bad),
                InvalidArgument);
+}
+
+TEST(Evaluate, RejectsWindowOutsideTheDay) {
+  const auto home = test_home(15, 2);
+  ThresholdNiom detector;
+  SupervisedNiom supervised;
+  supervised.fit(home.aggregate, home.occupancy);
+  const auto predicted = detector.detect(home.aggregate);
+  const auto rejected = [&](int start, int end) {
+    const EvaluateOptions window{start, end};
+    EXPECT_THROW(check_scoring_window(window), InvalidArgument);
+    EXPECT_THROW(evaluate(detector, home.aggregate, home.occupancy, window),
+                 InvalidArgument);
+    EXPECT_THROW(supervised.detect(home.aggregate, window), InvalidArgument);
+    EXPECT_THROW(score_predictions("x", predicted, home.aggregate,
+                                   home.occupancy, window),
+                 InvalidArgument);
+  };
+  rejected(-60, 10 * 60);           // start before midnight
+  rejected(10 * 60, 2000);          // end past the day
+  rejected(0, kMinutesPerDay + 1);  // one minute past the day
+  rejected(-1, kMinutesPerDay);
+  rejected(12 * 60, 11 * 60);       // end before start
+  // Both bounds themselves are valid.
+  EXPECT_NO_THROW(check_scoring_window({0, kMinutesPerDay}));
+  EXPECT_NO_THROW(check_scoring_window({kMinutesPerDay - 1, kMinutesPerDay}));
+  EXPECT_EQ(evaluate(detector, home.aggregate, home.occupancy,
+                     {0, kMinutesPerDay})
+                .confusion.total(),
+            home.aggregate.size());
 }
 
 TEST(Evaluate, ScorePredictionsChecksLength) {
@@ -196,6 +227,124 @@ TEST(SupervisedNiom, ForestModelBeatsChanceWithLabels) {
       evaluate(forest, test.aggregate, test.occupancy, waking_hours());
   EXPECT_GT(report.accuracy, 0.65);
   EXPECT_GT(report.mcc, 0.0);
+}
+
+/// Windows of `w` samples whose labels some scored sample reads, counted
+/// sample by sample; the last window also labels the samples after it.
+std::size_t touching_windows(const ts::TimeSeries& power, std::size_t w,
+                             const EvaluateOptions& scored) {
+  const std::size_t windows = power.size() / w;
+  std::size_t touching = 0;
+  for (std::size_t wi = 0; wi < windows; ++wi) {
+    const std::size_t end = wi + 1 == windows ? power.size() : (wi + 1) * w;
+    for (std::size_t t = wi * w; t < end; ++t) {
+      const int mod = power.minute_of_day_at(t);
+      if (mod >= scored.score_start_minute && mod < scored.score_end_minute) {
+        ++touching;
+        break;
+      }
+    }
+  }
+  return touching;
+}
+
+bool same_report(const NiomReport& a, const NiomReport& b) {
+  return a.confusion.tp == b.confusion.tp && a.confusion.fp == b.confusion.fp &&
+         a.confusion.tn == b.confusion.tn && a.confusion.fn == b.confusion.fn &&
+         a.accuracy == b.accuracy && a.mcc == b.mcc &&
+         a.precision == b.precision && a.recall == b.recall;
+}
+
+TEST(SupervisedNiom, ScopedDetectionScoresLikeFullDetection) {
+  // Traces cut from a test home: first minute, length in minutes, and
+  // sampling interval in seconds.
+  struct Cut {
+    const char* what;
+    std::size_t first_minute;
+    std::size_t minutes;
+    int interval;
+  };
+  const Cut cuts[] = {
+      {"midnight start, whole days", 0, 2 * kMinutesPerDay, 60},
+      {"start 05:37, ragged end", 5 * 60 + 37, kMinutesPerDay + 611, 60},
+      // 32 full windows end at 08:00; the 7-minute tail after the
+      // night-only last window is all that waking hours score.
+      {"ends 08:07", 0, 8 * 60 + 7, 60},
+      {"start 22:50, ends 08:07 next day", 22 * 60 + 50, 9 * 60 + 17, 60},
+      {"5-minute samples, start 13:12, ragged end", 13 * 60 + 12,
+       kMinutesPerDay + 8 * 60 + 13, 300},
+  };
+  const EvaluateOptions scoring[] = {
+      waking_hours(),
+      EvaluateOptions{},
+      {10 * 60, 10 * 60 + 1},          // a single minute
+      {8 * 60, 8 * 60 + 7},            // only the tail of "ends 08:07"
+      {10 * 60 + 2, 10 * 60 + 3},      // the 5-minute grid's minutes only
+      {23 * 60 + 59, kMinutesPerDay},  // the last minute of the day
+  };
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& rows = registry.counter("ml.forest.rows_predicted");
+  auto& tiles = registry.counter("ml.knn.tile_kernels");
+  registry.reset_values_for_testing();
+  obs::set_enabled_for_testing(true);
+  Rng seeds(2024);
+  for (int round = 0; round < 3; ++round) {
+    const std::uint64_t seed = seeds.next();
+    Rng rng(seed);
+    const auto train =
+        synth::simulate_home(synth::home_a(), CivilDate{2017, 5, 29}, 5, rng);
+    const auto test =
+        synth::simulate_home(synth::home_a(), CivilDate{2017, 6, 5}, 3, rng);
+    for (const auto model :
+         {SupervisedNiom::Model::kKnn, SupervisedNiom::Model::kForest}) {
+      SupervisedNiom detector({.model = model, .seed = seed});
+      detector.fit(train.aggregate, train.occupancy);
+      for (const auto& cut : cuts) {
+        const auto minute_trace =
+            test.aggregate.slice(cut.first_minute, cut.minutes);
+        const auto power = cut.interval == 60
+                               ? minute_trace
+                               : minute_trace.resample(cut.interval);
+        const std::vector<int> truth(
+            test.occupancy.begin() + static_cast<long>(cut.first_minute),
+            test.occupancy.begin() +
+                static_cast<long>(cut.first_minute + cut.minutes));
+        const std::size_t w = static_cast<std::size_t>(15 * 60 / cut.interval);
+        const auto full = detector.detect(power);
+        const std::uint64_t full_tiles = tiles.value();
+        for (const auto& window : scoring) {
+          SCOPED_TRACE(::testing::Message()
+                       << detector.name() << " seed " << seed << ", "
+                       << cut.what << ", scoring [" << window.score_start_minute
+                       << ", " << window.score_end_minute << ")");
+          const std::size_t touching = touching_windows(power, w, window);
+          registry.reset_values_for_testing();
+          if (touching == 0) {
+            EXPECT_THROW(evaluate(detector, power, truth, window),
+                         InvalidArgument);
+            EXPECT_THROW(score_predictions(detector.name(), full, power, truth,
+                                           window),
+                         InvalidArgument);
+          } else {
+            EXPECT_TRUE(same_report(
+                evaluate(detector, power, truth, window),
+                score_predictions(detector.name(), full, power, truth,
+                                  window)));
+          }
+          if (model == SupervisedNiom::Model::kForest) {
+            EXPECT_EQ(rows.value(), touching);
+          } else {
+            // Tile kernels are a fixed count per query row.
+            EXPECT_EQ(tiles.value() * (power.size() / w),
+                      full_tiles * touching);
+          }
+        }
+        registry.reset_values_for_testing();
+      }
+    }
+  }
+  obs::set_enabled_for_testing(false);
+  registry.reset_values_for_testing();
 }
 
 class NiomAccuracyBand : public ::testing::TestWithParam<std::uint64_t> {};
