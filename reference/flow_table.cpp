@@ -9,8 +9,8 @@ namespace pmiot::reference {
 
 namespace {
 
-// The production table's counters: oracle runs count as they did when the
-// oracle shared the production table.
+// The counters `net::WindowAccumulator` counts flow starts with, so an
+// oracle pass over the same windows counts the same totals.
 obs::Counter& flow_inserts_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("net.flow_table.flow_inserts");
@@ -48,7 +48,7 @@ void FlowTable::add(const net::Packet& packet) {
 
   // Find an active (non-timed-out) flow for the key.
   if (const auto it = active_.find(key); it != active_.end()) {
-    net::Flow& flow = flows_[it->second];
+    Flow& flow = flows_[it->second];
     if (packet.timestamp_s - flow.last_ts > idle_timeout_s_) {
       // Timed out: retire it and start a new flow below.
       active_.erase(it);
@@ -66,7 +66,7 @@ void FlowTable::add(const net::Packet& packet) {
     }
   }
 
-  net::Flow flow;
+  Flow flow;
   flow.key = key;
   flow.first_ts = flow.last_ts = packet.timestamp_s;
   if (forward) {

@@ -255,14 +255,6 @@ class RecoveryStream {
   std::vector<double> rows_;
 };
 
-/// Full windows in [0, duration_s), counted the way `WindowAccumulator`
-/// counts them: window k is kept iff (k + 1) * window_s <= duration_s.
-std::size_t full_window_count(double duration_s, double window_s) {
-  std::size_t n = 0;
-  while (static_cast<double>(n + 1) * window_s <= duration_s) ++n;
-  return n;
-}
-
 /// Every roster device's windows over one capture, defense-agnostic: what
 /// both training-set assembly and scoring consume.
 struct WindowTable {

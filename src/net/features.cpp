@@ -1,5 +1,7 @@
 #include "net/features.h"
 
+#include <cmath>
+
 #include "common/error.h"
 #include "net/packet.h"
 #include "net/window_accumulator.h"
@@ -39,6 +41,18 @@ void check_feature_layout() {
                "kFeaturePktRateUp no longer names pkt_rate_up");
   PMIOT_ASSERT(names[kFeaturePktRateDown] == "pkt_rate_down",
                "kFeaturePktRateDown no longer names pkt_rate_down");
+}
+
+std::size_t full_window_count(double duration_s, double window_s) {
+  PMIOT_CHECK(window_s > 0.0, "window must be positive");
+  const double q = std::floor(duration_s / window_s);
+  PMIOT_CHECK(q < 0x1p51, "window count out of range");  // also rejects NaN
+  // Below 2^51 windows the rounded quotient is off by at most one from
+  // the count, so each correction runs at most once.
+  auto n = q > 0.0 ? static_cast<std::size_t>(q) : std::size_t{0};
+  while (n > 0 && static_cast<double>(n) * window_s > duration_s) --n;
+  while (static_cast<double>(n + 1) * window_s <= duration_s) ++n;
+  return n;
 }
 
 std::vector<WindowRow> windowed_features(std::span<const Packet> packets,

@@ -51,6 +51,15 @@ struct WindowRow {
   std::vector<double> features;
 };
 
+/// Number of full windows [k * window_s, (k+1) * window_s) that end by
+/// `duration_s`: the largest n with n * window_s <= duration_s in floating
+/// point (0 when duration_s < window_s). Every windowed pass (feature
+/// rows, the gateway's replay, the arena's tables) counts windows with
+/// this, so they agree on the last row even where duration_s / window_s
+/// rounds across an integer. O(1). Throws InvalidArgument unless window_s
+/// is positive and the count is below 2^51.
+std::size_t full_window_count(double duration_s, double window_s);
+
 /// Splits a capture into consecutive `window_s`-second windows and extracts
 /// one feature row per window for the device, in a single pass over the
 /// packets (which must be sorted by timestamp — see `sort_by_time`).

@@ -1,7 +1,7 @@
 #include "net/gateway.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "common/error.h"
 #include "common/table.h"
@@ -78,7 +78,10 @@ void SmartGateway::register_device(std::uint32_t ip, std::string name) {
 
 int SmartGateway::window_count(double duration_s) const {
   PMIOT_CHECK(duration_s > 0.0, "duration must be positive");
-  return static_cast<int>(std::floor(duration_s / options_.window_s));
+  const auto n = full_window_count(duration_s, options_.window_s);
+  PMIOT_CHECK(n <= static_cast<std::size_t>(std::numeric_limits<int>::max()),
+              "too many windows");
+  return static_cast<int>(n);
 }
 
 DeviceSlots SmartGateway::device_slots() const {
@@ -109,7 +112,7 @@ std::vector<DeviceRows> SmartGateway::extract_rows(
                               /*keep_idle_windows=*/false, options_.router_ip);
   }
   const auto slots = device_slots();
-  double last_timestamp = 0.0;
+  double last_timestamp = -std::numeric_limits<double>::infinity();
   for (const auto& p : packets) {
     PMIOT_CHECK(p.timestamp_s >= last_timestamp,
                 "packets must arrive in timestamp order (use sort_by_time)");

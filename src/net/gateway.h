@@ -128,7 +128,8 @@ class SmartGateway {
   GatewayReport process(std::span<const Packet> packets,
                         double duration_s) const;
 
-  /// Number of full observation windows in a capture of `duration_s`.
+  /// Number of full observation windows in a capture of `duration_s`
+  /// (`full_window_count`, the count `extract_rows` emits rows for).
   int window_count(double duration_s) const;
 
   // --- staged API (used by process() and by pmiot::fleet) -----------------

@@ -1,6 +1,6 @@
 // Open-addressed hash index for the per-window trackers of the gateway's
-// hot loop (`FlowTable`'s active-flow index, `WindowAccumulator`'s
-// distinct-remote set).
+// hot loop (`WindowAccumulator`'s active-flow index and distinct-remote
+// set).
 //
 // A window tracker is emptied once per observation window and refilled
 // with a few to a few thousand keys (a DDoS window sees thousands of
@@ -29,16 +29,15 @@ inline std::size_t mix_bits(std::uint64_t z) noexcept {
   return static_cast<std::size_t>(z ^ (z >> 31));
 }
 
-/// Map from `Key` to a 32-bit value: linear probing over a power-of-two
-/// slot array kept at most half full.
-template <typename Key, typename Hash>
+/// Map from `Key` to `Value`: linear probing over a power-of-two slot
+/// array kept at most half full.
+template <typename Key, typename Hash, typename Value = std::uint32_t>
 class OpenTable {
  public:
   /// Inserts `key` -> `value` unless `key` is present. Returns the stored
   /// value (assignable) and whether this call inserted it. The reference
-  /// is valid until the next `try_emplace` or `clear`.
-  std::pair<std::uint32_t&, bool> try_emplace(const Key& key,
-                                              std::uint32_t value) {
+  /// is valid until the next `try_emplace` or `clear`: growth moves slots.
+  std::pair<Value&, bool> try_emplace(const Key& key, Value value) {
     if (2 * (used_.size() + 1) > slots_.size()) grow();
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = Hash{}(key) & mask;; i = (i + 1) & mask) {
@@ -64,7 +63,7 @@ class OpenTable {
  private:
   struct Slot {
     Key key{};
-    std::uint32_t value = 0;
+    Value value{};
     bool used = false;
   };
 

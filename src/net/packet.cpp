@@ -4,23 +4,12 @@
 #include <cstdio>
 
 #include "common/error.h"
+#include "net/open_table.h"
 #include "obs/metrics.h"
 
 namespace pmiot::net {
 
 namespace {
-
-obs::Counter& flow_inserts_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("net.flow_table.flow_inserts");
-  return c;
-}
-
-obs::Counter& flow_evictions_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
-      "net.flow_table.flow_evictions");
-  return c;
-}
 
 obs::Counter& sort_runs_counter() {
   static obs::Counter& c =
@@ -64,69 +53,6 @@ std::size_t FlowKeyHash::operator()(const FlowKey& key) const noexcept {
        (static_cast<std::uint64_t>(key.port_b) << 8) |
        static_cast<std::uint64_t>(key.protocol);
   return mix_bits(z);
-}
-
-FlowTable::FlowTable(double idle_timeout_s)
-    : idle_timeout_s_(idle_timeout_s) {
-  PMIOT_CHECK(idle_timeout_s > 0.0, "timeout must be positive");
-}
-
-void FlowTable::add(const Packet& packet) {
-  // Canonicalize direction: (ip_a, port_a) is the numerically smaller
-  // endpoint, so both directions land on the same key.
-  FlowKey key;
-  bool forward;  // packet travels a -> b
-  if (packet.src_ip < packet.dst_ip ||
-      (packet.src_ip == packet.dst_ip && packet.src_port <= packet.dst_port)) {
-    key = FlowKey{packet.src_ip, packet.dst_ip, packet.src_port,
-                  packet.dst_port, packet.protocol};
-    forward = true;
-  } else {
-    key = FlowKey{packet.dst_ip, packet.src_ip, packet.dst_port,
-                  packet.src_port, packet.protocol};
-    forward = false;
-  }
-
-  // Find an active (non-timed-out) flow for the key; a new key is indexed
-  // at the flow appended below.
-  auto [index, inserted] =
-      active_.try_emplace(key, static_cast<std::uint32_t>(flows_.size()));
-  if (!inserted) {
-    Flow& flow = flows_[index];
-    if (packet.timestamp_s - flow.last_ts > idle_timeout_s_) {
-      // Timed out: retire it and start a new flow below.
-      index = static_cast<std::uint32_t>(flows_.size());
-      flow_evictions_counter().add();
-    } else {
-      flow.last_ts = std::max(flow.last_ts, packet.timestamp_s);
-      if (forward) {
-        ++flow.packets_ab;
-        flow.bytes_ab += static_cast<std::uint64_t>(packet.size_bytes);
-      } else {
-        ++flow.packets_ba;
-        flow.bytes_ba += static_cast<std::uint64_t>(packet.size_bytes);
-      }
-      return;
-    }
-  }
-
-  Flow flow;
-  flow.key = key;
-  flow.first_ts = flow.last_ts = packet.timestamp_s;
-  if (forward) {
-    flow.packets_ab = 1;
-    flow.bytes_ab = static_cast<std::uint64_t>(packet.size_bytes);
-  } else {
-    flow.packets_ba = 1;
-    flow.bytes_ba = static_cast<std::uint64_t>(packet.size_bytes);
-  }
-  flows_.push_back(flow);
-  flow_inserts_counter().add();
-}
-
-void FlowTable::clear() noexcept {
-  flows_.clear();
-  active_.clear();
 }
 
 void sort_by_time(std::vector<Packet>& packets) {

@@ -1,9 +1,11 @@
-// Packet and flow records for the simulated home IoT LAN (paper §IV).
+// Packet records and flow identities for the simulated home IoT LAN
+// (paper §IV).
 //
 // The substitution for libpcap on a physical network: device behaviour
-// models emit `Packet` records, and `FlowTable` aggregates them into
-// bidirectional flows the way a monitoring gateway would. Addresses are
-// synthetic; 10.0.0.0/24 is the LAN, everything else is "the Internet".
+// models emit `Packet` records, and the gateway's window accumulator counts
+// the bidirectional flows they form (`FlowKey`) the way a monitoring
+// gateway would. Addresses are synthetic; 10.0.0.0/24 is the LAN,
+// everything else is "the Internet".
 #pragma once
 
 #include <array>
@@ -11,8 +13,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "net/open_table.h"
 
 namespace pmiot::net {
 
@@ -70,54 +70,9 @@ struct FlowKey {
   bool operator==(const FlowKey&) const = default;
 };
 
-/// Hash over all key fields so the flow table can index active flows.
+/// Hash over all key fields so a flow table can index active flows.
 struct FlowKeyHash {
   std::size_t operator()(const FlowKey& key) const noexcept;
-};
-
-/// Aggregated bidirectional flow statistics.
-// pmiot: sensitive — flow records summarize who talked to whom and when.
-struct Flow {
-  FlowKey key;
-  double first_ts = 0.0;
-  double last_ts = 0.0;
-  std::uint64_t packets_ab = 0;  ///< from ip_a to ip_b
-  std::uint64_t packets_ba = 0;
-  std::uint64_t bytes_ab = 0;
-  std::uint64_t bytes_ba = 0;
-
-  double duration_s() const noexcept { return last_ts - first_ts; }
-  std::uint64_t packets() const noexcept { return packets_ab + packets_ba; }
-  std::uint64_t bytes() const noexcept { return bytes_ab + bytes_ba; }
-};
-
-/// Aggregates packets into flows with an idle timeout: a packet arriving
-/// more than `idle_timeout_s` after a flow's last packet starts a new flow.
-class FlowTable {
- public:
-  explicit FlowTable(double idle_timeout_s = 120.0);
-
-  /// Adds one packet (timestamps must be non-decreasing per flow key for
-  /// the timeout logic to be meaningful; the generators guarantee global
-  /// ordering).
-  void add(const Packet& packet);
-
-  /// All flows, including ones still active, in first-packet order —
-  /// deterministic because it reflects packet arrival, never hash order.
-  const std::vector<Flow>& flows() const noexcept { return flows_; }
-
-  /// Forgets every flow; keeps the allocated capacity for reuse.
-  void clear() noexcept;
-
- private:
-  double idle_timeout_s_;
-  std::vector<Flow> flows_;
-  // Index into `flows_` of the active flow per key. Tables in the
-  // evaluation hold a few thousand flows and every packet does a lookup,
-  // so this must not degrade to a linear scan. `OpenTable` has no
-  // iteration interface: all user-visible output flows through `flows_`,
-  // whose insertion order is the packet order.
-  OpenTable<FlowKey, FlowKeyHash> active_;
 };
 
 /// Reusable buffers for `sort_by_time`: the merge destination and the run

@@ -28,10 +28,34 @@ obs::Counter& idle_windows_dropped_counter() {
   return c;
 }
 
+obs::Counter& flow_inserts_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::instance().counter("net.flow_table.flow_inserts");
+  return c;
+}
+
+obs::Counter& flow_evictions_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::instance().counter(
+      "net.flow_table.flow_evictions");
+  return c;
+}
+
+/// Canonical direction: (ip_a, port_a) is the numerically smaller
+/// endpoint, so both directions of a flow land on the same key.
+FlowKey canonical_key(const Packet& p) noexcept {
+  if (p.src_ip < p.dst_ip ||
+      (p.src_ip == p.dst_ip && p.src_port <= p.dst_port)) {
+    return FlowKey{p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.protocol};
+  }
+  return FlowKey{p.dst_ip, p.src_ip, p.dst_port, p.src_port, p.protocol};
+}
+
 }  // namespace
 
 void WindowAccumulator::State::reset() {
-  flow_table.clear();
+  flows.clear();
+  flow_starts = 0;
+  memo.last = nullptr;
   up_size = stats::Accumulator{};
   down_size = stats::Accumulator{};
   up_times.clear();
@@ -68,19 +92,15 @@ void WindowAccumulator::add(const Packet& p) {
   const bool down = p.dst_ip == device_ip_;
   if (!up && !down) return;
 
-  packets_ingested_counter().add();
-
-  // Mirrors the reference rescan's packet ingestion exactly — same
-  // operations in the same order, so finished windows match bit-for-bit.
+  // Mirrors the reference rescan's packet ingestion: the same sums in the
+  // same order, so finished windows match bit-for-bit.
   ++state_.total;
-  state_.flow_table.add(p);
-  if (p.protocol == Protocol::kUdp) ++state_.udp;
   const auto peer = up ? p.dst_ip : p.src_ip;
-  if (is_lan(peer) && peer != router_ip_) {
-    ++state_.lan_pkts;  // LAN peer other than the router
-  } else if (!is_lan(peer)) {
-    state_.remotes.try_emplace(peer, 0);
-  }
+  // The peer is a function of the flow key and the device, so only a
+  // key's first packet in the window can bring a new remote.
+  if (track_flow(p) && !is_lan(peer)) state_.remotes.try_emplace(peer, 0);
+  if (p.protocol == Protocol::kUdp) ++state_.udp;
+  if (is_lan(peer) && peer != router_ip_) ++state_.lan_pkts;
   if (up && p.dst_port == 53) ++state_.dns;
   const double t0 = static_cast<double>(current_) * window_s_;
   const auto bucket = std::min(
@@ -100,6 +120,32 @@ void WindowAccumulator::add(const Packet& p) {
     state_.down_size.add(p.size_bytes);
     state_.down_bytes += p.size_bytes;
   }
+}
+
+bool WindowAccumulator::track_flow(const Packet& p) {
+  const FlowKey key = canonical_key(p);
+  double* last = state_.memo.last;
+  if (last == nullptr || !(key == state_.memo.key)) {
+    const auto [slot, inserted] = state_.flows.try_emplace(key, p.timestamp_s);
+    state_.memo.key = key;
+    state_.memo.last = &slot;
+    if (inserted) {
+      ++state_.flow_starts;
+      flow_inserts_counter().add();
+      return true;
+    }
+    last = &slot;
+  }
+  if (p.timestamp_s - *last > kFlowIdleTimeoutS) {
+    // Timed out: the key's flow ended and this packet starts a new one.
+    *last = p.timestamp_s;
+    ++state_.flow_starts;
+    flow_evictions_counter().add();
+    flow_inserts_counter().add();
+  } else {
+    *last = std::max(*last, p.timestamp_s);
+  }
+  return false;
 }
 
 void WindowAccumulator::close_window() {
@@ -146,7 +192,7 @@ void WindowAccumulator::close_window() {
       }
       f[14] = burst;
       f[15] = static_cast<double>(state_.dns) / (window_s / 60.0);
-      f[16] = static_cast<double>(state_.flow_table.flows().size());
+      f[16] = static_cast<double>(state_.flow_starts);
     }
     rows_.push_back(WindowRow{current_, std::move(f)});
     windows_emitted_counter().add();
@@ -156,18 +202,19 @@ void WindowAccumulator::close_window() {
   ++current_;
   window_end_ = static_cast<double>(current_ + 1) * window_s_;
   // An idle window left the state untouched.
-  if (state_.total > 0) state_.reset();
+  if (state_.total > 0) {
+    packets_ingested_counter().add(state_.total);
+    state_.reset();
+  }
 }
 
 std::vector<WindowRow> WindowAccumulator::finish(double duration_s) {
   PMIOT_CHECK(duration_s >= window_s_, "need at least one full window");
-  // Count full windows the same way the per-window loop does: window k is
-  // emitted iff (k+1)*window_s <= duration_s.
-  std::size_t full_windows = 0;
-  while (static_cast<double>(full_windows + 1) * window_s_ <= duration_s) {
-    ++full_windows;
-  }
+  const auto full_windows = full_window_count(duration_s, window_s_);
   while (current_ < full_windows) close_window();
+  // The open window's packets were ingested too, though a window opened
+  // past duration_s emits no row.
+  if (state_.total > 0) packets_ingested_counter().add(state_.total);
   // Drop windows opened by trailing packets past duration_s.
   while (!rows_.empty() && rows_.back().window_index >= full_windows) {
     rows_.pop_back();

@@ -5,9 +5,12 @@
 // (the paper's §IV gateway fingerprints devices continuously). The
 // accumulator ingests each packet exactly once, in timestamp order, keeps
 // incremental per-window state (counts, byte sums, Welford mean/variance of
-// packet sizes, distinct remote/port trackers, a per-window flow table,
+// packet sizes, distinct remote/port trackers, a count of flow starts,
 // burst buckets),
 // and emits a finished feature vector every time a window boundary passes.
+// Flows are counted, not recorded: feature 16 reads only how many started,
+// so the window keeps each active flow key's last packet time and nothing
+// else (DESIGN.md §16).
 // Closing a window sorts nothing: packets arrive in time order, so the
 // upstream timestamps' neighbour gaps are the IATs, and their median is
 // selected in place (`stats::quantile_in_place`) rather than read off a
@@ -21,6 +24,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -51,8 +56,8 @@ class WindowAccumulator {
   /// window bookkeeping).
   void add(const Packet& packet);
 
-  /// Closes every window whose end lies within [0, duration_s] and returns
-  /// the emitted rows in window order. Windows already opened past
+  /// Closes the `full_window_count(duration_s, window_s)` full windows and
+  /// returns the emitted rows in window order. Windows already opened past
   /// `duration_s` (trailing partial traffic) are discarded, mirroring
   /// `windowed_features`' full-window semantics. Terminal: call once.
   std::vector<WindowRow> finish(double duration_s);
@@ -64,10 +69,38 @@ class WindowAccumulator {
     }
   };
 
+  /// A flow idle for longer than this ends; the key's next packet starts
+  /// a new flow (the reference flow table's default timeout).
+  static constexpr double kFlowIdleTimeoutS = 120.0;
+
+  /// The previous packet's flow key and its value slot in `State::flows`:
+  /// a run of one key's packets skips the hash (DESIGN.md §16). Refreshed
+  /// after every `try_emplace` (growth moves slots) and dropped on reset
+  /// (the slot is freed). A move hands the slot to the table it moved
+  /// with, so the moved-from memo is dropped; a copy would point into
+  /// another table, so there is none.
+  struct FlowMemo {
+    FlowKey key;
+    double* last = nullptr;
+
+    FlowMemo() = default;
+    FlowMemo(FlowMemo&& other) noexcept
+        : key(other.key), last(std::exchange(other.last, nullptr)) {}
+    FlowMemo& operator=(FlowMemo&& other) noexcept {
+      key = other.key;
+      last = std::exchange(other.last, nullptr);
+      return *this;
+    }
+  };
+
   /// Per-window incremental state, emptied in place on every window close
   /// so its buffers keep their capacity across windows.
   struct State {
-    FlowTable flow_table;
+    // Active flow key -> its last packet time, and how many flows started
+    // (a new key, or a key idle past the timeout).
+    OpenTable<FlowKey, FlowKeyHash, double> flows;
+    std::size_t flow_starts = 0;
+    FlowMemo memo;
     stats::Accumulator up_size, down_size;
     std::vector<double> up_times;  ///< in arrival (= time) order
     double up_bytes = 0.0, down_bytes = 0.0;
@@ -88,6 +121,9 @@ class WindowAccumulator {
     void reset();
   };
 
+  /// Counts the packet into its flow. True iff the packet's key is new in
+  /// this window, the only time its peer can be new too.
+  bool track_flow(const Packet& packet);
   void close_window();
 
   std::uint32_t device_ip_;
@@ -97,7 +133,7 @@ class WindowAccumulator {
   std::size_t num_buckets_;
   std::size_t current_ = 0;   ///< index of the open window
   double window_end_;         ///< (current_ + 1) * window_s_
-  double last_timestamp_ = 0.0;
+  double last_timestamp_ = -std::numeric_limits<double>::infinity();
   State state_;
   std::vector<WindowRow> rows_;
 };

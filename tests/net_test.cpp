@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -49,8 +50,13 @@ TEST(Ip, DeviceSlotsRouteByLastOctet) {
   EXPECT_THROW(slots.add(make_ip(10, 0, 0, 10)), InvalidArgument);
 }
 
+// --- flows ------------------------------------------------------------------
+//
+// The reference flow table is the oracle for the accumulator's flow
+// counts (feature 16), so its own flow semantics are pinned here.
+
 TEST(FlowTable, AggregatesBidirectionalFlow) {
-  FlowTable table;
+  reference::FlowTable table;
   const auto dev = make_ip(10, 0, 0, 10);
   const auto cloud = make_ip(52, 20, 0, 1);
   table.add(Packet{0.0, dev, cloud, 40010, 443, Protocol::kTcp, 100});
@@ -68,7 +74,7 @@ TEST(FlowTable, AggregatesBidirectionalFlow) {
 }
 
 TEST(FlowTable, IdleTimeoutStartsNewFlow) {
-  FlowTable table(30.0);
+  reference::FlowTable table(30.0);
   const auto dev = make_ip(10, 0, 0, 10);
   const auto cloud = make_ip(52, 20, 0, 1);
   table.add(Packet{0.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
@@ -77,7 +83,7 @@ TEST(FlowTable, IdleTimeoutStartsNewFlow) {
 }
 
 TEST(FlowTable, DistinguishesProtocols) {
-  FlowTable table;
+  reference::FlowTable table;
   const auto dev = make_ip(10, 0, 0, 10);
   const auto cloud = make_ip(52, 20, 0, 1);
   table.add(Packet{0.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
@@ -85,83 +91,8 @@ TEST(FlowTable, DistinguishesProtocols) {
   EXPECT_EQ(table.flows().size(), 2u);
 }
 
-// Every field of two flow lists, in order.
-void expect_same_flows(const std::vector<Flow>& got,
-                       const std::vector<Flow>& want, const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const auto& a = got[i];
-    const auto& b = want[i];
-    ASSERT_TRUE(a.key == b.key && a.first_ts == b.first_ts &&
-                a.last_ts == b.last_ts && a.packets_ab == b.packets_ab &&
-                a.packets_ba == b.packets_ba && a.bytes_ab == b.bytes_ab &&
-                a.bytes_ba == b.bytes_ba)
-        << what << ": flow " << i;
-  }
-}
-
-// Time-ordered traffic between a few LAN hosts and remotes over few ports,
-// in both directions, with gaps longer than the idle timeout so keys are
-// retired and reopened; `ddos_ports` adds that many upstream packets to
-// random ports, which grows the index far past its initial capacity.
-std::vector<Packet> random_flow_traffic(Rng& rng, int packets,
-                                        int ddos_ports) {
-  std::vector<Packet> out;
-  double t = 0.0;
-  for (int i = 0; i < packets + ddos_ports; ++i) {
-    t += rng.bernoulli(0.05) ? rng.uniform(100.0, 300.0)
-                             : rng.uniform(0.0, 2.0);
-    const auto lan =
-        make_ip(10, 0, 0, static_cast<int>(rng.uniform_int(10, 13)));
-    if (i >= packets) {  // flood: one new flow per packet, mostly
-      const auto port = static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
-      out.push_back(Packet{t, lan, make_ip(203, 0, 113, 7), 4000, port,
-                           Protocol::kUdp, 600});
-      continue;
-    }
-    const auto remote =
-        rng.bernoulli(0.2)
-            ? make_ip(10, 0, 0, static_cast<int>(rng.uniform_int(10, 13)))
-            : make_ip(52, 20, 0, static_cast<int>(rng.uniform_int(0, 3)));
-    const auto local =
-        static_cast<std::uint16_t>(rng.uniform_int(40000, 40002));
-    const std::uint16_t service = rng.bernoulli(0.5) ? 443 : 53;
-    const auto proto = rng.bernoulli(0.3) ? Protocol::kUdp : Protocol::kTcp;
-    const auto size = static_cast<int>(rng.uniform_int(40, 1400));
-    if (rng.bernoulli(0.5)) {
-      out.push_back(Packet{t, lan, remote, local, service, proto, size});
-    } else {
-      out.push_back(Packet{t, remote, lan, service, local, proto, size});
-    }
-  }
-  return out;
-}
-
-TEST(FlowTable, MatchesReferenceTableOnRandomTraffic) {
-  FlowTable reused(60.0);  // cleared and refilled across seeds
-  for (std::uint64_t seed = 0; seed < 16; ++seed) {
-    Rng rng(500 + seed);
-    const int ddos = seed % 4 == 3 ? 5000 : 0;
-    const auto packets = random_flow_traffic(rng, 600, ddos);
-    FlowTable fresh(60.0);
-    reference::FlowTable oracle(60.0);
-    reused.clear();
-    for (const auto& p : packets) {
-      fresh.add(p);
-      reused.add(p);
-      oracle.add(p);
-    }
-    const std::string what = "seed " + std::to_string(seed);
-    expect_same_flows(fresh.flows(), oracle.flows(), what + " fresh");
-    expect_same_flows(reused.flows(), oracle.flows(), what + " reused");
-    if (ddos > 0) {
-      EXPECT_GT(oracle.flows().size(), 4000u) << what;
-    }
-  }
-}
-
 TEST(FlowTable, IdleTimeoutReplacesTheSameKeyInBothDirections) {
-  FlowTable table(30.0);
+  reference::FlowTable table(30.0);
   const auto dev = make_ip(10, 0, 0, 10);
   const auto cloud = make_ip(52, 20, 0, 1);
   table.add(Packet{0.0, dev, cloud, 1, 443, Protocol::kTcp, 100});
@@ -173,11 +104,6 @@ TEST(FlowTable, IdleTimeoutReplacesTheSameKeyInBothDirections) {
   EXPECT_EQ(table.flows()[1].packets_ab, 1u);
   EXPECT_EQ(table.flows()[1].bytes(), 120u);
   EXPECT_EQ(table.flows()[2].packets(), 1u);
-  table.clear();
-  EXPECT_TRUE(table.flows().empty());
-  table.add(Packet{300.0, dev, cloud, 1, 443, Protocol::kTcp, 10});
-  ASSERT_EQ(table.flows().size(), 1u);
-  EXPECT_EQ(table.flows()[0].first_ts, 300.0);
 }
 
 // --- the run-merge time sort ------------------------------------------------
@@ -683,6 +609,133 @@ TEST(WindowAccumulator, RejectsOutOfOrderPackets) {
                InvalidArgument);
 }
 
+// Flow-heavy traffic for `dev` over [0, windows · window_s): runs of one
+// key in both directions, interleaved with other keys (TCP and UDP on the
+// same ports, LAN peers, the router, another device's packets), idle gaps
+// past the 120 s flow timeout, and a flood of 6,000 fresh keys and remotes
+// inside window 1, half of them first seen downstream. Around every window
+// boundary the device's only packets are one key's, 1 s either side, so a
+// flow spans the boundary as the last packet before it and the first
+// after. Key 7000/udp has gaps of exactly 120 s (one flow) and of 120 s +
+// 1 ulp (a new flow). Times never decrease.
+std::vector<Packet> flow_heavy_traffic(Rng& rng, std::uint32_t dev,
+                                       double window_s, int windows) {
+  const auto other = make_ip(10, 0, 0, 20);
+  const auto router = make_ip(10, 0, 0, 1);
+  const double end = window_s * windows;
+  std::vector<Packet> out;
+  const auto emit = [&](double t, std::uint32_t peer, std::uint16_t local,
+                        std::uint16_t service, Protocol proto, bool up) {
+    const auto size = static_cast<int>(rng.uniform_int(40, 1400));
+    out.push_back(up ? Packet{t, dev, peer, local, service, proto, size}
+                     : Packet{t, peer, dev, service, local, proto, size});
+  };
+  bool flooded = false;
+  for (double t = 0.0;;) {
+    if (!flooded && t >= 1.2 * window_s) {
+      flooded = true;
+      for (int i = 0; i < 6000; ++i) {
+        t += 0.01;
+        emit(t, make_ip(203, 0, 1 + i / 250, i % 250), 4000,
+             static_cast<std::uint16_t>(1 + i), Protocol::kUdp,
+             rng.bernoulli(0.5));
+      }
+    }
+    t += rng.bernoulli(0.02) ? rng.uniform(120.0, 300.0)
+                             : rng.uniform(0.0, 3.0);
+    if (t >= end) break;
+    const auto pick = rng.uniform_int(0, 11);
+    const auto peer =
+        pick < 8    ? make_ip(52, 20, 0, static_cast<int>(pick))
+        : pick < 11 ? make_ip(10, 0, 0, static_cast<int>(pick + 3))
+                    : router;
+    const auto local = static_cast<std::uint16_t>(rng.uniform_int(40000, 40003));
+    const std::uint16_t service = rng.bernoulli(0.5) ? 443 : 53;
+    const auto proto = rng.bernoulli(0.5) ? Protocol::kUdp : Protocol::kTcp;
+    const auto run = rng.uniform_int(1, 6);
+    for (std::int64_t j = 0; j < run && t < end; ++j) {
+      emit(t, peer, local, service, proto, rng.bernoulli(0.5));
+      if (rng.bernoulli(0.1)) {
+        out.push_back(Packet{t, other, peer, local, service, proto, 99});
+      }
+      t += rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.0, 0.5);
+    }
+  }
+  // Clear the device's traffic around each boundary, then bridge it with
+  // one key, a remote seen nowhere else.
+  const auto bridge = make_ip(52, 20, 9, 9);
+  std::erase_if(out, [&](const Packet& p) {
+    const double k = std::round(p.timestamp_s / window_s);
+    return k >= 1.0 && std::abs(p.timestamp_s - k * window_s) < 5.0 &&
+           (p.src_ip == dev || p.dst_ip == dev);
+  });
+  for (int k = 1; k < windows; ++k) {
+    emit(k * window_s - 1.0, bridge, 41000, 443, Protocol::kTcp, true);
+    emit(k * window_s + 1.0, bridge, 41000, 443, Protocol::kTcp, false);
+  }
+  const auto timed = make_ip(52, 20, 8, 8);
+  const double t0 = 2.0 * window_s + 10.0;
+  const double t_exact = t0 + 120.0;
+  const double t_past = std::nextafter(t_exact + 120.0, end);
+  emit(t0, timed, 7000, 7000, Protocol::kUdp, true);
+  emit(t_exact, timed, 7000, 7000, Protocol::kUdp, false);
+  emit(t_past, timed, 7000, 7000, Protocol::kUdp, true);
+  sort_by_time(out);
+  return out;
+}
+
+TEST(WindowAccumulator, FlowAndRemoteCountsMatchReference) {
+  const auto dev = make_ip(10, 0, 0, 10);
+  const double window_s = 1000.0;
+  const int windows = 4;
+  const double duration_s = window_s * windows;
+  // The timed key's gaps straddle the timeout as intended.
+  const double t0 = 2.0 * window_s + 10.0;
+  ASSERT_EQ((t0 + 120.0) - t0, 120.0);
+  ASSERT_GT(std::nextafter(t0 + 240.0, duration_s) - (t0 + 120.0), 120.0);
+
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& inserts = registry.counter("net.flow_table.flow_inserts");
+  auto& evictions = registry.counter("net.flow_table.flow_evictions");
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(700 + seed);
+    const auto packets = flow_heavy_traffic(rng, dev, window_s, windows);
+    registry.reset_values_for_testing();
+    obs::set_enabled_for_testing(true);
+    const auto rows = windowed_features(packets, dev, duration_s, window_s,
+                                        /*keep_idle_windows=*/true);
+    const auto got_inserts = inserts.value();
+    const auto got_evictions = evictions.value();
+    registry.reset_values_for_testing();
+    std::vector<std::vector<double>> want;
+    for (int k = 0; k < windows; ++k) {
+      want.push_back(extract_window_features(packets, dev, k * window_s,
+                                             (k + 1) * window_s));
+    }
+    const auto want_inserts = inserts.value();
+    const auto want_evictions = evictions.value();
+    obs::set_enabled_for_testing(false);
+    registry.reset_values_for_testing();
+
+    const std::string what = "seed " + std::to_string(seed);
+    ASSERT_EQ(rows.size(), want.size()) << what;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(bits(rows[k].features), bits(want[k]))
+          << what << " window " << k;
+    }
+    EXPECT_GT(want[1][9], 6000.0) << what;   // distinct remotes
+    EXPECT_GT(want[1][16], 6000.0) << what;  // flows
+    EXPECT_EQ(got_inserts, want_inserts) << what;
+    EXPECT_EQ(got_evictions, want_evictions) << what;
+    EXPECT_GT(want_evictions, 0u) << what;
+  }
+}
+
 // --- fingerprinting ------------------------------------------------------------------
 
 TEST(Fingerprint, DatasetIsBalancedAcrossTypes) {
@@ -1059,6 +1112,95 @@ TEST(GatewayPolicy, LateralAppliesOnlyToUnregisteredPeers) {
   // dev -> registered peer and dev -> router pass; the two packets to
   // unregistered LAN hosts are blocked.
   EXPECT_EQ(report.lateral_packets_blocked, 2u);
+}
+
+// Replay walks `window_count` windows and extraction emits a row for each
+// full window; both use `full_window_count`, so where duration / window
+// rounds across an integer (8.6 / 0.2 rounds down to 42.99..., 3.4 / 0.1
+// up to 34.0) the last row is still voted and scored, and no row past it.
+TEST(GatewayPolicy, ReplayScoresEveryExtractedWindow) {
+  struct Case {
+    double window_s, duration_s;
+    std::size_t windows;
+  };
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& scored = registry.counter("net.gateway.windows_scored");
+  for (const Case c : {Case{0.2, 8.6, 43}, Case{0.1, 3.4, 33}}) {
+    auto rig = make_policy_rig();
+    rig.options.window_s = c.window_s;
+    rig.options.min_packets_to_score = 1;
+    SmartGateway gateway(rig.classifier, rig.detector, rig.options);
+    const auto dev = make_ip(10, 0, 0, 10);
+    gateway.register_device(dev, "dev");
+    std::vector<Packet> packets;
+    for (std::size_t k = 0; k <= c.windows; ++k) {
+      packets.push_back(Packet{(static_cast<double>(k) + 0.5) * c.window_s,
+                               dev, make_ip(52, 20, 0, 1), 40000, 443,
+                               Protocol::kUdp, 100});
+    }
+    EXPECT_EQ(full_window_count(c.duration_s, c.window_s), c.windows);
+    EXPECT_EQ(gateway.window_count(c.duration_s),
+              static_cast<int>(c.windows));
+    const auto rows = gateway.extract_rows(packets, c.duration_s);
+    ASSERT_EQ(rows.at(0).rows.size(), c.windows);
+    registry.reset_values_for_testing();
+    obs::set_enabled_for_testing(true);
+    const auto report = gateway.process(packets, c.duration_s);
+    const auto windows_scored = scored.value();
+    obs::set_enabled_for_testing(false);
+    registry.reset_values_for_testing();
+    EXPECT_EQ(windows_scored, c.windows) << c.duration_s;
+    EXPECT_EQ(report.verdicts.at(0).predicted_type, 0);
+  }
+}
+
+TEST(Features, FullWindowCountIsConstantTime) {
+  // The per-window loop would take minutes here.
+  EXPECT_EQ(full_window_count(1e12, 1.0), std::size_t{1'000'000'000'000});
+  EXPECT_EQ(full_window_count(1e11, 0.1), std::size_t{1'000'000'000'000});
+  EXPECT_EQ(full_window_count(0.5, 1.0), 0u);
+  EXPECT_EQ(full_window_count(-3.0, 1.0), 0u);
+  EXPECT_THROW((void)full_window_count(1.0, 0.0), InvalidArgument);
+  EXPECT_THROW((void)full_window_count(std::nan(""), 1.0), InvalidArgument);
+  EXPECT_THROW((void)full_window_count(1e300, 1e-300), InvalidArgument);
+  // Same count as the loop it replaces, on durations that land on, just
+  // below and just above window multiples.
+  Rng rng(41);
+  for (int i = 0; i < 20000; ++i) {
+    const double window_s =
+        rng.bernoulli(0.5) ? rng.uniform(1e-3, 10.0)
+                           : static_cast<double>(rng.uniform_int(1, 100)) / 10.0;
+    double duration_s =
+        static_cast<double>(rng.uniform_int(1, 500)) * window_s;
+    if (rng.bernoulli(0.3)) duration_s = std::nextafter(duration_s, 0.0);
+    if (rng.bernoulli(0.3)) duration_s = std::nextafter(duration_s, 1e9);
+    std::size_t loop = 0;
+    while (static_cast<double>(loop + 1) * window_s <= duration_s) ++loop;
+    ASSERT_EQ(full_window_count(duration_s, window_s), loop)
+        << duration_s << " / " << window_s;
+  }
+}
+
+// The reference ignores packets before t = 0, and so does extraction: a
+// sorted capture may start before the first window.
+TEST(GatewayPolicy, NegativeTimestampsAreIgnored) {
+  auto rig = make_policy_rig();
+  SmartGateway gateway(rig.classifier, rig.detector, rig.options);
+  const auto dev = make_ip(10, 0, 0, 10);
+  const auto cloud = make_ip(52, 20, 0, 1);
+  gateway.register_device(dev, "dev");
+  const std::vector<Packet> packets{
+      {-5.0, dev, cloud, 40000, 443, Protocol::kTcp, 100},
+      {5.0, dev, cloud, 40000, 443, Protocol::kTcp, 300},
+  };
+  const auto want = extract_window_features(packets, dev, 0.0, 10.0);
+  const auto rows = windowed_features(packets, dev, 10.0, 10.0);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].features, want);
+  const auto device_rows = gateway.extract_rows(packets, 10.0);
+  ASSERT_EQ(device_rows.at(0).rows.size(), 1u);
+  EXPECT_EQ(device_rows[0].rows[0].features, want);
+  EXPECT_EQ(want[kFeaturePktRateUp], 0.1);  // only the packet at 5 s
 }
 
 TEST(GatewayPolicy, SparseWindowsAreNeverScored) {
