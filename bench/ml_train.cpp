@@ -9,8 +9,9 @@
 //
 // The rebuilt kernels argsort each feature once per forest, grow trees with
 // linear scans over the presorted order (stable partition down the tree),
-// treat a bootstrap as an index vector instead of a row copy, train trees in
-// parallel over `pmiot::par`, and run kNN as a blocked batch kernel over a
+// keep a bootstrap as per-row draw counts instead of a row copy and grow
+// each tree over its distinct drawn rows, train trees in parallel over
+// `pmiot::par`, and run kNN as a blocked batch kernel over a
 // flat training matrix with precomputed squared norms.
 //
 // This bench first *validates* the new kernels against seed-faithful

@@ -91,12 +91,12 @@ DatasetView::DatasetView(const Dataset& data) {
   columns_.resize(d_ * n_);
   for (std::size_t i = 0; i < n_; ++i) {
     const auto& row = data.rows[i];
-    for (std::size_t f = 0; f < d_; ++f) columns_[f * n_ + i] = row[f];
+    for (std::size_t f = 0; f < d_; ++f) {
+      // NaN has no place in the value order the sort and split scan need.
+      PMIOT_CHECK(!std::isnan(row[f]), "training features must not be NaN");
+      columns_[f * n_ + i] = row[f];
+    }
   }
-}
-
-void DatasetView::ensure_sort_index() {
-  if (has_sort_index() || d_ == 0) return;
   sort_index_.resize(d_ * n_);
   sorted_values_.resize(d_ * n_);
   sorted_labels_.resize(d_ * n_);

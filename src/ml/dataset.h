@@ -54,12 +54,17 @@ Dataset take(const Dataset& data, std::span<const std::size_t> indices);
 /// Flat column-major snapshot of a `Dataset`, the layout the training
 /// kernels want: each feature is one contiguous array, so split scans and
 /// distance kernels stream memory instead of chasing `vector<vector>`
-/// pointers. Optionally carries a per-feature argsort (`sort_index`)
-/// computed **once**, which the presorted tree builder reuses for every
-/// tree of a forest instead of re-sorting at every node.
+/// pointers. Also carries a per-feature argsort (`sort_index`) computed
+/// **once**, which the presorted tree builder reuses for every tree of a
+/// forest instead of re-sorting at every node.
 class DatasetView {
  public:
-  /// Copies `data` (validated, non-empty) into columnar storage.
+  /// Copies `data` (validated, non-empty, no NaN feature) into columnar
+  /// storage and computes the per-feature stable argsort: row ids of
+  /// `column(f)` in ascending value order, equal values in row order. The
+  /// values and labels are also materialized in that order
+  /// (`sorted_values`, `sorted_labels`), so per-tree sample derivation
+  /// streams them sequentially instead of gathering through the row ids.
   explicit DatasetView(const Dataset& data);
 
   std::size_t rows() const noexcept { return n_; }
@@ -73,25 +78,15 @@ class DatasetView {
   std::span<const int> labels() const noexcept { return labels_; }
   int label(std::size_t i) const { return labels_[i]; }
 
-  /// Computes (idempotently) the per-feature stable argsort: row ids of
-  /// `column(f)` in ascending value order, equal values in row order. Also
-  /// materializes the values and labels in that order (`sorted_values`,
-  /// `sorted_labels`), so per-tree bootstrap derivation streams them
-  /// sequentially instead of gathering through the row ids.
-  void ensure_sort_index();
-  bool has_sort_index() const noexcept { return !sort_index_.empty(); }
-
-  /// Row ids of feature `f` sorted ascending by value. Requires
-  /// `ensure_sort_index()`.
+  /// Row ids of feature `f` sorted ascending by value.
   std::span<const std::uint32_t> sort_index(std::size_t f) const {
     return {sort_index_.data() + f * n_, n_};
   }
-  /// `column(f)` values in `sort_index(f)` order. Requires
-  /// `ensure_sort_index()`.
+  /// `column(f)` values in `sort_index(f)` order.
   std::span<const double> sorted_values(std::size_t f) const {
     return {sorted_values_.data() + f * n_, n_};
   }
-  /// Labels in `sort_index(f)` order. Requires `ensure_sort_index()`.
+  /// Labels in `sort_index(f)` order.
   std::span<const int> sorted_labels(std::size_t f) const {
     return {sorted_labels_.data() + f * n_, n_};
   }

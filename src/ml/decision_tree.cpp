@@ -59,22 +59,21 @@ int majority(const std::vector<std::size_t>& counts) {
 
 /// Reusable per-thread working memory for the presorted builder. Forest
 /// trees run on `pmiot::par` pool threads, which are long-lived, so the
-/// triplet buffers (tens of MB at forest scale) are allocated once per
-/// thread instead of once per tree.
+/// buffers are allocated once per thread instead of once per tree.
 struct TreeScratch {
-  // Ping-pong per-feature sorted triplets, flat [f * n + rank]. A node reads
-  // its segment from one buffer and partitions it into the other, so there
-  // is no spill-and-copy-back pass.
+  // Ping-pong per-feature sorted (row, value, label, weight) entries, flat
+  // [f * n + rank]. A node reads its segment from one buffer and partitions
+  // it into the other, so there is no spill-and-copy-back pass.
   std::vector<std::uint32_t> pos[2];
   std::vector<double> val[2];
   std::vector<int> lab[2];
-  std::vector<unsigned char> goes_left;  // by sample position
+  std::vector<std::uint32_t> wgt[2];
+  std::vector<unsigned char> goes_left;  // by row id
   std::vector<unsigned char> neq;        // splittable-boundary mask, by rank
   std::vector<unsigned char> side;       // <= threshold mask, by rank
   std::vector<std::size_t> counts, left_counts, right_counts;
   std::vector<std::size_t> split_left, split_right;
   std::vector<std::size_t> features;
-  std::vector<std::uint32_t> offsets, row_positions, cursor;
 };
 
 TreeScratch& tree_scratch() {
@@ -82,64 +81,94 @@ TreeScratch& tree_scratch() {
   return scratch;
 }
 
+/// Sizes a scratch buffer to `n` elements. Growth allocates exactly `n`:
+/// a tree's entry count varies with its bootstrap, and `resize` would
+/// double the old capacity (and copy the dead contents) on a small step up.
+template <class T>
+void size_scratch(std::vector<T>& v, std::size_t n) {
+  if (v.capacity() < n) {
+    v.clear();
+    v.reserve(n);
+  }
+  v.resize(n);
+}
+
+std::size_t count_drawn(std::span<const std::uint32_t> draws) {
+  return static_cast<std::size_t>(
+      std::count_if(draws.begin(), draws.end(), [](auto w) { return w != 0; }));
+}
+
 }  // namespace
 
-/// Grows a tree over per-feature presorted orders.
+/// Grows a tree over per-feature presorted orders of a weighted sample.
 ///
+/// A bootstrap is a multiset of rows; the builder keeps one entry per
+/// distinct drawn row and carries its draw count as an integer weight.
 /// Instead of re-sorting every candidate feature at every node (the
-/// `reference::PerNodeSortTree` oracle), the builder materializes each
-/// feature's (position, value, label) triplets in ascending value order
-/// once, then:
+/// `reference::PerNodeSortTree` oracle, run on the expanded sample), the
+/// builder materializes each feature's (row, value, label, weight) entries
+/// in ascending value order once, then:
 ///
-///  * split search is a linear scan of the node's segment of that order —
-///    the same boundaries, the same score arithmetic, and the same
-///    first-wins tie-breaking as the reference, so both builders select
-///    bit-identical splits;
+///  * split search is a linear scan of the node's segment of that order.
+///    Every boundary it scores lies between two distinct adjacent values,
+///    and the class counts on each side of one are the same integers
+///    whether an equal-value run is expanded into copies or weighted. So
+///    the scan scores the same boundaries, in the same order, with the same
+///    doubles as the reference, and selects bit-identical splits;
 ///  * after a split is chosen, every feature's segment is stably
 ///    partitioned into the left and right children, which preserves sorted
 ///    order without comparisons — O(d·n) per level. Children that are
 ///    about to become leaves (decided from the split's integer label
 ///    counts, exactly the checks the recursion would apply) are emitted
-///    directly and their side of the partition is never written.
+///    directly, without a recursive call.
 ///
-/// The triplets are kept in parallel flat arrays (not an array of structs)
-/// so the hot scan reads values and labels as two contiguous streams.
+/// Sizes `m`, `n_left` and `n_right` are weighted, so `min_samples` and the
+/// leaf tests count draws, as the reference does; entry ranges [lo, hi)
+/// only address the scratch arrays. The entries are kept in parallel flat
+/// arrays (not an array of structs) so the hot scan reads values, labels
+/// and weights as contiguous streams.
 class PresortedBuilder {
  public:
   PresortedBuilder(DecisionTree& tree, const DatasetView& view,
-                   std::span<const std::size_t> sample)
+                   std::span<const std::uint32_t> draws)
       : tree_(tree),
         view_(view),
-        sample_(sample),
-        n_(sample.size()),
+        draws_(draws),
+        n_(count_drawn(draws)),
         d_(view.width()),
         k_(static_cast<std::size_t>(view.num_classes())),
         s_(tree_scratch()) {}
 
-  void run() {
+  /// Grows the tree over the `m` draws of `draws_`.
+  void run(std::size_t m) {
     if (d_ == 0) {
       // No features: the reference builder finds no split and emits a
       // single leaf.
       std::vector<std::size_t> counts(k_, 0);
-      for (auto r : sample_) ++counts[static_cast<std::size_t>(view_.label(r))];
+      for (std::size_t r = 0; r < draws_.size(); ++r) {
+        counts[static_cast<std::size_t>(view_.label(r))] += draws_[r];
+      }
       tree_.nodes_.push_back(DecisionTree::Node{0.0, -1, majority(counts)});
       return;
     }
+    // One spare slot past the last feature: the order derivation writes
+    // every row's entry before deciding whether to keep it.
     for (int b = 0; b < 2; ++b) {
-      s_.pos[b].resize(d_ * n_);
-      s_.val[b].resize(d_ * n_);
-      s_.lab[b].resize(d_ * n_);
+      size_scratch(s_.pos[b], d_ * n_ + 1);
+      size_scratch(s_.val[b], d_ * n_ + 1);
+      size_scratch(s_.lab[b], d_ * n_ + 1);
+      size_scratch(s_.wgt[b], d_ * n_ + 1);
     }
-    s_.goes_left.resize(n_);
-    s_.neq.resize(n_);
-    s_.side.resize(n_);
+    size_scratch(s_.goes_left, view_.rows());
+    size_scratch(s_.neq, n_);
+    size_scratch(s_.side, n_);
     s_.counts.assign(k_, 0);
     s_.left_counts.assign(k_, 0);
     s_.right_counts.assign(k_, 0);
     s_.split_left.assign(k_, 0);
     s_.split_right.assign(k_, 0);
     init_orders();
-    build(0, n_, 0, 0);
+    build(0, n_, m, 0, 0);
   }
 
  private:
@@ -148,81 +177,33 @@ class PresortedBuilder {
   }
   double* val(int buf, std::size_t f) { return s_.val[buf].data() + f * n_; }
   int* lab(int buf, std::size_t f) { return s_.lab[buf].data() + f * n_; }
+  std::uint32_t* wgt(int buf, std::size_t f) {
+    return s_.wgt[buf].data() + f * n_;
+  }
 
-  /// Fills buffer 0 with the per-feature sorted triplets. With a shared
-  /// `sort_index` on the view (the forest path), each feature's order for
-  /// this sample is derived from the full-data order by a linear counting
-  /// pass — no per-tree sort at all. Ties between equal values land in
-  /// (row, draw) order rather than pure draw order, which is immaterial:
-  /// split scores, thresholds, and partitions only ever distinguish
-  /// *values*, never the order within an equal-value run.
+  /// Fills buffer 0 with the per-feature sorted entries: each feature's
+  /// shared full-data order with the undrawn rows filtered out. No per-tree
+  /// sort at all.
   void init_orders() {
-    const int* labels = view_.labels().data();
-    if (view_.has_sort_index()) {
-      const std::size_t rows = view_.rows();
-      bool identity = n_ == rows;
-      for (std::size_t p = 0; identity && p < n_; ++p) {
-        identity = sample_[p] == p;
-      }
-      if (identity) {
-        // Whole-dataset fit: the sample orders ARE the full-data orders.
-        for (std::size_t f = 0; f < d_; ++f) {
-          const auto si = view_.sort_index(f);
-          const auto sv = view_.sorted_values(f);
-          const auto sl = view_.sorted_labels(f);
-          std::copy(si.begin(), si.end(), pos(0, f));
-          std::copy(sv.begin(), sv.end(), val(0, f));
-          std::copy(sl.begin(), sl.end(), lab(0, f));
-        }
-        return;
-      }
-      // Bucket the sample's positions by row id (ascending position within
-      // each row), then emit them in each feature's full-data value order.
-      s_.offsets.assign(rows + 1, 0);
-      for (auto r : sample_) ++s_.offsets[r + 1];
-      for (std::size_t i = 0; i < rows; ++i) s_.offsets[i + 1] += s_.offsets[i];
-      s_.row_positions.resize(n_);
-      s_.cursor.assign(s_.offsets.begin(), s_.offsets.end() - 1);
-      for (std::size_t p = 0; p < n_; ++p) {
-        s_.row_positions[s_.cursor[sample_[p]]++] = static_cast<std::uint32_t>(p);
-      }
-      for (std::size_t f = 0; f < d_; ++f) {
-        const std::uint32_t* si = view_.sort_index(f).data();
-        const double* sv = view_.sorted_values(f).data();
-        const int* sl = view_.sorted_labels(f).data();
-        std::uint32_t* pf = pos(0, f);
-        double* vf = val(0, f);
-        int* lf = lab(0, f);
-        std::size_t out = 0;
-        for (std::size_t rank = 0; rank < rows; ++rank) {
-          const std::uint32_t row = si[rank];
-          const std::uint32_t begin = s_.offsets[row];
-          const std::uint32_t end = s_.offsets[row + 1];
-          for (std::uint32_t j = begin; j < end; ++j) {
-            pf[out] = s_.row_positions[j];
-            vf[out] = sv[rank];
-            lf[out] = sl[rank];
-            ++out;
-          }
-        }
-      }
-      return;
-    }
-    // No shared index: argsort each feature over the sample directly.
-    std::vector<std::pair<double, std::uint32_t>> keyed(n_);
+    const std::size_t rows = view_.rows();
     for (std::size_t f = 0; f < d_; ++f) {
-      const double* col = view_.column(f).data();
-      for (std::size_t p = 0; p < n_; ++p) {
-        keyed[p] = {col[sample_[p]], static_cast<std::uint32_t>(p)};
-      }
-      std::sort(keyed.begin(), keyed.end());
+      const std::uint32_t* si = view_.sort_index(f).data();
+      const double* sv = view_.sorted_values(f).data();
+      const int* sl = view_.sorted_labels(f).data();
       std::uint32_t* pf = pos(0, f);
       double* vf = val(0, f);
       int* lf = lab(0, f);
-      for (std::size_t r = 0; r < n_; ++r) {
-        pf[r] = keyed[r].second;
-        vf[r] = keyed[r].first;
-        lf[r] = labels[sample_[keyed[r].second]];
+      std::uint32_t* wf = wgt(0, f);
+      std::size_t out = 0;
+      for (std::size_t rank = 0; rank < rows; ++rank) {
+        const std::uint32_t row = si[rank];
+        const std::uint32_t w = draws_[row];
+        // Branchless: an undrawn row's entry is overwritten by the next.
+        pf[out] = row;
+        vf[out] = sv[rank];
+        lf[out] = sl[rank];
+        wf[out] = w;
+        out += w != 0 ? 1 : 0;
       }
     }
   }
@@ -234,17 +215,18 @@ class PresortedBuilder {
     return id;
   }
 
-  /// Grows the node covering segment [lo, hi) of every feature's order in
-  /// buffer `cur`. Mirrors the reference builder statement for statement
-  /// where scores are concerned.
-  int build(std::size_t lo, std::size_t hi, int depth, int cur) {
+  /// Grows the node covering entries [lo, hi) of every feature's order in
+  /// buffer `cur`, which hold `m` draws. Mirrors the reference builder
+  /// statement for statement where scores are concerned.
+  int build(std::size_t lo, std::size_t hi, std::size_t m, int depth,
+            int cur) {
     tree_.depth_ = std::max(tree_.depth_, depth);
-    const std::size_t m = hi - lo;
     std::fill(s_.counts.begin(), s_.counts.end(), 0);
     {
       const int* l0 = lab(cur, 0);
+      const std::uint32_t* w0 = wgt(cur, 0);
       for (std::size_t r = lo; r < hi; ++r) {
-        ++s_.counts[static_cast<std::size_t>(l0[r])];
+        s_.counts[static_cast<std::size_t>(l0[r])] += w0[r];
       }
     }
     const int node_label = majority(s_.counts);
@@ -279,8 +261,9 @@ class PresortedBuilder {
     //   (n_left * gini_left + n_right * gini_right) / m
     // equals  1 - (Sl/i + Sr/j) / m,  where Sl/Sr are the integer sums of
     // squared class counts on each side and i/j the side sizes. Sl and Sr
-    // update in O(1) integer ops per boundary, and the cross-multiplied
-    // comparison
+    // update in O(1) integer ops per entry: a class count c that grows to
+    // c + w adds 2(c + w)w - w², one that shrinks to c - w loses
+    // 2(c - w)w + w². The cross-multiplied comparison
     //   Sl*j + Sr*i <= i*j * m*(1 - best + slack)
     // proves "score >= best - slack" without a single division. Both the
     // reference's computed score and this bound sit within ~1e-14 of the
@@ -303,25 +286,29 @@ class PresortedBuilder {
     for (auto f : s_.features) {
       const double* vf = val(cur, f);
       const int* lf = lab(cur, f);
+      const std::uint32_t* wf = wgt(cur, f);
       std::fill(s_.left_counts.begin(), s_.left_counts.end(), 0);
       std::copy(s_.counts.begin(), s_.counts.end(), s_.right_counts.begin());
       long long sq_left = 0;
       long long sq_right = sq_total;
+      std::size_t n_left = 0;
       double filter_rhs =
           static_cast<double>(m) * ((1.0 - best_score) + kFilterSlack);
       // The equal-adjacent-values test is hoisted into one vector pass over
       // the segment; the scan below reads the byte mask instead of two
       // doubles per boundary. `x != x_next` is exactly the mask's
       // definition, so the set of evaluated boundaries is unchanged.
-      simd::mask_adjacent_neq(vf + lo, m, s_.neq.data());
+      simd::mask_adjacent_neq(vf + lo, hi - lo, s_.neq.data());
       for (std::size_t r = lo; r + 1 < hi; ++r) {
         const auto lbl = static_cast<std::size_t>(lf[r]);
-        const auto cl = static_cast<long long>(++s_.left_counts[lbl]);
-        const auto cr = static_cast<long long>(--s_.right_counts[lbl]);
-        sq_left += 2 * cl - 1;
-        sq_right -= 2 * cr + 1;
+        const std::size_t w = wf[r];
+        const auto lw = static_cast<long long>(w);
+        const auto cl = static_cast<long long>(s_.left_counts[lbl] += w);
+        const auto cr = static_cast<long long>(s_.right_counts[lbl] -= w);
+        sq_left += (2 * cl - lw) * lw;
+        sq_right -= (2 * cr + lw) * lw;
+        n_left += w;
         if (s_.neq[r - lo] == 0) continue;  // cannot split between equal values
-        const auto n_left = r + 1 - lo;
         const auto n_right = m - n_left;
         if (use_filter) {
           const auto il = static_cast<long long>(n_left);
@@ -345,32 +332,36 @@ class PresortedBuilder {
       }
     }
 
-    // One add per node (not per boundary) keeps the scan loop untouched;
-    // every feature walks exactly m-1 boundaries.
+    // One add per node (not per boundary) keeps the scan loop untouched.
+    // Counted in draws: every feature walks the m-1 boundaries of the
+    // expanded sample, equal-value ones included.
     boundary_scans_counter().add(
         static_cast<std::uint64_t>(s_.features.size()) * (m - 1));
 
     if (best_feature < 0) return node_id;  // no impurity-reducing split found
     nodes_split_counter().add();
 
-    // Mark each sample position's side once; the same pass collects the
-    // split's left label counts (integers, so identical to what the left
-    // child's own counting pass would produce).
+    // Mark each row's side once; the same pass collects the split's left
+    // label counts (integers, so identical to what the left child's own
+    // counting pass would produce).
     std::size_t n_left = 0;
+    std::size_t left_entries = 0;
     {
       const auto bf = static_cast<std::size_t>(best_feature);
       const std::uint32_t* pf = pos(cur, bf);
       const double* vf = val(cur, bf);
       const int* lf = lab(cur, bf);
+      const std::uint32_t* wf = wgt(cur, bf);
       std::fill(s_.split_left.begin(), s_.split_left.end(), 0);
       // Vectorized compare (same <= semantics, NaN false), scalar scatter.
-      simd::mask_leq(vf + lo, m, best_threshold, s_.side.data());
+      simd::mask_leq(vf + lo, hi - lo, best_threshold, s_.side.data());
       for (std::size_t r = lo; r < hi; ++r) {
         const bool left = s_.side[r - lo] != 0;
-        goes_left_set(pf[r], left);
+        s_.goes_left[pf[r]] = left ? 1 : 0;
         if (left) {
-          ++s_.split_left[static_cast<std::size_t>(lf[r])];
-          ++n_left;
+          s_.split_left[static_cast<std::size_t>(lf[r])] += wf[r];
+          n_left += wf[r];
+          ++left_entries;
         }
       }
     }
@@ -382,7 +373,7 @@ class PresortedBuilder {
     }
 
     // Apply the recursion's own leaf tests to each child now: a child that
-    // is certain to leaf out never needs its side of the partition.
+    // is certain to leaf out needs no recursive call.
     const bool depth_stop = depth + 1 >= tree_.options_.max_depth;
     const bool left_leaf = depth_stop ||
                            n_left < tree_.options_.min_samples ||
@@ -396,27 +387,15 @@ class PresortedBuilder {
     const int left_label = left_leaf ? majority(s_.split_left) : 0;
     const int right_label = right_leaf ? majority(s_.split_right) : 0;
 
-    int left = -1;
-    int right = -1;
-    if (left_leaf && right_leaf) {
-      left = push_leaf(depth + 1, left_label);
-      right = push_leaf(depth + 1, right_label);
-    } else {
-      partition(lo, hi, n_left, cur, left_leaf, right_leaf);
-      // Children are emitted left-first either way, so nodes_ keeps the
-      // reference builder's pre-order layout: the left child is node_id + 1,
-      // which is what lets Node store only the right child.
-      if (left_leaf) {
-        left = push_leaf(depth + 1, left_label);
-        right = build(lo + n_left, hi, depth + 1, cur ^ 1);
-      } else if (right_leaf) {
-        left = build(lo, lo + n_left, depth + 1, cur ^ 1);
-        right = push_leaf(depth + 1, right_label);
-      } else {
-        left = build(lo, lo + n_left, depth + 1, cur ^ 1);
-        right = build(lo + n_left, hi, depth + 1, cur ^ 1);
-      }
-    }
+    if (!(left_leaf && right_leaf)) partition(lo, hi, left_entries, cur);
+    // Children are emitted left-first, so nodes_ keeps the reference
+    // builder's pre-order layout: the left child is node_id + 1, which is
+    // what lets Node store only the right child.
+    const std::size_t mid = lo + left_entries;
+    const int left = left_leaf ? push_leaf(depth + 1, left_label)
+                               : build(lo, mid, n_left, depth + 1, cur ^ 1);
+    const int right = right_leaf ? push_leaf(depth + 1, right_label)
+                                 : build(mid, hi, n_right, depth + 1, cur ^ 1);
 
     PMIOT_ASSERT(left == node_id + 1, "nodes not emitted in pre-order");
     auto& node = tree_.nodes_[static_cast<std::size_t>(node_id)];
@@ -426,66 +405,43 @@ class PresortedBuilder {
     return node_id;
   }
 
-  void goes_left_set(std::uint32_t p, bool left) {
-    s_.goes_left[p] = left ? 1 : 0;
-  }
-
   /// Stably partitions every feature's [lo, hi) segment from buffer `cur`
-  /// into buffer `cur ^ 1` (left block first, order preserved). Sides whose
-  /// child was already emitted as a leaf are skipped entirely.
-  void partition(std::size_t lo, std::size_t hi, std::size_t n_left, int cur,
-                 bool skip_left, bool skip_right) {
+  /// into buffer `cur ^ 1`, the `left_entries` left entries first, order
+  /// preserved.
+  void partition(std::size_t lo, std::size_t hi, std::size_t left_entries,
+                 int cur) {
     const unsigned char* mask = s_.goes_left.data();
     for (std::size_t f = 0; f < d_; ++f) {
       const std::uint32_t* spf = pos(cur, f);
       const double* svf = val(cur, f);
       const int* slf = lab(cur, f);
+      const std::uint32_t* swf = wgt(cur, f);
       std::uint32_t* dpf = pos(cur ^ 1, f);
       double* dvf = val(cur ^ 1, f);
       int* dlf = lab(cur ^ 1, f);
+      std::uint32_t* dwf = wgt(cur ^ 1, f);
       std::size_t out_l = lo;
-      std::size_t out_r = lo + n_left;
-      if (skip_left) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::uint32_t p = spf[r];
-          if (mask[p] == 0) {
-            dpf[out_r] = p;
-            dvf[out_r] = svf[r];
-            dlf[out_r] = slf[r];
-            ++out_r;
-          }
-        }
-      } else if (skip_right) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::uint32_t p = spf[r];
-          if (mask[p] != 0) {
-            dpf[out_l] = p;
-            dvf[out_l] = svf[r];
-            dlf[out_l] = slf[r];
-            ++out_l;
-          }
-        }
-      } else {
-        // Branchless two-way split: select the destination cursor with a
-        // conditional move instead of a branch.
-        for (std::size_t r = lo; r < hi; ++r) {
-          const std::uint32_t p = spf[r];
-          const std::size_t keep_left = mask[p];
-          const std::size_t dst = keep_left ? out_l : out_r;
-          dpf[dst] = p;
-          dvf[dst] = svf[r];
-          dlf[dst] = slf[r];
-          out_l += keep_left;
-          out_r += 1 - keep_left;
-        }
+      std::size_t out_r = lo + left_entries;
+      // Branchless two-way split: select the destination cursor with a
+      // conditional move instead of a branch.
+      for (std::size_t r = lo; r < hi; ++r) {
+        const std::uint32_t p = spf[r];
+        const std::size_t keep_left = mask[p];
+        const std::size_t dst = keep_left ? out_l : out_r;
+        dpf[dst] = p;
+        dvf[dst] = svf[r];
+        dlf[dst] = slf[r];
+        dwf[dst] = swf[r];
+        out_l += keep_left;
+        out_r += 1 - keep_left;
       }
     }
   }
 
   DecisionTree& tree_;
   const DatasetView& view_;
-  std::span<const std::size_t> sample_;
-  const std::size_t n_;
+  std::span<const std::uint32_t> draws_;
+  const std::size_t n_;  ///< distinct drawn rows: entries per feature
   const std::size_t d_;
   const std::size_t k_;
   TreeScratch& s_;
@@ -500,24 +456,22 @@ DecisionTree::DecisionTree(TreeOptions options, std::uint64_t seed)
 void DecisionTree::fit(const Dataset& data) {
   data.validate();
   PMIOT_CHECK(!data.rows.empty(), "cannot fit on empty dataset");
-  DatasetView view(data);
-  view.ensure_sort_index();
-  std::vector<std::size_t> sample(data.size());
-  std::iota(sample.begin(), sample.end(), 0);
-  fit_view(view, sample);
+  const DatasetView view(data);
+  const std::vector<std::uint32_t> draws(data.size(), 1);
+  fit_view(view, draws);
 }
 
 void DecisionTree::fit_view(const DatasetView& view,
-                            std::span<const std::size_t> sample) {
-  PMIOT_CHECK(!sample.empty(), "cannot fit on an empty sample");
-  for (auto r : sample) {
-    PMIOT_CHECK(r < view.rows(), "sample row id out of range");
-  }
+                            std::span<const std::uint32_t> draws) {
+  PMIOT_CHECK(draws.size() == view.rows(), "one draw count per view row");
+  const std::size_t m =
+      std::accumulate(draws.begin(), draws.end(), std::size_t{0});
+  PMIOT_CHECK(m > 0, "cannot fit on an empty sample");
   nodes_.clear();
   depth_ = 0;
   width_ = view.width();
-  PresortedBuilder builder(*this, view, sample);
-  builder.run();
+  PresortedBuilder builder(*this, view, draws);
+  builder.run(m);
 }
 
 int DecisionTree::predict(std::span<const double> row) const {

@@ -52,12 +52,13 @@ class DecisionTree final : public Classifier {
   int predict(std::span<const double> row) const override;
   std::string name() const override { return "decision-tree"; }
 
-  /// Fits on `view` restricted to the rows listed in `sample` (duplicates
-  /// allowed — a bootstrap draw is just a multiset of row ids). This is the
-  /// random forest's path: no per-tree copy of the dataset, and `view`'s
-  /// shared `sort_index` (if present) replaces the per-tree argsort with a
-  /// linear counting pass. Equivalent to `fit` on the materialized sample.
-  void fit_view(const DatasetView& view, std::span<const std::size_t> sample);
+  /// Fits on the weighted sample that draws row r of `view` `draws[r]`
+  /// times (one count per row; a bootstrap is a multiset of row ids). This
+  /// is the random forest's path: no per-tree copy of the dataset, and the
+  /// tree grows over the distinct drawn rows, each weighted by its count,
+  /// with `view`'s shared sort index in place of a per-tree argsort.
+  /// Bitwise identical to `fit` on the materialized sample.
+  void fit_view(const DatasetView& view, std::span<const std::uint32_t> draws);
 
   std::size_t node_count() const noexcept { return nodes_.size(); }
   int depth() const noexcept { return depth_; }

@@ -56,32 +56,32 @@ void RandomForest::fit(const Dataset& data) {
         std::max(1.0, std::round(std::sqrt(static_cast<double>(data.width())))));
   }
 
-  // Draw every tree's bootstrap rows (with replacement, training-set size)
-  // and its seed up front, in the exact RNG order of the old sequential
-  // fit: n index draws, then the seed, per tree. Tree t then depends only
-  // on (samples[t], seeds[t]), never on scheduling.
+  // Draw every tree's bootstrap (with replacement, training-set size) and
+  // its seed up front, in the exact RNG order of the old sequential fit: n
+  // row draws, then the seed, per tree. A bootstrap is kept as per-row draw
+  // counts. Tree t then depends only on (draws[t], seeds[t]), never on
+  // scheduling.
   const std::size_t n = data.size();
   const auto num_trees = static_cast<std::size_t>(options_.num_trees);
-  std::vector<std::vector<std::size_t>> samples(num_trees);
+  std::vector<std::vector<std::uint32_t>> draws(
+      num_trees, std::vector<std::uint32_t>(n, 0));
   std::vector<std::uint64_t> seeds(num_trees);
   for (std::size_t t = 0; t < num_trees; ++t) {
-    samples[t].resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      samples[t][i] = static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      ++draws[t][static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
     }
     seeds[t] = rng_.next();
   }
 
   // One columnar view (and one per-feature argsort) shared read-only by
-  // every tree; a bootstrap is an index vector into it, not a row copy.
-  DatasetView view(data);
-  view.ensure_sort_index();
+  // every tree; a bootstrap is a count vector into it, not a row copy.
+  const DatasetView view(data);
 
   std::vector<DecisionTree> trees(num_trees, DecisionTree(tree_options, 0));
   par::parallel_for(0, num_trees, [&](std::size_t t) {
     DecisionTree tree(tree_options, seeds[t]);
-    tree.fit_view(view, samples[t]);
+    tree.fit_view(view, draws[t]);
     trees[t] = std::move(tree);
   });
 

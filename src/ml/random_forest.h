@@ -18,10 +18,10 @@ struct ForestOptions {
 
 /// Fit strategy: every tree's bootstrap rows and seed are drawn up front in
 /// the sequential order the seed implementation used, after which tree t
-/// depends only on (sample[t], seed[t]). The trees then train in parallel
+/// depends only on (draws[t], seed[t]). The trees then train in parallel
 /// over `pmiot::par`'s shared pool against one shared columnar
-/// `DatasetView` (bootstrap = index vector, not a row copy), each writing
-/// only slot t — so the fitted forest is bitwise identical at any
+/// `DatasetView` (bootstrap = per-row draw counts, not a row copy), each
+/// writing only slot t — so the fitted forest is bitwise identical at any
 /// `PMIOT_THREADS`, and bitwise identical to the old serial fit.
 ///
 /// Inference: the fitted trees are concatenated, in tree order, into one
@@ -45,6 +45,8 @@ class RandomForest final : public Classifier {
   std::vector<int> predict_all(const Dataset& data) const override;
 
   std::size_t tree_count() const noexcept { return roots_.size(); }
+  /// Every tree's nodes, concatenated in tree order, right-child ids rebased.
+  std::span<const DecisionTree::Node> nodes() const noexcept { return nodes_; }
 
  private:
   /// The strict-majority vote for one row of checked width; sets the number

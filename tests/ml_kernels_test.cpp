@@ -1,12 +1,18 @@
 // Tests for the columnar ML training kernels: randomized presorted-vs-naive
-// tree equivalence (including degenerate corners), forest determinism across
-// pool widths, the flat forest's early-exit vote against the seed forest's
-// full vote, batch-vs-per-row prediction identity, kNN tie-breaking with
-// duplicated training points, and the kmeans 1-D fast path.
+// tree equivalence (including degenerate corners and infinite features),
+// weighted-bootstrap fits against the materialized sample, NaN rejection,
+// forest determinism across pool widths and against a golden node hash, the
+// flat forest's early-exit vote against the seed forest's full vote,
+// batch-vs-per-row prediction identity, kNN tie-breaking with duplicated
+// training points, and the kmeans 1-D fast path.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -170,6 +176,204 @@ TEST(PresortedTree, AdjacentDoubleSplitMidSegment) {
   expect_split_algorithms_equivalent(train, train, TreeOptions{}, 1);
 }
 
+TEST(PresortedTree, InfiniteFeaturesMatchPerNodeSort) {
+  // ±∞ are ordinary ends of the value order: the midpoint with an infinite
+  // neighbour is infinite or NaN, and both fall back to a threshold that
+  // sends exactly the lower values left.
+  Rng rng(414);
+  const double inf = std::numeric_limits<double>::infinity();
+  Dataset train = random_clusters(300, 4, 3, rng);
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    if (i % 9 == 0) train.rows[i][i % 4] = -inf;
+    if (i % 11 == 0) train.rows[i][(i + 1) % 4] = inf;
+  }
+  train.append({-inf, inf, -inf, inf}, 0);
+  train.append({inf, -inf, inf, -inf}, 1);
+  Dataset probe = random_clusters(100, 4, 3, rng);
+  probe.append({-inf, -inf, inf, inf}, 0);
+  for (std::uint64_t seed : {1u, 2u}) {
+    expect_split_algorithms_equivalent(train, probe, TreeOptions{}, seed);
+    expect_split_algorithms_equivalent(
+        train, probe, TreeOptions{.max_depth = 5, .max_features = 2}, seed);
+  }
+  Dataset stump;
+  for (int i = 0; i < 3; ++i) stump.append({-inf}, 0);
+  for (int i = 0; i < 3; ++i) stump.append({inf}, 1);
+  expect_split_algorithms_equivalent(stump, stump, TreeOptions{}, 1);
+  const ForestOptions forest_options{.num_trees = 8, .tree = {}};
+  RandomForest forest(forest_options, 3);
+  forest.fit(train);
+  reference::SeedForest seed_forest(forest_options, 3);
+  seed_forest.fit(train);
+  EXPECT_EQ(forest.predict_all(probe), seed_forest.predict_all(probe));
+}
+
+TEST(PresortedTree, RejectsNaNTrainingFeatures) {
+  Rng rng(424);
+  Dataset train = random_clusters(200, 3, 2, rng);
+  for (std::size_t i = 0; i < train.size(); i += 7) {
+    train.rows[i][i % 3] = std::numeric_limits<double>::quiet_NaN();
+  }
+  DecisionTree tree(TreeOptions{}, 1);
+  EXPECT_THROW(tree.fit(train), InvalidArgument);
+  RandomForest forest(ForestOptions{.num_trees = 4, .tree = {}}, 1);
+  EXPECT_THROW(forest.fit(train), InvalidArgument);
+  EXPECT_THROW(DatasetView{train}, InvalidArgument);
+}
+
+// --- Weighted bootstrap vs the materialized sample ---------------------------
+
+/// The multiset of row ids that per-row draw counts stand for.
+std::vector<std::size_t> expand_draws(std::span<const std::uint32_t> draws) {
+  std::vector<std::size_t> sample;
+  for (std::size_t r = 0; r < draws.size(); ++r) {
+    sample.insert(sample.end(), draws[r], r);
+  }
+  return sample;
+}
+
+/// Fits `fit_view` on `draws` and the per-node-sort reference on the
+/// materialized sample from identical options/seed, and requires identical
+/// structure and identical predictions on the sample and on `probe`.
+void expect_weighted_matches_materialized(const Dataset& data,
+                                          std::span<const std::uint32_t> draws,
+                                          const Dataset& probe,
+                                          TreeOptions options,
+                                          std::uint64_t seed) {
+  const Dataset sample = take(data, expand_draws(draws));
+  const DatasetView view(data);
+  DecisionTree fast(options, seed);
+  fast.fit_view(view, draws);
+  reference::PerNodeSortTree naive(options, seed);
+  naive.fit(sample);
+
+  EXPECT_EQ(fast.node_count(), naive.node_count());
+  EXPECT_EQ(fast.depth(), naive.depth());
+  EXPECT_EQ(per_row_predictions(fast, sample),
+            per_row_predictions(naive, sample));
+  EXPECT_EQ(per_row_predictions(fast, probe), per_row_predictions(naive, probe));
+}
+
+/// A bootstrap of `n` draws over `rows` rows, as per-row counts.
+std::vector<std::uint32_t> bootstrap_draws(std::size_t rows, std::size_t n,
+                                           Rng& rng) {
+  std::vector<std::uint32_t> draws(rows, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    ++draws[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(rows) - 1))];
+  }
+  return draws;
+}
+
+TEST(WeightedBootstrap, RandomBootstrapsMatchMaterializedSample) {
+  Rng rng(2101);
+  const Dataset data = random_clusters(240, 5, 3, rng);
+  const Dataset probe = random_clusters(100, 5, 3, rng);
+  std::uint64_t seed = 1;
+  for (int round = 0; round < 4; ++round) {
+    const auto draws = bootstrap_draws(data.size(), data.size(), rng);
+    for (std::size_t max_features : {std::size_t{0}, std::size_t{2}}) {
+      expect_weighted_matches_materialized(
+          data, draws, probe, TreeOptions{.max_features = max_features},
+          seed++);
+    }
+  }
+}
+
+TEST(WeightedBootstrap, OneRowDrawnManyTimes) {
+  Rng rng(2202);
+  const Dataset data = random_clusters(120, 4, 3, rng);
+  const Dataset probe = random_clusters(60, 4, 3, rng);
+  // Row 5 dominates every node it reaches; the rest are drawn once or not.
+  auto draws = bootstrap_draws(data.size(), data.size() / 2, rng);
+  draws[5] = static_cast<std::uint32_t>(data.size());
+  expect_weighted_matches_materialized(data, draws, probe, TreeOptions{}, 1);
+  expect_weighted_matches_materialized(
+      data, draws, probe, TreeOptions{.max_depth = 3, .max_features = 2}, 2);
+}
+
+TEST(WeightedBootstrap, SingleDistinctRow) {
+  Rng rng(2303);
+  const Dataset data = random_clusters(50, 3, 2, rng);
+  const Dataset probe = random_clusters(20, 3, 2, rng);
+  std::vector<std::uint32_t> draws(data.size(), 0);
+  draws[17] = static_cast<std::uint32_t>(data.size());
+  expect_weighted_matches_materialized(data, draws, probe, TreeOptions{}, 1);
+  DecisionTree tree(TreeOptions{}, 1);
+  tree.fit_view(DatasetView(data), draws);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.predict(probe.rows.front()), data.labels[17]);
+
+  Dataset one;
+  one.append({1.0, 2.0}, 1);
+  const std::vector<std::uint32_t> once{1};
+  expect_weighted_matches_materialized(one, once, one, TreeOptions{}, 1);
+}
+
+TEST(WeightedBootstrap, MostRowsNeverDrawn) {
+  Rng rng(2404);
+  const Dataset data = random_clusters(400, 5, 3, rng);
+  const Dataset probe = random_clusters(100, 5, 3, rng);
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    // About 20 distinct rows carry 400 draws.
+    std::vector<std::uint32_t> draws(data.size(), 0);
+    for (int i = 0; i < 20; ++i) {
+      draws[static_cast<std::size_t>(rng.uniform_int(0, 399))] +=
+          static_cast<std::uint32_t>(rng.uniform_int(1, 40));
+    }
+    expect_weighted_matches_materialized(data, draws, probe, TreeOptions{},
+                                         seed);
+  }
+}
+
+TEST(WeightedBootstrap, EqualValuesOnDistinctRowsWithDifferentLabels) {
+  // Every feature takes one of four values, so each equal-value run spans
+  // distinct rows of several classes with different weights.
+  Rng rng(2505);
+  Dataset data;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> row(3);
+    for (auto& x : row) x = static_cast<double>(rng.uniform_int(0, 3));
+    data.append(std::move(row), static_cast<int>(rng.uniform_int(0, 2)));
+  }
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const auto draws = bootstrap_draws(data.size(), data.size(), rng);
+    expect_weighted_matches_materialized(data, draws, data, TreeOptions{},
+                                         seed);
+    expect_weighted_matches_materialized(
+        data, draws, data, TreeOptions{.max_depth = 4, .max_features = 2},
+        seed);
+  }
+}
+
+TEST(WeightedBootstrap, MinSamplesCountsDrawsNotDistinctRows) {
+  // 30 distinct rows drawn 4 to 8 times each: nodes with 25 or more draws
+  // but fewer than 25 distinct rows must still split.
+  Rng rng(2606);
+  const Dataset data = random_clusters(200, 4, 2, rng);
+  const Dataset probe = random_clusters(80, 4, 2, rng);
+  std::vector<std::uint32_t> draws(data.size(), 0);
+  for (std::size_t r = 0; r < 30; ++r) {
+    draws[r * 6] = static_cast<std::uint32_t>(rng.uniform_int(4, 8));
+  }
+  const TreeOptions options{.min_samples = 25};
+  expect_weighted_matches_materialized(data, draws, probe, options, 1);
+  DecisionTree tree(options, 1);
+  tree.fit_view(DatasetView(data), draws);
+  EXPECT_GT(tree.node_count(), 1u);
+}
+
+TEST(WeightedBootstrap, RejectsMismatchedOrEmptyDraws) {
+  Rng rng(2707);
+  const Dataset data = random_clusters(20, 3, 2, rng);
+  const DatasetView view(data);
+  DecisionTree tree(TreeOptions{}, 1);
+  const std::vector<std::uint32_t> short_draws(19, 1);
+  EXPECT_THROW(tree.fit_view(view, short_draws), InvalidArgument);
+  const std::vector<std::uint32_t> none(20, 0);
+  EXPECT_THROW(tree.fit_view(view, none), InvalidArgument);
+}
+
 // --- Forest determinism ------------------------------------------------------
 
 TEST(RandomForest, BitwiseIdenticalAcrossPoolWidths) {
@@ -213,6 +417,59 @@ TEST(RandomForest, PresortedMatchesPerNodeSortForest) {
 
   EXPECT_EQ(fast.predict_all(probe), naive.predict_all(probe));
   EXPECT_EQ(fast.predict_all(train), naive.predict_all(train));
+}
+
+/// 180 labelled windows of three features, the shape of one home's
+/// occupancy training set in the campaign: a power level quantized to 10 W,
+/// a rounded spread, and the hour of day (long equal-value runs).
+Dataset campaign_shaped(Rng& rng) {
+  Dataset data;
+  for (int i = 0; i < 180; ++i) {
+    const int occupied = static_cast<int>(rng.uniform_int(0, 1));
+    const double level =
+        std::round(rng.normal(occupied ? 420.0 : 260.0, 120.0) / 10.0) * 10.0;
+    const double spread = std::round(rng.normal(occupied ? 80.0 : 55.0, 30.0));
+    data.append({level, spread, static_cast<double>(i % 24)}, occupied);
+  }
+  return data;
+}
+
+/// FNV-1a over every node of the forest: threshold bits, feature, next.
+std::uint64_t forest_hash(const RandomForest& forest) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(forest.tree_count());
+  for (const auto& node : forest.nodes()) {
+    mix(std::bit_cast<std::uint64_t>(node.threshold));
+    mix(static_cast<std::uint32_t>(node.feature));
+    mix(static_cast<std::uint32_t>(node.next));
+  }
+  return h;
+}
+
+TEST(RandomForest, CampaignShapedForestMatchesGoldenNodeHash) {
+  // The values were captured from the forest builder that grew every
+  // bootstrap draw as its own sample position: weighting distinct rows by
+  // their draw counts must not move a single node. The campaign's options
+  // (min_samples 2) cannot tell draws from distinct rows, since a node of
+  // one distinct row is pure; min_samples 10 can.
+  Rng rng(2323);
+  const Dataset train = campaign_shaped(rng);
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {2, 0x8a0d55e9140edb4cULL}, {10, 0xe1db31717f6f309aULL}};
+  for (const auto& [min_samples, hash] : golden) {
+    RandomForest forest(
+        ForestOptions{.num_trees = 100, .tree = {.min_samples = min_samples}},
+        7);
+    forest.fit(train);
+    EXPECT_EQ(forest.tree_count(), 100u);
+    EXPECT_EQ(forest_hash(forest), hash) << "min_samples=" << min_samples;
+  }
 }
 
 // --- Flat forest inference vs the seed forest's full vote --------------------
