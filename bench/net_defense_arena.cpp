@@ -4,6 +4,8 @@
 // Self-check (deterministic output only — CI diffs it across
 // PMIOT_THREADS ∈ {1, 4, 16} and PMIOT_SIMD ON/OFF):
 //   * intensity 0 is a bitwise passthrough for every registered defense;
+//   * constant-rate padding equals its stable-sorting reference, bill
+//     included;
 //   * shaped captures run through the streaming WindowAccumulator and the
 //     arena's streaming recovery path match the per-window
 //     extract_window_features / extract_recovery_features references bit
@@ -37,6 +39,7 @@
 #include "net/shaping.h"
 #include "obs/metrics.h"
 #include "reference/recovery_features.h"
+#include "reference/shaping_oracle.h"
 #include "reference/window_features.h"
 
 using namespace pmiot;
@@ -105,6 +108,18 @@ int self_check() {
       const auto defense = net::make_traffic_defense(name);
       Rng apply_rng(par::shard_seed(options.seed, 29));
       const auto shaped = defense->apply(home, 1200.0, 0.7, apply_rng);
+      if (name == "constant-rate") {  // the lane merge vs the stable sort
+        Rng oracle_rng(par::shard_seed(options.seed, 29));
+        const auto want =
+            reference::constant_rate_padding(home, 1200.0, 0.7, oracle_rng);
+        if (!same_packets(shaped.packets, want.packets) ||
+            shaped.added_bytes != want.added_bytes ||
+            shaped.added_latency_s != want.added_latency_s ||
+            shaped.delayed_packets != want.delayed_packets) {
+          return fail("constant-rate padding diverges from the "
+                      "stable-sorting reference");
+        }
+      }
       const auto wan = net::wan_view(shaped.packets);
       for (const auto& device : home.devices) {
         const auto rows = net::windowed_features(

@@ -400,6 +400,14 @@ std::vector<SupervisedFingerprintAttack> panel_of(const ArenaOptions& o) {
   return panel;
 }
 
+/// `par::parallel_for` over [0, n) under the wall timer `name`: one per
+/// batch of `run_arena`.
+template <typename Fn>
+void timed_parallel_for(const char* name, std::size_t n, Fn&& fn) {
+  obs::ScopedTimer span(obs::MetricsRegistry::instance().timer(name));
+  par::parallel_for(0, n, std::forward<Fn>(fn));
+}
+
 /// `TrafficDefense::apply` under its `net.shape.<defense>` stage timer.
 ShapedCapture shape(const TrafficDefense& defense, const HomeNetwork& home,
                     double duration_s, double intensity, Rng& rng) {
@@ -523,7 +531,7 @@ ArenaResult run_arena(const ArenaOptions& o) {
   constexpr std::size_t kHomes = 2;
   std::array<HomeNetwork, kHomes> homes;
   std::array<WindowTable, kHomes> raw;
-  par::parallel_for(0, kHomes, [&](std::size_t h) {
+  timed_parallel_for("net.arena.setup", kHomes, [&](std::size_t h) {
     Rng rng(par::shard_seed(o.seed, h == 0 ? kTrainHomeSalt : kTestHomeSalt));
     homes[h] = simulate_home_network(h == 0 ? o.train_instances_per_type
                                             : o.test_instances_per_type,
@@ -550,8 +558,9 @@ ArenaResult run_arena(const ArenaOptions& o) {
   ArenaResult result;
   result.cells.resize(num_cells);
   const auto num_fits = pretrained_attacks.size();
-  par::parallel_for(
-      0, num_fits + shaped_cells.size() * kHomes, [&](std::size_t task) {
+  timed_parallel_for(
+      "net.arena.shape_and_window", num_fits + shaped_cells.size() * kHomes,
+      [&](std::size_t task) {
         if (task < num_fits) {
           const auto a = pretrained_attacks[task];
           pretrained[a] = fit_attack(panel[a], raw[0],
@@ -583,19 +592,20 @@ ArenaResult run_arena(const ArenaOptions& o) {
   // an adaptive one retrains on the cell's shaped lab home first, unless
   // the observed home shows it nothing to score.
   std::vector<AttackScore> scores(num_cells * panel.size());
-  par::parallel_for(0, scores.size(), [&](std::size_t task) {
-    const auto cell = task / panel.size();
-    const auto a = task % panel.size();
-    const auto& attack = panel[a];
-    const auto& test = table(cell, 1);
-    FittedAttack adapted;
-    if (attack.adaptive && has_visible_window(test)) {
-      adapted = fit_attack(attack, table(cell, 0),
-                           par::shard_seed(cell_seed(cell), 2 + a));
-    }
-    scores[task] =
-        score_attack(attack, attack.adaptive ? adapted : pretrained[a], test);
-  });
+  timed_parallel_for(
+      "net.arena.fit_and_score", scores.size(), [&](std::size_t task) {
+        const auto cell = task / panel.size();
+        const auto a = task % panel.size();
+        const auto& attack = panel[a];
+        const auto& test = table(cell, 1);
+        FittedAttack adapted;
+        if (attack.adaptive && has_visible_window(test)) {
+          adapted = fit_attack(attack, table(cell, 0),
+                               par::shard_seed(cell_seed(cell), 2 + a));
+        }
+        scores[task] = score_attack(
+            attack, attack.adaptive ? adapted : pretrained[a], test);
+      });
 
   for (std::size_t cell = 0; cell < num_cells; ++cell) {
     auto& c = result.cells[cell];

@@ -29,6 +29,13 @@ inline std::size_t mix_bits(std::uint64_t z) noexcept {
   return static_cast<std::size_t>(z ^ (z >> 31));
 }
 
+/// Hash for tables keyed by an IPv4 address.
+struct IpHash {
+  std::size_t operator()(std::uint32_t ip) const noexcept {
+    return mix_bits(ip);
+  }
+};
+
 /// Map from `Key` to `Value`: linear probing over a power-of-two slot
 /// array kept at most half full.
 template <typename Key, typename Hash, typename Value = std::uint32_t>

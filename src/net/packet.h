@@ -75,7 +75,7 @@ struct FlowKeyHash {
   std::size_t operator()(const FlowKey& key) const noexcept;
 };
 
-/// Reusable buffers for `sort_by_time`: the merge destination and the run
+/// Reusable buffers for `sort_by_time`: the merge buffer and the run
 /// bounds. Callers that sort many captures keep one to avoid reallocating.
 struct SortScratch {
   std::vector<Packet> buffer;
@@ -85,18 +85,20 @@ struct SortScratch {
 /// Sorts packets by timestamp (generators emit per-device, merge for the
 /// gateway view). Stable: equal timestamps keep their input order. A
 /// natural-run merge sort: it finds the maximal non-decreasing runs and
-/// merges neighbours pairwise, so a capture of r emission runs costs
-/// O(n log r). The result may live in what was the scratch buffer (the
-/// two vectors are swapped), so pointers into `packets` do not survive.
+/// merges neighbours pairwise in place, each merge through a copy of its
+/// shorter side, so a capture of r emission runs costs O(n log r) and the
+/// buffer at most n/2 packets.
 void sort_by_time(std::vector<Packet>& packets);
 void sort_by_time(std::vector<Packet>& packets, SortScratch& scratch);
 
 /// `sort_by_time` for a capture whose first `prefix` packets are already
-/// in order and whose tail was appended: stable-sorts only the tail and
-/// merges it in, so the result is identical to `sort_by_time(packets)` (a
-/// tied prefix packet precedes a tied tail packet). Falls back to the full
-/// sort when the prefix turns out unsorted. Throws InvalidArgument when
-/// `prefix` exceeds the capture.
+/// in order and whose tail was appended: the tail's natural runs are
+/// merged into one, then the tail into the prefix, all in place, so the
+/// result is identical to `sort_by_time(packets)` (a tied prefix packet
+/// precedes a tied tail packet). A tail appended as r sorted runs costs
+/// O(t log r) and the prefix one pass; the buffer holds at most half the
+/// capture. An unsorted prefix is sorted the same way first. Throws
+/// InvalidArgument when `prefix` exceeds the capture.
 void merge_sorted_tail(std::vector<Packet>& packets, std::size_t prefix);
 
 }  // namespace pmiot::net

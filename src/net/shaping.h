@@ -52,11 +52,19 @@ struct ShapedCapture {
 /// Interface every traffic defense implements; the network-layer mirror of
 /// `core::Defense`. Contract:
 ///   * intensity is clamped to [0, 1] by callers; 0 MUST return the home's
-///     packets bitwise unchanged with a zero bill;
+///     packets bitwise unchanged with a zero bill, and checks nothing;
+///   * above 0 the input must be a time-sorted capture (`sort_by_time`;
+///     NaN timestamps count as unsorted) of a roster of distinct LAN
+///     addresses, over a finite `duration_s`. Anything else throws
+///     InvalidArgument before any shaping, as does a constant-rate
+///     intensity above 1;
 ///   * output order equals `sort_by_time` of the defense's emission
 ///     sequence (passed-through packets first, then generated ones, so
-///     ties keep emission order); a defense that appends to an
-///     already-sorted prefix restores it with `merge_sorted_tail`;
+///     ties keep emission order). No defense sorts the whole capture:
+///     constant-rate emits each lane in time order, cover and decoy append
+///     a few sorted runs per device, and `merge_sorted_tail` merges either
+///     into the passed-through packets (DESIGN.md §18); vpn keeps the
+///     input's order;
 ///   * all randomness comes from `rng`, so one (home, intensity, seed)
 ///     triple fully determines the output.
 class TrafficDefense {
@@ -132,7 +140,8 @@ std::unique_ptr<TrafficDefense> make_traffic_defense(const std::string& name);
 
 /// The WAN observer's view of a capture: only packets with at least one
 /// non-LAN endpoint (what an ISP-side fingerprinter can see; LAN-only
-/// chatter never crosses the uplink).
+/// chatter never crosses the uplink). The arena applies the same rule
+/// inline; this copy serves the benches and tests.
 std::vector<Packet> wan_view(std::span<const Packet> packets);
 
 }  // namespace pmiot::net

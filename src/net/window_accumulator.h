@@ -63,12 +63,6 @@ class WindowAccumulator {
   std::vector<WindowRow> finish(double duration_s);
 
  private:
-  struct IpHash {
-    std::size_t operator()(std::uint32_t ip) const noexcept {
-      return mix_bits(ip);
-    }
-  };
-
   /// A flow idle for longer than this ends; the key's next packet starts
   /// a new flow (the reference flow table's default timeout).
   static constexpr double kFlowIdleTimeoutS = 120.0;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -26,6 +28,7 @@
 #include "net/window_accumulator.h"
 #include "obs/metrics.h"
 #include "reference/recovery_features.h"
+#include "reference/shaping_oracle.h"
 #include "reference/window_features.h"
 
 namespace pmiot::net {
@@ -33,15 +36,17 @@ namespace {
 
 using reference::extract_window_features;
 
+/// Field-by-field equality, timestamps compared bit for bit.
 bool same_packets(const std::vector<Packet>& a, const std::vector<Packet>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const auto& x = a[i];
     const auto& y = b[i];
-    if (x.timestamp_s != y.timestamp_s || x.src_ip != y.src_ip ||
-        x.dst_ip != y.dst_ip || x.src_port != y.src_port ||
-        x.dst_port != y.dst_port || x.protocol != y.protocol ||
-        x.size_bytes != y.size_bytes) {
+    if (std::bit_cast<std::uint64_t>(x.timestamp_s) !=
+            std::bit_cast<std::uint64_t>(y.timestamp_s) ||
+        x.src_ip != y.src_ip || x.dst_ip != y.dst_ip ||
+        x.src_port != y.src_port || x.dst_port != y.dst_port ||
+        x.protocol != y.protocol || x.size_bytes != y.size_bytes) {
       return false;
     }
   }
@@ -409,6 +414,422 @@ TEST(Shaping, MergeSortedTailEqualsFullStableSort) {
   EXPECT_THROW(merge_sorted_tail(two, 3), InvalidArgument);
 }
 
+// --- hostile input ----------------------------------------------------------
+
+TEST(Shaping, RejectsHostileInputAboveIntensityZero) {
+  const auto home = small_home();
+  auto unsorted = home;
+  unsorted.packets.push_back(unsorted.packets.front());  // back in time
+  auto not_a_number = home;
+  not_a_number.packets[3].timestamp_s = std::nan("");
+  auto duplicate = home;
+  duplicate.devices.push_back(duplicate.devices.front());
+  auto off_lan = home;
+  off_lan.devices.front().ip = make_ip(192, 168, 1, 10);
+  const std::pair<const char*, const HomeNetwork*> cases[] = {
+      {"unsorted capture", &unsorted},
+      {"NaN timestamp", &not_a_number},
+      {"duplicate roster address", &duplicate},
+      {"non-LAN roster address", &off_lan},
+  };
+  for (const auto& name : traffic_defense_names()) {
+    const auto defense = make_traffic_defense(name);
+    for (const auto& [what, hostile] : cases) {
+      Rng rng(3);
+      EXPECT_THROW((void)defense->apply(*hostile, 900.0, 0.5, rng),
+                   InvalidArgument)
+          << name << ": " << what;
+      // θ = 0 checks nothing: the capture passes through as it is.
+      const auto kept = defense->apply(*hostile, 900.0, 0.0, rng);
+      EXPECT_TRUE(same_packets(kept.packets, hostile->packets))
+          << name << ": " << what;
+    }
+    Rng rng(3);
+    EXPECT_THROW((void)defense->apply(
+                     home, std::numeric_limits<double>::infinity(), 0.5, rng),
+                 InvalidArgument)
+        << name;
+  }
+  // A slot period must stay positive, so constant-rate bounds θ too.
+  Rng rng(3);
+  EXPECT_THROW((void)ConstantRatePadding().apply(home, 900.0, 1.5, rng),
+               InvalidArgument);
+  EXPECT_THROW(
+      (void)ConstantRatePadding().apply(home, 900.0, std::nan(""), rng),
+      InvalidArgument);
+}
+
+// --- exactness ---------------------------------------------------------------
+
+/// FNV-1a over every field of every packet, then the bill, byte by byte in
+/// little-endian order (padding never enters).
+std::uint64_t capture_hash(const ShapedCapture& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto add_double = [&](double d) {
+    add(std::bit_cast<std::uint64_t>(d), 8);
+  };
+  for (const auto& p : s.packets) {
+    add_double(p.timestamp_s);
+    add(p.src_ip, 4);
+    add(p.dst_ip, 4);
+    add(p.src_port, 2);
+    add(p.dst_port, 2);
+    add(static_cast<std::uint8_t>(p.protocol), 1);
+    add(static_cast<std::uint32_t>(p.size_bytes), 4);
+  }
+  add_double(s.original_bytes);
+  add_double(s.added_bytes);
+  add_double(s.added_latency_s);
+  add(s.delayed_packets, 8);
+  return h;
+}
+
+// Hashes of every defense's capture, bill included, as the stable-sorting
+// shapers produced them: the merges must reproduce them bit for bit.
+TEST(Shaping, CapturesMatchPinnedHashes) {
+  struct Pinned {
+    double duration_s;
+    std::uint64_t seed;
+    const char* defense;
+    std::array<std::uint64_t, 4> hashes;  ///< θ = 0.05, 0.35, 0.7, 1
+  };
+  static constexpr Pinned kPinned[] = {
+      {900.0, 1, "constant-rate",
+       {0x7df132e71b36ba7cULL, 0xe099193bfbdf9c0eULL, 0x0bc754c467220bacULL,
+        0xb0ef06d5da5e65f0ULL}},
+      {900.0, 1, "cover",
+       {0xf773e905ef4e43e3ULL, 0x95b17fe24cbc0d7fULL, 0xf037cb1ac9604cc6ULL,
+        0xa5479fbd45d92295ULL}},
+      {900.0, 1, "decoy",
+       {0x89d5d87585f8db48ULL, 0x95222af67b7f3767ULL, 0x1f98e9f48c86f9d9ULL,
+        0xf154860844764a4fULL}},
+      {900.0, 1, "vpn",
+       {0xd97beff4b91b0bd4ULL, 0x060d512d4a0bc376ULL, 0x9566d501a6f52837ULL,
+        0x558cf0cc5cb8012aULL}},
+      {900.0, 2, "constant-rate",
+       {0x94d0f20c7fb9bdf2ULL, 0x802db5d876dc7152ULL, 0xcb4bdff727dc277cULL,
+        0x70ef6cca87e01e83ULL}},
+      {900.0, 2, "cover",
+       {0xe282309b4e0dbac0ULL, 0xdc3f1b4758adcc1eULL, 0x7a24739bb8a21d45ULL,
+        0x6c00515c7f431567ULL}},
+      {900.0, 2, "decoy",
+       {0x703c18bea1c84ec2ULL, 0xd55bbde4bfbe47d5ULL, 0xeffbc494c96997efULL,
+        0xaee89cdd7e750524ULL}},
+      {900.0, 2, "vpn",
+       {0x9cf6f2acee867564ULL, 0x965e9e555be99359ULL, 0x61c9e099282b20daULL,
+        0xbfbdcf118c55824bULL}},
+      {900.0, 3, "constant-rate",
+       {0x03ddb21b0f83d07eULL, 0x765093eaca4d6d8aULL, 0x4d140cd6af16078dULL,
+        0x9f0c3eaf80c5461aULL}},
+      {900.0, 3, "cover",
+       {0xd10d12a24c66287fULL, 0xd93c7696eb2e4f23ULL, 0x1172dddf9a668078ULL,
+        0x13cc531a75869346ULL}},
+      {900.0, 3, "decoy",
+       {0x1c61fc6303a0e1d2ULL, 0xaae02fcd132aa820ULL, 0x6a54154155c2c4feULL,
+        0x1a350df9165b83d4ULL}},
+      {900.0, 3, "vpn",
+       {0x54efb9d4cb9f2284ULL, 0x6d73a6988e687451ULL, 0x96306ba731068dafULL,
+        0x89c15e24f20e6c2cULL}},
+      {3600.0, 1, "constant-rate",
+       {0xce113494709bdfdbULL, 0x7511871585f42bbfULL, 0x42bb55fa2a6bad30ULL,
+        0xe449ea0b57cbf03aULL}},
+      {3600.0, 1, "cover",
+       {0x968c1c9a87fac2f4ULL, 0x32ed4ba38ad97572ULL, 0x5942297871ded325ULL,
+        0xf424234e1d265bcbULL}},
+      {3600.0, 1, "decoy",
+       {0x6e9a64b78cc01725ULL, 0xb9507737ce941fefULL, 0x5e7a0561529e2214ULL,
+        0x6a6dc8220e699bafULL}},
+      {3600.0, 1, "vpn",
+       {0xa1047fda36bd806dULL, 0x1b3047875e8f886bULL, 0x779b8bd0d1b2ac3bULL,
+        0x611dc80d672be0abULL}},
+      {3600.0, 2, "constant-rate",
+       {0x4a931b50173a9d8aULL, 0x9631e730996542acULL, 0xdf58f2d671de7cedULL,
+        0x1e2e5e5989a11189ULL}},
+      {3600.0, 2, "cover",
+       {0x4a069bbda169d28aULL, 0x0e3eca4898773fffULL, 0x8ca6d9fc6a6cfae1ULL,
+        0x5c8257f70c055c5fULL}},
+      {3600.0, 2, "decoy",
+       {0xf61fb5dee210f411ULL, 0xd364639a2168ee9cULL, 0x175f4639870fae63ULL,
+        0xf79918ea6fc9eb5fULL}},
+      {3600.0, 2, "vpn",
+       {0x6b23b8ff07edab91ULL, 0x0217000a70048b52ULL, 0x6438317338299740ULL,
+        0x6738021ab26937c0ULL}},
+      {3600.0, 3, "constant-rate",
+       {0x3aa579f79491d68eULL, 0x5f0e5057b98281cfULL, 0xf81e80a833f65645ULL,
+        0x31a4b6aa278217ffULL}},
+      {3600.0, 3, "cover",
+       {0x8ba21d7b6c27553cULL, 0x6248c02c9449f83dULL, 0x1e8720e4e95e62cdULL,
+        0x3d8adde718f2884dULL}},
+      {3600.0, 3, "decoy",
+       {0x594932e5a432475bULL, 0xe582390f3e1e7c07ULL, 0x349346cef0e5b32eULL,
+        0xfff7f5b685a324a2ULL}},
+      {3600.0, 3, "vpn",
+       {0x490667d73171f4b8ULL, 0xf71e30a9f61f9be3ULL, 0x49b8c8e0d9492616ULL,
+        0x4f21745424814034ULL}},
+  };
+  for (const auto& pin : kPinned) {
+    Rng home_rng(pin.seed);
+    const auto home = simulate_home_network(1, pin.duration_s, home_rng);
+    const auto defense = make_traffic_defense(pin.defense);
+    const double thetas[] = {0.05, 0.35, 0.7, 1.0};
+    for (std::size_t i = 0; i < 4; ++i) {
+      Rng rng(pin.seed * 1000 + 17);
+      EXPECT_EQ(capture_hash(defense->apply(home, pin.duration_s, thetas[i],
+                                            rng)),
+                pin.hashes[i])
+          << pin.defense << " duration " << pin.duration_s << " seed "
+          << pin.seed << " θ " << thetas[i];
+    }
+  }
+}
+
+/// Constant-rate padding against the stable-sorting oracle: packets,
+/// order and bill.
+void expect_constant_rate_matches_oracle(const HomeNetwork& home,
+                                         double duration_s, double intensity,
+                                         std::uint64_t seed,
+                                         const std::string& what) {
+  Rng rng(seed), oracle_rng(seed);
+  const auto got =
+      ConstantRatePadding().apply(home, duration_s, intensity, rng);
+  const auto want = reference::constant_rate_padding(home, duration_s,
+                                                     intensity, oracle_rng);
+  EXPECT_TRUE(same_packets(got.packets, want.packets)) << what;
+  EXPECT_EQ(got.original_bytes, want.original_bytes) << what;
+  EXPECT_EQ(got.added_bytes, want.added_bytes) << what;
+  EXPECT_EQ(got.added_latency_s, want.added_latency_s) << what;
+  EXPECT_EQ(got.delayed_packets, want.delayed_packets) << what;
+}
+
+/// The phases constant-rate padding draws, lane by lane, for the given
+/// slot periods (`Rng::uniform(0, slot)` in roster × direction order).
+std::vector<double> lane_phases(std::uint64_t seed,
+                                const std::vector<double>& slot_s) {
+  Rng probe(seed);
+  std::vector<double> phases;
+  for (const double s : slot_s) phases.push_back(probe.uniform(0.0, s));
+  return phases;
+}
+
+DeviceProfile crafted_device(int instance) {
+  DeviceProfile dev;
+  dev.name = "crafted-" + std::to_string(instance);
+  dev.ip = make_ip(10, 0, 0, 10 + instance);
+  dev.cloud_ip = make_ip(52, 20, 0, 1 + instance);
+  return dev;
+}
+
+/// A device's packet to or from its cloud. `tag` is the device-side port,
+/// so every crafted packet stays tellable apart after size quantization.
+Packet up_packet(const DeviceProfile& dev, double t, int tag) {
+  const auto port = static_cast<std::uint16_t>(40000 + tag);
+  return Packet{t, dev.ip, dev.cloud_ip, port, 443, Protocol::kTcp, 300};
+}
+
+Packet down_packet(const DeviceProfile& dev, double t, int tag) {
+  const auto port = static_cast<std::uint16_t>(40000 + tag);
+  return Packet{t, dev.cloud_ip, dev.ip, 443, port, Protocol::kTcp, 500};
+}
+
+std::size_t count_at(const std::vector<Packet>& packets, double t) {
+  return static_cast<std::size_t>(std::count_if(
+      packets.begin(), packets.end(),
+      [&](const Packet& p) { return p.timestamp_s == t; }));
+}
+
+// At θ = 1 every lane's slot period is exactly 1 s, so the slot times are
+// known from the drawn phases and real packets can be put right on them.
+TEST(Shaping, ConstantRateTiesMatchStableSortOracle) {
+  constexpr std::uint64_t kSeed = 7;
+  const auto dev = crafted_device(0);
+  const auto phase = lane_phases(kSeed, {1.0, 1.0});
+  const auto slot_time = [&](std::size_t lane, int j) {
+    return phase[lane] + static_cast<double>(j) * 1.0;
+  };
+  const double t5 = slot_time(0, 5);
+
+  {  // 13 arrivals at slot 5: the first overflows in iteration 5 itself
+    HomeNetwork home{{dev}, {}};
+    for (int i = 0; i < 13; ++i) home.packets.push_back(up_packet(dev, t5, i));
+    expect_constant_rate_matches_oracle(home, 20.0, 1.0, kSeed,
+                                        "overflow in the slot's iteration");
+    Rng rng(kSeed);
+    const auto shaped = ConstantRatePadding().apply(home, 20.0, 1.0, rng);
+    EXPECT_EQ(count_at(shaped.packets, t5), 2u);  // overflow + slot packet
+  }
+  {  // 12 at slot 5, 2 more before slot 6: a t5 packet overflows later
+    HomeNetwork home{{dev}, {}};
+    for (int i = 0; i < 12; ++i) home.packets.push_back(up_packet(dev, t5, i));
+    home.packets.push_back(up_packet(dev, t5 + 0.5, 12));
+    home.packets.push_back(up_packet(dev, t5 + 0.5, 13));
+    expect_constant_rate_matches_oracle(home, 20.0, 1.0, kSeed,
+                                        "overflow in a later iteration");
+    Rng rng(kSeed);
+    const auto shaped = ConstantRatePadding().apply(home, 20.0, 1.0, rng);
+    EXPECT_EQ(count_at(shaped.packets, t5), 2u);  // slot 5 + late overflow
+  }
+  {  // 4 arrivals at the last slot: one rides it, three drain tied to it
+    const double last = slot_time(0, 19);
+    ASSERT_LT(last, 20.0);
+    ASSERT_GE(slot_time(0, 20), 20.0);
+    HomeNetwork home{{dev}, {}};
+    for (int i = 0; i < 4; ++i) {
+      home.packets.push_back(up_packet(dev, last, i));
+    }
+    expect_constant_rate_matches_oracle(home, 20.0, 1.0, kSeed,
+                                        "drain tied with the last slot");
+    Rng rng(kSeed);
+    const auto shaped = ConstantRatePadding().apply(home, 20.0, 1.0, rng);
+    EXPECT_EQ(count_at(shaped.packets, last), 4u);
+  }
+  {  // a burst on the first slot overflows in iteration 0, tied with it
+    HomeNetwork home{{dev}, {}};
+    for (int i = 0; i < 15; ++i) {
+      home.packets.push_back(up_packet(dev, slot_time(0, 0), i));
+    }
+    expect_constant_rate_matches_oracle(home, 20.0, 1.0, kSeed,
+                                        "overflow on the first slot");
+  }
+  {  // the down lane overflows exactly at an up-lane slot, and vice versa
+    HomeNetwork home{{dev}, {}};
+    const double down_slot = slot_time(1, 9);
+    for (int i = 0; i < 13; ++i) {
+      home.packets.push_back(down_packet(dev, t5, i));
+    }
+    for (int i = 0; i < 13; ++i) {
+      home.packets.push_back(up_packet(dev, down_slot, 20 + i));
+    }
+    expect_constant_rate_matches_oracle(home, 20.0, 1.0, kSeed,
+                                        "real-time packets on other lanes' "
+                                        "slots");
+  }
+}
+
+// Two lanes whose slot times coincide: the silent up lane has a 1 s period
+// at θ = 0.5, and the down lane's gap is searched so that its first slot
+// lands exactly on one of the up lane's.
+TEST(Shaping, ConstantRateEqualSlotTimesAcrossLanesMatchOracle) {
+  const auto dev = crafted_device(0);
+  for (const bool busy_lane_first : {false, true}) {
+    bool found = false;
+    for (std::uint64_t seed = 1; seed <= 40 && !found; ++seed) {
+      Rng probe(seed);
+      const double u_first = probe.uniform(), u_second = probe.uniform();
+      const double u_silent = busy_lane_first ? u_second : u_first;
+      const double u_busy = busy_lane_first ? u_first : u_second;
+      for (int j = 1; j <= 12 && !found; ++j) {
+        // The silent lane's slot j, as the shaper computes it.
+        const double target = u_silent + static_cast<double>(j) * 1.0;
+        double gap = 2.0 * (target / u_busy - 0.5);
+        if (gap < 0.25 || gap > 15.0) continue;
+        for (int step = 0; step < 400 && !found; ++step) {
+          const double slot = (1.0 - 0.5) * gap + 0.5 * 1.0;
+          const double phase = 0.0 + (slot - 0.0) * u_busy;
+          if (phase == target) {
+            found = true;
+            break;
+          }
+          gap = std::nextafter(gap, phase < target ? 100.0 : 0.0);
+        }
+        if (!found) continue;
+        HomeNetwork home{{dev}, {}};
+        if (busy_lane_first) {  // up lane busy (lane 0), down lane silent
+          home.packets = {up_packet(dev, 0.0, 0), up_packet(dev, gap, 1)};
+        } else {
+          home.packets = {down_packet(dev, 0.0, 0), down_packet(dev, gap, 1)};
+        }
+        expect_constant_rate_matches_oracle(
+            home, 20.0, 0.5, seed,
+            std::string("equal slot times, busy lane ") +
+                (busy_lane_first ? "first" : "second"));
+        Rng rng(seed);
+        const auto shaped = ConstantRatePadding().apply(home, 20.0, 0.5, rng);
+        EXPECT_EQ(count_at(shaped.packets, target), 2u);
+      }
+    }
+    EXPECT_TRUE(found) << "no exact slot coincidence found";
+  }
+}
+
+// Several devices with timestamps tied across devices, directions, the
+// passed-through LAN chatter and the overflow bursts.
+TEST(Shaping, ConstantRateCrossDeviceTiesMatchOracle) {
+  const auto a = crafted_device(0), b = crafted_device(1);
+  HomeNetwork home{{a, b}, {}};
+  for (const double t : {3.0, 50.0}) {
+    home.packets.push_back(
+        Packet{t, a.ip, b.ip, 5000, 5001, Protocol::kUdp, 80});  // LAN
+    for (int i = 0; i < 14; ++i) {
+      home.packets.push_back(up_packet(a, t, 100 + i));
+      home.packets.push_back(up_packet(b, t, 200 + i));
+      home.packets.push_back(down_packet(a, t, 300 + i));
+      home.packets.push_back(down_packet(b, t, 400 + i));
+    }
+  }
+  for (const double theta : {0.3, 0.7, 1.0}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      expect_constant_rate_matches_oracle(
+          home, 60.0, theta, seed,
+          "θ " + std::to_string(theta) + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+// Random captures on a coarse time grid — bursts that overflow, ties within
+// and across lanes, LAN chatter, off-roster traffic — against the oracle.
+TEST(Shaping, ConstantRateMatchesOracleOnRandomCaptures) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    HomeNetwork home;
+    const auto devices = rng.uniform_int(1, 3);
+    for (int d = 0; d < devices; ++d) home.devices.push_back(crafted_device(d));
+    const auto n = rng.uniform_int(0, 400);
+    for (std::int64_t i = 0; i < n; ++i) {
+      const double t = 0.25 * static_cast<double>(rng.uniform_int(0, 160));
+      const auto& dev = home.devices[static_cast<std::size_t>(
+          rng.uniform_int(0, devices - 1))];
+      const auto kind = rng.uniform_int(0, 9);
+      const int size = static_cast<int>(rng.uniform_int(0, 1600));
+      const auto remote = make_ip(52, 20, 0, 1 + static_cast<int>(
+                                                 rng.uniform_int(0, 2)));
+      const auto port = static_cast<std::uint16_t>(i);  // tells packets apart
+      if (kind < 4) {
+        home.packets.push_back(
+            Packet{t, dev.ip, remote, port, 443, Protocol::kTcp, size});
+      } else if (kind < 8) {
+        home.packets.push_back(
+            Packet{t, remote, dev.ip, 443, port, Protocol::kTcp, size});
+      } else if (kind == 8) {
+        home.packets.push_back(Packet{t, dev.ip, make_ip(10, 0, 0, 2), 5000,
+                                      5000, Protocol::kUdp, size});
+      } else {
+        home.packets.push_back(Packet{t, make_ip(10, 0, 0, 99), remote,
+                                      40099, 443, Protocol::kTcp, size});
+      }
+    }
+    sort_by_time(home.packets);
+    const double thetas[] = {0.2, 0.5, 0.9, 1.0};
+    expect_constant_rate_matches_oracle(
+        home, 42.0, thetas[trial % 4], static_cast<std::uint64_t>(trial),
+        "trial " + std::to_string(trial));
+  }
+  // Whole simulated homes, every device class.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto home = small_home(seed, 1800.0);
+    for (const double theta : {0.1, 0.35, 0.7, 1.0}) {
+      expect_constant_rate_matches_oracle(home, 1800.0, theta, seed + 50,
+                                          "simulated home seed " +
+                                              std::to_string(seed));
+    }
+  }
+}
+
 // --- the arena --------------------------------------------------------------
 
 ArenaOptions tiny_arena() {
@@ -547,6 +968,11 @@ TEST(Arena, ReportsStageTimersAndCounters) {
   // Each defense shapes only its θ = 1 cell: 1 cell x 2 homes.
   EXPECT_EQ(timer_count(snap, "net.shape.constant-rate"), 2u);
   EXPECT_EQ(timer_count(snap, "net.shape.vpn"), 2u);
+  // One wall timer per batch of the run.
+  for (const char* phase : {"net.arena.setup", "net.arena.shape_and_window",
+                            "net.arena.fit_and_score"}) {
+    EXPECT_EQ(timer_count(snap, phase), 1u) << phase;
+  }
 }
 
 // The pre-trained attack is fitted once per grid and shared by every cell.

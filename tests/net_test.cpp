@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -167,6 +168,7 @@ TEST(SortByTime, MatchesStableSortOnRunsWithCrossRunTies) {
 }
 
 TEST(SortByTime, EdgeCases) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   SortScratch scratch;  // reused across every case
   const std::vector<std::pair<std::string, std::vector<double>>> cases = {
       {"empty", {}},
@@ -177,6 +179,8 @@ TEST(SortByTime, EdgeCases) {
       {"three runs", {1.0, 2.0, 0.0, 2.0, 1.0, 1.0}},
       {"five runs", {3.0, 2.0, 4.0, 1.0, 1.0, 0.0, 9.0, 2.0}},
       {"two runs", {1.0, 2.0, 3.0, 1.0, 2.0, 3.0}},
+      // A live run at +inf must still beat the runs already spent.
+      {"infinite timestamps", {kInf, 1.0, kInf, -kInf, kInf, 0.0, kInf}},
   };
   for (const auto& [name, times] : cases) {
     expect_sorts_like_stable_sort(tagged(times), scratch, name);
