@@ -16,7 +16,6 @@
 // K = 4096 — a size where the naive decoder's joint table alone would be
 // 128 MiB — to pin the cost of the raised state-space cap.
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "common/table.h"
 #include "ml/fhmm.h"
 #include "reference/fhmm_decode.h"
-#include "simd/simd.h"
 
 using namespace pmiot;
 
@@ -194,97 +192,13 @@ int main() {
   std::cout << "\nfactored vs naive at K=" << fhmm.joint_state_count() << ": "
             << format_double(speedup, 1) << "x\n";
 
-  // --- SIMD kernel micros: emission batches + chainwise max-sum ------------
-  // The decoder's two inner kernels, timed dispatched-vs-scalar in isolation
-  // (outputs verified bitwise first — the dispatched path must be a pure
-  // speedup, never a different answer).
-  double emission_speedup = 1.0;
-  double stage_speedup = 1.0;
-  {
-    constexpr std::size_t kStates = 2048;
-    constexpr std::size_t kGroupN = 4;
-    constexpr std::size_t kGroupSpan = kStates / kGroupN;
-    constexpr int kReps = 4000;
-    Rng mrng(77);
-    std::vector<double> base(kStates), centers(kStates);
-    for (auto& v : base) v = mrng.uniform(-40.0, 0.0);
-    for (auto& v : centers) v = mrng.uniform(0.0, 10.0);
-    std::vector<double> cur(kStates), lt(kGroupN * kGroupN);
-    for (auto& v : cur) v = mrng.uniform(-30.0, 0.0);
-    for (auto& v : lt) v = mrng.uniform(-8.0, 0.0);
-    std::vector<std::int32_t> origin(kStates);
-    for (std::size_t i = 0; i < kStates; ++i) {
-      origin[i] = static_cast<std::int32_t>(i % 17);
-    }
-    std::vector<double> out_a(kStates), out_b(kStates);
-    std::vector<std::int32_t> org_a(kStates), org_b(kStates);
-
-    simd::add_log_emission(base.data(), 3.2, centers.data(), kStates, -1.1,
-                           0.8, out_a.data());
-    simd::scalar::add_log_emission(base.data(), 3.2, centers.data(), kStates,
-                                   -1.1, 0.8, out_b.data());
-    simd::fhmm_stage_group(cur.data(), origin.data(), lt.data(), kGroupN,
-                           kGroupSpan, out_a.data(), org_a.data());
-    simd::scalar::fhmm_stage_group(cur.data(), origin.data(), lt.data(),
-                                   kGroupN, kGroupSpan, out_b.data(),
-                                   org_b.data());
-    // (out_a/out_b now hold the stage results; emission equality is covered
-    // exhaustively by tests/simd_test.cpp — here we sanity-check the stage.)
-    if (out_a != out_b || org_a != org_b) {
-      return fail("dispatched fhmm_stage_group differs from scalar");
-    }
-
-    double sink = 0.0;
-    const auto es0 = Clock::now();
-    for (int r = 0; r < kReps; ++r) {
-      simd::scalar::add_log_emission(base.data(), 3.2 + 1e-9 * r,
-                                     centers.data(), kStates, -1.1, 0.8,
-                                     out_b.data());
-      sink += out_b[static_cast<std::size_t>(r) % kStates];
-    }
-    const auto es1 = Clock::now();
-    const auto ev0 = Clock::now();
-    for (int r = 0; r < kReps; ++r) {
-      simd::add_log_emission(base.data(), 3.2 + 1e-9 * r, centers.data(),
-                             kStates, -1.1, 0.8, out_a.data());
-      sink += out_a[static_cast<std::size_t>(r) % kStates];
-    }
-    const auto ev1 = Clock::now();
-
-    const auto ss0 = Clock::now();
-    for (int r = 0; r < kReps; ++r) {
-      simd::scalar::fhmm_stage_group(cur.data(), origin.data(), lt.data(),
-                                     kGroupN, kGroupSpan, out_b.data(),
-                                     org_b.data());
-      sink += out_b[static_cast<std::size_t>(r) % kStates];
-    }
-    const auto ss1 = Clock::now();
-    const auto sv0 = Clock::now();
-    for (int r = 0; r < kReps; ++r) {
-      simd::fhmm_stage_group(cur.data(), origin.data(), lt.data(), kGroupN,
-                             kGroupSpan, out_a.data(), org_a.data());
-      sink += out_a[static_cast<std::size_t>(r) % kStates];
-    }
-    const auto sv1 = Clock::now();
-    if (!(sink == sink)) return EXIT_FAILURE;  // keep the loops live
-
-    emission_speedup = ms_between(es0, es1) / ms_between(ev0, ev1);
-    stage_speedup = ms_between(ss0, ss1) / ms_between(sv0, sv1);
-    std::cout << "\nsimd kernel micros (backend " << simd::backend()
-              << ", K=" << kStates << "): Gaussian log-emission batch "
-              << format_double(emission_speedup, 1)
-              << "x, chainwise max-sum stage "
-              << format_double(stage_speedup, 1) << "x vs scalar\n";
-  }
-
   bench::BenchJson json("fhmm_decode");
   json.config("joint_states", fhmm.joint_state_count())
       .config("chains", chains.size())
       .config("fanin_sum", fanin_sum(chains))
       .config("trace_samples", kTrace)
       .config("trace_days", kDays)
-      .config("noise_kw", kNoise)
-      .config("simd_backend", simd::backend());
+      .config("noise_kw", kNoise);
   json.result("naive_joint", naive_ms,
               static_cast<double>(kTrace) / (naive_ms / 1e3), "samples/s")
       .result("factored", factored_ms,
@@ -292,8 +206,6 @@ int main() {
       .result("factored_k4096", big_ms,
               static_cast<double>(kTrace) / (big_ms / 1e3), "samples/s");
   json.metric("speedup_vs_naive", speedup)
-      .metric("simd_emission_speedup", emission_speedup)
-      .metric("simd_stage_speedup", stage_speedup)
       .metric("self_check_passed", 1.0);
   if (json.write()) std::cout << "wrote " << json.path() << '\n';
   return EXIT_SUCCESS;

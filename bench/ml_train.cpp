@@ -41,7 +41,6 @@
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "reference/decision_tree.h"
-#include "simd/simd.h"
 
 using namespace pmiot;
 
@@ -280,73 +279,13 @@ int main(int argc, char** argv) {
             << "x; knn batch speedup: " << format_double(knn_speedup, 1)
             << "x\n";
 
-  // --- SIMD kernel micro: blocked kNN tile distances -----------------------
-  // The predict_all inner kernel in isolation: one column-major training
-  // tile, many query rows, dispatched vs scalar (bitwise-verified first).
-  double knn_tile_speedup = 1.0;
-  {
-    const std::size_t rows = 4096;
-    std::vector<double> cols(d * rows);
-    std::vector<double> norm2(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto& src = train.rows[r % train.size()];
-      double s = 0.0;
-      for (std::size_t c = 0; c < d; ++c) {
-        cols[c * rows + r] = src[c];
-        s += src[c] * src[c];
-      }
-      norm2[r] = s;
-    }
-    std::vector<double> out_a(rows), out_b(rows);
-    const auto& q0 = probe.rows[0];
-    double q2 = 0.0;
-    for (std::size_t c = 0; c < d; ++c) q2 += q0[c] * q0[c];
-    simd::knn_tile_dist2(q0.data(), d, cols.data(), rows, q2, norm2.data(),
-                         out_a.data());
-    simd::scalar::knn_tile_dist2(q0.data(), d, cols.data(), rows, q2,
-                                 norm2.data(), out_b.data());
-    if (out_a != out_b) {
-      return fail("dispatched knn_tile_dist2 differs from scalar");
-    }
-
-    constexpr int kReps = 2000;
-    double sink = 0.0;
-    const auto ts0 = Clock::now();
-    for (int r = 0; r < kReps; ++r) {
-      const auto& q = probe.rows[static_cast<std::size_t>(r) % probe.size()];
-      double qq = 0.0;
-      for (std::size_t c = 0; c < d; ++c) qq += q[c] * q[c];
-      simd::scalar::knn_tile_dist2(q.data(), d, cols.data(), rows, qq,
-                                   norm2.data(), out_b.data());
-      sink += out_b[static_cast<std::size_t>(r) % rows];
-    }
-    const auto ts1 = Clock::now();
-    const auto tv0 = Clock::now();
-    for (int r = 0; r < kReps; ++r) {
-      const auto& q = probe.rows[static_cast<std::size_t>(r) % probe.size()];
-      double qq = 0.0;
-      for (std::size_t c = 0; c < d; ++c) qq += q[c] * q[c];
-      simd::knn_tile_dist2(q.data(), d, cols.data(), rows, qq, norm2.data(),
-                           out_a.data());
-      sink += out_a[static_cast<std::size_t>(r) % rows];
-    }
-    const auto tv1 = Clock::now();
-    if (!(sink == sink)) return EXIT_FAILURE;  // keep the loops live
-
-    knn_tile_speedup = ms_between(ts0, ts1) / ms_between(tv0, tv1);
-    std::cout << "simd kNN tile kernel (backend " << simd::backend() << ", "
-              << rows << " x " << d << "): "
-              << format_double(knn_tile_speedup, 1) << "x vs scalar\n";
-  }
-
   bench::BenchJson json("ml_train");
   json.config("rows", n)
       .config("features", d)
       .config("classes", classes)
       .config("trees", num_trees)
       .config("knn_queries", probe.size())
-      .config("knn_k", k)
-      .config("simd_backend", simd::backend());
+      .config("knn_k", k);
   json.result("forest_fit_reference", ref_ms, trees_total / (ref_ms / 1e3),
               "trees/s")
       .result("forest_fit_columnar", fit_ms, trees_total / (fit_ms / 1e3),
@@ -359,7 +298,6 @@ int main(int argc, char** argv) {
               "queries/s");
   json.metric("forest_fit_speedup", forest_speedup)
       .metric("knn_batch_speedup", knn_speedup)
-      .metric("simd_knn_tile_speedup", knn_tile_speedup)
       .metric("self_check_passed", 1.0);
   if (json.write()) std::cout << "wrote " << json.path() << '\n';
 

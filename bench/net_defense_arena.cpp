@@ -2,7 +2,7 @@
 // layer), self-checked before any timing claim.
 //
 // Self-check (deterministic output only — CI diffs it across
-// PMIOT_THREADS ∈ {1, 4, 16} and PMIOT_SIMD ON/OFF):
+// PMIOT_THREADS ∈ {1, 4, 16}):
 //   * intensity 0 is a bitwise passthrough for every registered defense;
 //   * constant-rate padding equals its stable-sorting reference, bill
 //     included;

@@ -16,10 +16,12 @@
 #
 # Usage:
 #
-#   scripts/determinism-matrix.sh build [build-nosimd ...]
+#   scripts/determinism-matrix.sh build [build-parent ...]
 #
-# Pass a PMIOT_SIMD=ON and a PMIOT_SIMD=OFF build to check scalar/SIMD
-# parity as well as pool-width invariance. Each run gets a fresh working
+# One build checks pool-width invariance. Pass a second build of the parent
+# commit (first or second; every build is held to the first build's
+# outputs) to check that a change leaves every primary output and counter
+# byte-identical as well. Each run gets a fresh working
 # directory, so files a bench writes (BENCH_*.json, checkpoints) never leak
 # between runs; "wrote ..." lines name those files and are not compared.
 set -u -o pipefail
@@ -89,9 +91,12 @@ while read -r name binary args <&3; do
   [[ -z "${name}" || "${name}" == \#* ]] && continue
   reference=""
   metrics_reference=""
-  for b in "${builds[@]}"; do
+  for i in "${!builds[@]}"; do
+    b="${builds[${i}]}"
     for t in ${threads}; do
-      tag="$(basename "${b}")_t${t}"
+      # The position keeps two builds with one basename (build/ in two
+      # checkouts) from sharing, and overwriting, a working directory.
+      tag="${i}-$(basename "${b}")_t${t}"
       off="${out}/${name}_${tag}_m0"
       on="${out}/${name}_${tag}_m1"
       # shellcheck disable=SC2086  # args is a word list by design

@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "simd/simd.h"
 
 namespace pmiot::ml {
 
@@ -69,8 +68,6 @@ struct TreeScratch {
   std::vector<int> lab[2];
   std::vector<std::uint32_t> wgt[2];
   std::vector<unsigned char> goes_left;  // by row id
-  std::vector<unsigned char> neq;        // splittable-boundary mask, by rank
-  std::vector<unsigned char> side;       // <= threshold mask, by rank
   std::vector<std::size_t> counts, left_counts, right_counts;
   std::vector<std::size_t> split_left, split_right;
   std::vector<std::size_t> features;
@@ -160,8 +157,6 @@ class PresortedBuilder {
       size_scratch(s_.wgt[b], d_ * n_ + 1);
     }
     size_scratch(s_.goes_left, view_.rows());
-    size_scratch(s_.neq, n_);
-    size_scratch(s_.side, n_);
     s_.counts.assign(k_, 0);
     s_.left_counts.assign(k_, 0);
     s_.right_counts.assign(k_, 0);
@@ -294,11 +289,6 @@ class PresortedBuilder {
       std::size_t n_left = 0;
       double filter_rhs =
           static_cast<double>(m) * ((1.0 - best_score) + kFilterSlack);
-      // The equal-adjacent-values test is hoisted into one vector pass over
-      // the segment; the scan below reads the byte mask instead of two
-      // doubles per boundary. `x != x_next` is exactly the mask's
-      // definition, so the set of evaluated boundaries is unchanged.
-      simd::mask_adjacent_neq(vf + lo, hi - lo, s_.neq.data());
       for (std::size_t r = lo; r + 1 < hi; ++r) {
         const auto lbl = static_cast<std::size_t>(lf[r]);
         const std::size_t w = wf[r];
@@ -308,7 +298,9 @@ class PresortedBuilder {
         sq_left += (2 * cl - lw) * lw;
         sq_right -= (2 * cr + lw) * lw;
         n_left += w;
-        if (s_.neq[r - lo] == 0) continue;  // cannot split between equal values
+        // Cannot split between equal values (-0.0 == 0.0 counts as equal;
+        // NaN == NaN does not, so a NaN pair stays a boundary).
+        if (vf[r] == vf[r + 1]) continue;
         const auto n_right = m - n_left;
         if (use_filter) {
           const auto il = static_cast<long long>(n_left);
@@ -353,10 +345,8 @@ class PresortedBuilder {
       const int* lf = lab(cur, bf);
       const std::uint32_t* wf = wgt(cur, bf);
       std::fill(s_.split_left.begin(), s_.split_left.end(), 0);
-      // Vectorized compare (same <= semantics, NaN false), scalar scatter.
-      simd::mask_leq(vf + lo, hi - lo, best_threshold, s_.side.data());
       for (std::size_t r = lo; r < hi; ++r) {
-        const bool left = s_.side[r - lo] != 0;
+        const bool left = vf[r] <= best_threshold;  // NaN goes right
         s_.goes_left[pf[r]] = left ? 1 : 0;
         if (left) {
           s_.split_left[static_cast<std::size_t>(lf[r])] += wf[r];

@@ -10,7 +10,6 @@
 #include "ml/kmeans.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
-#include "simd/simd.h"
 
 namespace pmiot::ml {
 namespace {
@@ -235,22 +234,22 @@ FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate) const {
   const double inv_2var = 0.5 / (noise_stddev_ * noise_stddev_);
   const double log_norm = -std::log(noise_stddev_ * std::sqrt(2.0 * M_PI));
 
-  // Minimum span width worth routing through the vector stage kernel: the
-  // innermost stage (stride 1) stays on the inline scalar loop either way.
-  constexpr std::size_t kVectorSpanMin = 4;
-  const bool vectorize = simd::active();
-
   std::vector<double> delta(k);
   std::vector<double> next_delta(k);
   std::vector<double> cur(k), nxt(k);
   std::vector<std::int32_t> cur_origin(k), nxt_origin(k);
   std::vector<std::int32_t> psi(t_max * k, 0);
 
-  // delta[j] = log_init[j] + (log_norm - d*d*inv_2var), d = obs -
-  // joint_power_[j] — the SIMD batch is element-for-element the same
-  // arithmetic as the scalar reference (see simd.h contract).
-  simd::add_log_emission(log_init.data(), aggregate[0], joint_power_.data(),
-                         k, log_norm, inv_2var, delta.data());
+  // out[j] = base[j] + (log_norm - d*d*inv_2var), d = obs -
+  // joint_power_[j]: one observation scored against every joint state.
+  const auto add_log_emission = [&](const std::vector<double>& base,
+                                    double obs, std::vector<double>& out) {
+    for (std::size_t j = 0; j < k; ++j) {
+      const double d = obs - joint_power_[j];
+      out[j] = base[j] + (log_norm - d * d * inv_2var);
+    }
+  };
+  add_log_emission(log_init, aggregate[0], delta);
   for (std::size_t t = 1; t < t_max; ++t) {
     std::copy(delta.begin(), delta.end(), cur.begin());
     std::iota(cur_origin.begin(), cur_origin.end(), 0);
@@ -260,32 +259,21 @@ FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate) const {
       const std::size_t s = stride[c];
       const std::size_t group = n * s;
       const double* lt = chain_lt.data() + lt_offset[c];
-      if (vectorize && s >= kVectorSpanMin) {
-        // Vector path: lanes ride the contiguous span offset; compare
-        // chain (strict >, ascending a) identical to the loop below.
-        for (std::size_t base0 = 0; base0 < k; base0 += group) {
-          simd::fhmm_stage_group(cur.data() + base0,
-                                 cur_origin.data() + base0, lt, n, s,
-                                 nxt.data() + base0,
-                                 nxt_origin.data() + base0);
-        }
-      } else {
-        for (std::size_t base0 = 0; base0 < k; base0 += group) {
-          for (std::size_t lo = 0; lo < s; ++lo) {
-            const std::size_t base = base0 + lo;
-            for (std::size_t b = 0; b < n; ++b) {
-              double best = kNegInf;
-              std::size_t best_a = 0;
-              for (std::size_t a = 0; a < n; ++a) {
-                const double cand = cur[base + a * s] + lt[a * n + b];
-                if (cand > best) {
-                  best = cand;
-                  best_a = a;
-                }
+      for (std::size_t base0 = 0; base0 < k; base0 += group) {
+        for (std::size_t lo = 0; lo < s; ++lo) {
+          const std::size_t base = base0 + lo;
+          for (std::size_t b = 0; b < n; ++b) {
+            double best = kNegInf;
+            std::size_t best_a = 0;
+            for (std::size_t a = 0; a < n; ++a) {
+              const double cand = cur[base + a * s] + lt[a * n + b];
+              if (cand > best) {
+                best = cand;
+                best_a = a;
               }
-              nxt[base + b * s] = best;
-              nxt_origin[base + b * s] = cur_origin[base + best_a * s];
             }
+            nxt[base + b * s] = best;
+            nxt_origin[base + b * s] = cur_origin[base + best_a * s];
           }
         }
       }
@@ -293,8 +281,7 @@ FhmmDecoding FactorialHmm::decode(std::span<const double> aggregate) const {
       cur_origin.swap(nxt_origin);
       chain_eliminations_counter().add();
     }
-    simd::add_log_emission(cur.data(), aggregate[t], joint_power_.data(), k,
-                           log_norm, inv_2var, next_delta.data());
+    add_log_emission(cur, aggregate[t], next_delta);
     std::memcpy(psi.data() + t * k, cur_origin.data(),
                 k * sizeof(std::int32_t));
     delta.swap(next_delta);

@@ -6,7 +6,6 @@
 
 #include "common/error.h"
 #include "ml/kmeans.h"
-#include "simd/simd.h"
 
 namespace pmiot::ml {
 namespace {
@@ -204,14 +203,15 @@ std::vector<int> GaussianHmm::viterbi(
     inv_2var[s] = 0.5 / (params_.stddev[s] * params_.stddev[s]);
   }
   // Batch the whole emission table up front: log_em[s * t_max + t] is
-  // log_norm[s] - d*d*inv_2var[s] with d = obs[t] - mean[s], computed by
-  // the (bit-identical, SIMD-dispatched) per-state scan so the t-loop below
-  // becomes pure table reads.
+  // log_norm[s] - d*d*inv_2var[s] with d = obs[t] - mean[s], so the t-loop
+  // below becomes pure table reads.
   std::vector<double> log_em(n * t_max);
   for (std::size_t s = 0; s < n; ++s) {
-    simd::log_emission_scan(observations.data(), t_max, params_.mean[s],
-                            log_norm[s], inv_2var[s],
-                            log_em.data() + s * t_max);
+    double* row = log_em.data() + s * t_max;
+    for (std::size_t t = 0; t < t_max; ++t) {
+      const double d = observations[t] - params_.mean[s];
+      row[t] = log_norm[s] - d * d * inv_2var[s];
+    }
   }
 
   std::vector<double> log_trans(n * n);

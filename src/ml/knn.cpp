@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
-#include "simd/simd.h"
 
 namespace pmiot::ml {
 namespace {
@@ -22,20 +21,6 @@ obs::Counter& tile_kernels_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::instance().counter("ml.knn.tile_kernels");
   return c;
-}
-
-// Per-pool-thread scratch for the vector tile path: a column-major copy of
-// the current training tile plus a dist² staging buffer. Lives on the
-// long-lived pool threads, so steady-state batch prediction reuses the
-// capacity instead of reallocating per tile.
-struct TileScratch {
-  std::vector<double> cols;
-  std::vector<double> dist2;
-};
-
-TileScratch& tile_scratch() {
-  static thread_local TileScratch s;
-  return s;
 }
 
 }  // namespace
@@ -87,22 +72,6 @@ void KnnClassifier::fold_tile(const double* query, double query_norm2,
     for (std::size_t c = 0; c < d_; ++c) dot += query[c] * t[c];
     const Neighbour nb{query_norm2 + norm2_[r] - 2.0 * dot,
                        static_cast<std::uint32_t>(r)};
-    if (heap.size() < cap) {
-      heap.push_back(nb);
-      std::push_heap(heap.begin(), heap.end());  // worst (greatest) on top
-    } else if (nb < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = nb;
-      std::push_heap(heap.begin(), heap.end());
-    }
-  }
-}
-
-void KnnClassifier::fold_distances(const double* dist2, std::size_t begin,
-                                   std::size_t count, std::size_t cap,
-                                   std::vector<Neighbour>& heap) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    const Neighbour nb{dist2[i], static_cast<std::uint32_t>(begin + i)};
     if (heap.size() < cap) {
       heap.push_back(nb);
       std::push_heap(heap.begin(), heap.end());  // worst (greatest) on top
@@ -166,35 +135,12 @@ std::vector<int> KnnClassifier::predict_all(const Dataset& data) const {
       heaps[qi].reserve(cap);
     }
     // Training tiles outer, queries inner: each ~cache-sized block of
-    // training rows is reused across the whole query tile. With SIMD
-    // active the tile is transposed once into column-major scratch and the
-    // dist² row is computed by the vector kernel; the heap fold over the
-    // buffer makes the same decisions as `fold_tile` (same values, same
-    // row order), so both paths are bitwise identical.
-    const bool vectorize = simd::active();
-    TileScratch& scratch = tile_scratch();
+    // training rows is reused across the whole query tile.
     for (std::size_t begin = 0; begin < n_; begin += kTrainTile) {
       const std::size_t end = std::min(begin + kTrainTile, n_);
-      if (vectorize) {
-        const std::size_t rows = end - begin;
-        scratch.cols.resize(d_ * kTrainTile);
-        scratch.dist2.resize(kTrainTile);
-        for (std::size_t c = 0; c < d_; ++c) {
-          double* col = scratch.cols.data() + c * rows;
-          const double* src = train_.data() + begin * d_ + c;
-          for (std::size_t r = 0; r < rows; ++r) col[r] = src[r * d_];
-        }
-        for (std::size_t qi = 0; qi < q_count; ++qi) {
-          simd::knn_tile_dist2(data.rows[q_begin + qi].data(), d_,
-                               scratch.cols.data(), rows, q2[qi],
-                               norm2_.data() + begin, scratch.dist2.data());
-          fold_distances(scratch.dist2.data(), begin, rows, cap, heaps[qi]);
-        }
-      } else {
-        for (std::size_t qi = 0; qi < q_count; ++qi) {
-          fold_tile(data.rows[q_begin + qi].data(), q2[qi], begin, end, cap,
-                    heaps[qi]);
-        }
+      for (std::size_t qi = 0; qi < q_count; ++qi) {
+        fold_tile(data.rows[q_begin + qi].data(), q2[qi], begin, end, cap,
+                  heaps[qi]);
       }
     }
     // One add per shard (not per kernel call) keeps the tile loop tight.

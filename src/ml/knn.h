@@ -42,14 +42,6 @@ class KnnClassifier final : public Classifier {
                  std::size_t end, std::size_t cap,
                  std::vector<Neighbour>& heap) const;
 
-  /// Same bounded-heap fold, but over a precomputed dist² buffer for rows
-  /// [begin, begin + count) — the tail of the SIMD tile kernel. Heap
-  /// decisions are identical to `fold_tile` because the buffer holds the
-  /// same values in the same row order.
-  void fold_distances(const double* dist2, std::size_t begin,
-                      std::size_t count, std::size_t cap,
-                      std::vector<Neighbour>& heap) const;
-
   /// Majority vote over `nearest` (ascending (dist², row) order), ties
   /// between classes broken in favour of the nearest neighbour's class.
   int vote(std::vector<Neighbour>& nearest) const;

@@ -263,46 +263,24 @@ TEST(Lint, FlagsUnguardedSimd) {
       rules_of("src/a.cpp", "const char* s = \"_mm256_add_pd\";").empty());
 }
 
-TEST(Lint, SimdGuardedRegionsAreAllowed) {
-  // The shape src/simd/simd.cpp uses: an outer option check defining a
-  // derived symbol, then regions behind the derived symbol.
-  const std::string source = R"cpp(
-#if defined(PMIOT_SIMD) && defined(__x86_64__)
-#define PMIOT_SIMD_AVX2 1
-#endif
-#ifdef PMIOT_SIMD_AVX2
-#include <immintrin.h>
-__m256d load(const double* p) { return _mm256_loadu_pd(p); }
-#endif
-)cpp";
-  EXPECT_TRUE(rules_of("src/simd/x.cpp", source).empty());
-}
-
-TEST(Lint, SimdGuardElseBranchIsNotGuarded) {
-  // The #else of a PMIOT_SIMD conditional is the scalar side; intrinsics
-  // there defeat the point of the guard.
-  const std::string else_side =
+TEST(Lint, SimdInsidePreprocessorGuardIsFlagged) {
+  // No guard exempts vector code: every kernel has one scalar
+  // implementation, so intrinsics behind any conditional are findings.
+  const std::string guarded =
       "#ifdef PMIOT_SIMD\n"
-      "int a;\n"
-      "#else\n"
-      "auto v = _mm256_setzero_pd();\n"
+      "#include <immintrin.h>\n"
+      "__m256d load(const double* p) { return _mm256_loadu_pd(p); }\n"
       "#endif\n";
-  EXPECT_EQ(rules_of("src/a.cpp", else_side),
-            std::vector<std::string>{"simd-guard"});
-  // #ifndef inverts: the else branch is the guarded one.
-  const std::string ifndef_else =
+  EXPECT_EQ(rules_of("src/simd/x.cpp", guarded),
+            (std::vector<std::string>{"simd-guard", "simd-guard",
+                                      "simd-guard"}));
+  const std::string else_side =
       "#ifndef PMIOT_SIMD\n"
       "int a;\n"
       "#else\n"
       "auto v = _mm256_setzero_pd();\n"
       "#endif\n";
-  EXPECT_TRUE(rules_of("src/a.cpp", ifndef_else).empty());
-  // An unrelated guard does not count.
-  const std::string wrong_guard =
-      "#ifdef SOME_OTHER_FLAG\n"
-      "auto v = _mm256_setzero_pd();\n"
-      "#endif\n";
-  EXPECT_EQ(rules_of("src/a.cpp", wrong_guard),
+  EXPECT_EQ(rules_of("src/a.cpp", else_side),
             std::vector<std::string>{"simd-guard"});
 }
 

@@ -137,6 +137,15 @@ TEST(PresortedTree, DuplicatedValuesCorner) {
     expect_split_algorithms_equivalent(
         train, probe, TreeOptions{.max_depth = 4, .max_features = 2}, seed);
   }
+  // -0.0 and 0.0 are one value: no split may fall between them, even
+  // though a split there would separate the classes perfectly.
+  Dataset zeros;
+  for (int i = 0; i < 4; ++i) zeros.append({-0.0}, 0);
+  for (int i = 0; i < 4; ++i) zeros.append({0.0}, 1);
+  DecisionTree zero_tree(TreeOptions{}, 1);
+  zero_tree.fit(zeros);
+  EXPECT_EQ(zero_tree.node_count(), 1u);
+  expect_split_algorithms_equivalent(zeros, zeros, TreeOptions{}, 1);
 }
 
 // Two adjacent doubles whose midpoint rounds up to the larger one.

@@ -121,10 +121,9 @@ constexpr RuleInfo kRules[] = {
      "header uses a std:: symbol without including the standard header that "
      "provides it"},
     {"simd-guard",
-     "raw SIMD intrinsics, intrinsics headers, or vector pragmas outside a "
-     "PMIOT_SIMD-guarded preprocessor region; explicit vector code must stay "
-     "behind the PMIOT_SIMD build option (src/simd/) so scalar builds stay "
-     "the reference"},
+     "raw SIMD intrinsics, intrinsics headers, or vector pragmas anywhere in "
+     "the tree, preprocessor guards included; every kernel has one scalar "
+     "implementation"},
     {"privacy-flow",
      "a src/ function handling sensitive data (pmiot: sensitive names, "
      "occupancy/payload built-ins) reaches a file/stdout write sink outside "
@@ -503,41 +502,24 @@ void check_atomic_float(const std::string& path, const std::string& code,
   }
 }
 
-/// Flags explicit vector code outside PMIOT_SIMD-guarded preprocessor
-/// regions: x86 intrinsic identifiers (`_mm*`), vector register types
-/// (`__m128/__m256/__m512*`), includes of `*intrin.h`, and vectorization
-/// pragmas (`omp simd`, `ivdep`, `vectorize`). A region counts as guarded
-/// when ANY enclosing conditional's text mentions PMIOT_SIMD (this covers
-/// both `#if defined(PMIOT_SIMD) && ...` and derived symbols like
-/// `PMIOT_SIMD_AVX2`); the `#else` branch of such a conditional is the
-/// scalar side and is NOT guarded (inverted for `#ifndef`).
+/// Flags explicit vector code anywhere in the tree: x86 intrinsic
+/// identifiers (`_mm*`), vector register types (`__m128/__m256/__m512*`),
+/// includes of `*intrin.h`, and vectorization pragmas (`omp simd`, `ivdep`,
+/// `vectorize`). pmiot keeps one scalar implementation of every kernel, so
+/// no preprocessor guard makes such code acceptable; only an allow() does.
 void check_simd_guard(const std::string& path, const std::string& code,
                       std::vector<Diagnostic>& findings) {
-  struct Frame {
-    bool mentions = false;  // condition text mentions PMIOT_SIMD
-    bool negated = false;   // #ifndef: the else branch is the guarded one
-    bool in_else = false;
-    bool guarded() const { return mentions && (negated ? in_else : !in_else); }
-  };
-  std::vector<Frame> stack;
-  const auto any_guarded = [&stack] {
-    for (const auto& frame : stack) {
-      if (frame.guarded()) return true;
-    }
-    return false;
-  };
   const auto flag = [&](std::size_t pos, const std::string& what) {
     findings.push_back({path, line_of(code, pos), "simd-guard",
-                        what + " outside a PMIOT_SIMD-guarded region; keep "
-                               "explicit vector code behind the PMIOT_SIMD "
-                               "option with a scalar fallback (see src/simd/)"});
+                        what + "; pmiot keeps one scalar implementation per "
+                               "kernel, with no explicit vector code"});
   };
   std::size_t pos = 0;
   while (pos < code.size()) {
     std::size_t end = code.find('\n', pos);
     if (end == std::string::npos) end = code.size();
     // Fold backslash continuations into one logical line so a wrapped
-    // condition is inspected whole.
+    // pragma is inspected whole.
     while (end > pos && end < code.size() && code[end - 1] == '\\') {
       std::size_t next = code.find('\n', end + 1);
       if (next == std::string::npos) next = code.size();
@@ -556,21 +538,10 @@ void check_simd_guard(const std::string& path, const std::string& code,
       while (d_end < line.size() && is_ident_char(line[d_end])) ++d_end;
       const std::string directive = line.substr(d, d_end - d);
       const std::string rest = line.substr(d_end);
-      const bool mentions = rest.find("PMIOT_SIMD") != std::string::npos;
-      if (directive == "if" || directive == "ifdef") {
-        stack.push_back({mentions, false, false});
-      } else if (directive == "ifndef") {
-        stack.push_back({mentions, true, false});
-      } else if (directive == "elif") {
-        if (!stack.empty()) stack.back() = {mentions, false, false};
-      } else if (directive == "else") {
-        if (!stack.empty()) stack.back().in_else = true;
-      } else if (directive == "endif") {
-        if (!stack.empty()) stack.pop_back();
-      } else if (directive == "include" && !any_guarded() &&
-                 rest.find("intrin.h") != std::string::npos) {
+      if (directive == "include" &&
+          rest.find("intrin.h") != std::string::npos) {
         flag(pos + first, "intrinsics header include");
-      } else if (directive == "pragma" && !any_guarded() &&
+      } else if (directive == "pragma" &&
                  (find_word(rest, "simd") != std::string::npos ||
                   find_word(rest, "ivdep") != std::string::npos ||
                   rest.find("vectorize") != std::string::npos)) {
@@ -579,24 +550,22 @@ void check_simd_guard(const std::string& path, const std::string& code,
       pos = end + 1;
       continue;
     }
-    if (!any_guarded()) {
-      for (std::size_t i = 0; i < line.size(); ++i) {
-        if (!is_ident_char(line[i])) continue;
-        std::size_t j = i;
-        while (j < line.size() && is_ident_char(line[j])) ++j;
-        const bool word_start = i == 0 || !is_ident_char(line[i - 1]);
-        if (word_start) {
-          const std::string ident = line.substr(i, j - i);
-          if (ident.rfind("_mm", 0) == 0) {
-            flag(pos + i, "x86 SIMD intrinsic `" + ident + "`");
-          } else if (ident.rfind("__m128", 0) == 0 ||
-                     ident.rfind("__m256", 0) == 0 ||
-                     ident.rfind("__m512", 0) == 0) {
-            flag(pos + i, "SIMD register type `" + ident + "`");
-          }
+    for (std::size_t i = 0; i < line.size(); ++i) {
+      if (!is_ident_char(line[i])) continue;
+      std::size_t j = i;
+      while (j < line.size() && is_ident_char(line[j])) ++j;
+      const bool word_start = i == 0 || !is_ident_char(line[i - 1]);
+      if (word_start) {
+        const std::string ident = line.substr(i, j - i);
+        if (ident.rfind("_mm", 0) == 0) {
+          flag(pos + i, "x86 SIMD intrinsic `" + ident + "`");
+        } else if (ident.rfind("__m128", 0) == 0 ||
+                   ident.rfind("__m256", 0) == 0 ||
+                   ident.rfind("__m512", 0) == 0) {
+          flag(pos + i, "SIMD register type `" + ident + "`");
         }
-        i = j;
       }
+      i = j;
     }
     pos = end + 1;
   }

@@ -49,7 +49,7 @@
 //                           the standard header that provides it, not lean
 //                           on a transitive include.
 //   simd-guard      (all)   raw intrinsics / intrinsics headers / vector
-//                           pragmas outside a PMIOT_SIMD-guarded region.
+//                           pragmas anywhere; no guard exempts them.
 //
 // Project rules (need the cross-TU index; resolved over the whole run):
 //   privacy-flow    (src)   a function that handles sensitive data (an

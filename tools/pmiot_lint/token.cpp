@@ -155,7 +155,7 @@ void blank_comments_and_literals(ScanResult& out) {
 /// lines, track conditional nesting, and blank everything inside
 /// `#if 0` / `#if false` regions (including their comments, so grants and
 /// annotations there do not apply). Conditional directives themselves stay
-/// visible — the simd-guard rule replays them.
+/// visible.
 void blank_disabled_regions(ScanResult& out) {
   // 0 = unknown condition, 1 = known-true, 2 = known-false.
   struct Frame {
