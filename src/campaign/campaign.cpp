@@ -145,15 +145,18 @@ void validate(const CampaignConfig& config) {
   PMIOT_CHECK(config.homes_per_archetype >= 1, "campaign needs >= 1 home");
   PMIOT_CHECK(config.days >= 1, "campaign needs >= 1 day");
   PMIOT_CHECK(config.block_homes >= 1, "block_homes must be >= 1");
-  // Cell ids are 64-bit; a grid whose cell count would wrap is rejected.
+  // The result buffers must fit kMaxResultBytes; the running cell count is
+  // checked at every factor so it cannot wrap on the way.
+  const std::uint64_t max_cells =
+      kMaxResultBytes / (8 * (3 + std::uint64_t{config.attacks.size()}) + 1);
   std::uint64_t cells = 1;
   for (const std::uint64_t n :
        {std::uint64_t{config.archetypes.size()},
         std::uint64_t{config.homes_per_archetype},
         std::uint64_t{config.defenses.size()},
         std::uint64_t{config.intensities.size()}}) {
-    PMIOT_CHECK(cells <= UINT64_MAX / n,
-                "campaign grid has more cells than a 64-bit cell id holds");
+    PMIOT_CHECK(cells <= max_cells / n,
+                "campaign grid's results exceed kMaxResultBytes (4 GiB)");
     cells *= n;
   }
 }

@@ -112,6 +112,12 @@ struct CellRef {
   std::size_t intensity = 0;
 };
 
+/// Largest result a campaign grid may need, in bytes: `total_cells ×
+/// (payload_doubles × 8 + 1)`, the payload matrix plus one done flag per
+/// cell. A grid over this bound (4 GiB) is rejected with InvalidArgument
+/// before anything is allocated; it is a fixed limit, not a config key.
+inline constexpr std::uint64_t kMaxResultBytes = std::uint64_t{1} << 32;
+
 /// Dense cell numbering over the grid:
 ///   cell_id = ((archetype * H + home) * D + defense) * I + intensity
 /// Cells of one home are contiguous, so the planner's home-major blocks

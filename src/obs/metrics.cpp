@@ -9,9 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <utility>
 
-#include "common/error.h"
 #include "common/json.h"
 #include "common/parallel.h"
 
@@ -40,17 +38,10 @@ void set_enabled_for_testing(bool on) noexcept {
 namespace {
 
 // Per-shard accumulation cell. Each cell is written by exactly one thread
-// at a time (the thread running that shard); vectors grow on demand so
-// metrics registered mid-batch still work.
+// at a time (the thread running that shard); the vector grows on demand so
+// counters registered mid-batch still work.
 struct Cell {
-  struct HistCell {
-    std::vector<std::uint64_t> buckets;  // empty => this histogram unused
-    double sum = 0.0;
-    std::uint64_t count = 0;
-  };
-
   std::vector<std::uint64_t> counters;  // indexed by counter id
-  std::vector<HistCell> hists;          // indexed by histogram id
 };
 
 // Cell for the shard the current thread is executing, or nullptr outside
@@ -75,10 +66,8 @@ struct MetricsRegistry::Impl final : par::BatchObserver {
   // std::map keeps addresses stable for the life of the process and
   // iterates in name order, which is what snapshots emit.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers;
   std::vector<Counter*> counters_by_id;
-  std::vector<Histogram*> hists_by_id;
 
   // Batch-shape counters fed by the observer hooks (registered in the
   // MetricsRegistry constructor, so never null once hooks can fire).
@@ -131,16 +120,6 @@ struct MetricsRegistry::Impl final : par::BatchObserver {
         counters_by_id[id]->value_.fetch_add(cell->counters[id],
                                              std::memory_order_relaxed);
       }
-      for (std::size_t id = 0; id < cell->hists.size(); ++id) {
-        const Cell::HistCell& h = cell->hists[id];
-        if (h.buckets.empty()) continue;
-        Histogram* hist = hists_by_id[id];
-        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-          hist->buckets_[b] += h.buckets[b];
-        }
-        hist->sum_ += h.sum;
-        hist->count_ += h.count;
-      }
     }
   }
 };
@@ -153,18 +132,6 @@ struct MetricsRegistry::Impl final : par::BatchObserver {
 // discard the whole batch's cells: counters observe either all of a
 // successful batch or none of a failed one, at every pool width.
 
-namespace {
-
-Cell::HistCell& cell_hist(Cell& cell, std::size_t id,
-                          std::size_t num_buckets) {
-  if (cell.hists.size() <= id) cell.hists.resize(id + 1);
-  Cell::HistCell& h = cell.hists[id];
-  if (h.buckets.empty()) h.buckets.resize(num_buckets, 0);
-  return h;
-}
-
-}  // namespace
-
 void Counter::add_enabled(std::uint64_t delta) noexcept {
   if (Cell* cell = tls_cell; cell != nullptr) {
     if (cell->counters.size() <= id_) cell->counters.resize(id_ + 1, 0);
@@ -172,29 +139,6 @@ void Counter::add_enabled(std::uint64_t delta) noexcept {
     return;
   }
   value_.fetch_add(delta, std::memory_order_relaxed);
-}
-
-Histogram::Histogram(std::size_t id, std::vector<double> edges)
-    : id_(id), edges_(std::move(edges)), buckets_(edges_.size() + 1, 0) {
-  PMIOT_CHECK(std::is_sorted(edges_.begin(), edges_.end()),
-              "histogram edges must be ascending");
-}
-
-void Histogram::observe_enabled(double v) {
-  const std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(edges_.begin(), edges_.end(), v) - edges_.begin());
-  if (Cell* cell = tls_cell; cell != nullptr) {
-    Cell::HistCell& h = cell_hist(*cell, id_, buckets_.size());
-    ++h.buckets[bucket];
-    h.sum += v;
-    ++h.count;
-    return;
-  }
-  MetricsRegistry::Impl* impl = MetricsRegistry::instance().impl_;
-  std::lock_guard<std::mutex> lock(impl->mu);
-  ++buckets_[bucket];
-  sum_ += v;
-  ++count_;
 }
 
 void Timer::record_ns(std::uint64_t ns) noexcept {
@@ -261,25 +205,6 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> edges) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->histograms.find(name);
-  if (it == impl_->histograms.end()) {
-    const std::size_t id = impl_->hists_by_id.size();
-    it = impl_->histograms
-             .emplace(std::string(name), std::unique_ptr<Histogram>(
-                                             new Histogram(id, std::move(edges))))
-             .first;
-    impl_->hists_by_id.push_back(it->second.get());
-  } else {
-    PMIOT_CHECK(it->second->edges_ == edges,
-                "histogram re-registered with different edges: " +
-                    std::string(name));
-  }
-  return *it->second;
-}
-
 Timer& MetricsRegistry::timer(std::string_view name) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   auto it = impl_->timers.find(name);
@@ -297,10 +222,6 @@ Snapshot MetricsRegistry::snapshot(const SnapshotOptions& opts) const {
   std::lock_guard<std::mutex> lock(impl_->mu);
   for (const auto& [name, c] : impl_->counters) {
     snap.counters.push_back({name, c->value()});
-  }
-  for (const auto& [name, h] : impl_->histograms) {
-    snap.histograms.push_back(
-        {name, h->edges_, h->buckets_, h->sum_, h->count_});
   }
   if (!opts.include_nondeterministic) return snap;
   for (const auto& [name, t] : impl_->timers) {
@@ -324,11 +245,6 @@ void MetricsRegistry::reset_values_for_testing() {
   std::lock_guard<std::mutex> lock(impl_->mu);
   for (auto& [name, c] : impl_->counters) {
     c->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, h] : impl_->histograms) {
-    std::fill(h->buckets_.begin(), h->buckets_.end(), 0);
-    h->sum_ = 0.0;
-    h->count_ = 0;
   }
   for (auto& [name, t] : impl_->timers) {
     t->count_.store(0, std::memory_order_relaxed);
@@ -356,15 +272,6 @@ void text_counters(std::ostringstream& os,
 std::string to_text(const Snapshot& snap) {
   std::ostringstream os;
   text_counters(os, snap.counters);
-  for (const auto& h : snap.histograms) {
-    os << "histogram " << h.name << " count=" << h.count
-       << " sum=" << json_number(h.sum) << " buckets=";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b != 0) os << '|';
-      os << h.buckets[b];
-    }
-    os << '\n';
-  }
   if (snap.timers.empty() && snap.worker_shards.empty()) return os.str();
   os << "-- nondeterministic (excluded from the determinism contract) --\n";
   for (const auto& t : snap.timers) {
@@ -383,22 +290,7 @@ std::string to_json(const Snapshot& snap, std::string_view source) {
     os << (i ? ", " : "") << '"' << json_escape(snap.counters[i].name)
        << "\": " << snap.counters[i].value;
   }
-  os << "},\n  \"histograms\": [";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    const auto& h = snap.histograms[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
-       << json_escape(h.name) << "\", \"edges\": [";
-    for (std::size_t b = 0; b < h.edges.size(); ++b) {
-      os << (b ? ", " : "") << json_number(h.edges[b]);
-    }
-    os << "], \"buckets\": [";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      os << (b ? ", " : "") << h.buckets[b];
-    }
-    os << "], \"sum\": " << json_number(h.sum) << ", \"count\": " << h.count
-       << '}';
-  }
-  os << (snap.histograms.empty() ? "" : "\n  ") << "],\n  \"timers\": [";
+  os << "},\n  \"timers\": [";
   for (std::size_t i = 0; i < snap.timers.size(); ++i) {
     const auto& t = snap.timers[i];
     os << (i ? ",\n    " : "\n    ") << "{\"name\": \""

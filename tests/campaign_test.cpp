@@ -89,6 +89,9 @@ TEST(CampaignConfig, ParseRejectsHostileNumbers) {
   // of that many homes wraps the 64-bit cell count.
   EXPECT_THROW(parse_config("homes = 18446744073709551615\n"),
                InvalidArgument);
+  // The cell count (about 1.5e19) fits 64 bits, but 6 payload doubles per
+  // cell wrap the result size to 10 doubles.
+  EXPECT_THROW(parse_config("homes = 341606371735362067\n"), InvalidArgument);
   // The largest values that do fit still parse.
   EXPECT_EQ(parse_config("days = 2147483647\n").days, 2147483647);
   EXPECT_EQ(parse_config("seed = 18446744073709551615\n").base_seed,
@@ -123,10 +126,23 @@ TEST(CampaignPlan, RejectsGridWhoseCellCountOverflows) {
   config.homes_per_archetype = std::size_t{1} << 62;
   config.intensities = {0.0, 0.5, 1.0, 0.25};
   EXPECT_THROW(CampaignPlan{config}, InvalidArgument);
+  // One cell per home: the count fits 64 bits, but 2^62 cells of results
+  // do not fit kMaxResultBytes.
   config.intensities = {0.0};
   config.defenses.resize(1);
   config.archetypes.resize(1);
-  EXPECT_EQ(CampaignPlan{config}.total_cells(), std::uint64_t{1} << 62);
+  EXPECT_THROW(CampaignPlan{config}, InvalidArgument);
+  // The default grid's cell count fits 64 bits here, while its result size
+  // wraps to 10 doubles.
+  CampaignConfig wraps;
+  wraps.homes_per_archetype = 341606371735362067;
+  EXPECT_THROW(CampaignPlan{wraps}, InvalidArgument);
+  // The bound is inclusive: 5 payload doubles make 41 bytes a cell.
+  const std::uint64_t max_homes = kMaxResultBytes / 41;
+  config.homes_per_archetype = max_homes;
+  EXPECT_EQ(CampaignPlan{config}.total_cells(), max_homes);
+  config.homes_per_archetype = max_homes + 1;
+  EXPECT_THROW(CampaignPlan{config}, InvalidArgument);
 }
 
 TEST(CampaignPlan, CellIdDecodeRoundTripsOverTheGrid) {

@@ -4,9 +4,11 @@
 // forest determinism across pool widths and against a golden node hash, the
 // flat forest's early-exit vote against the seed forest's full vote,
 // batch-vs-per-row prediction identity, kNN tie-breaking with duplicated
-// training points, and the kmeans 1-D fast path.
+// training points and batch kNN against an exact full-sort search, and the
+// kmeans 1-D fast path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -725,6 +727,39 @@ TEST(Knn, EqualDistanceNeighboursOrderedByTrainingRow) {
   EXPECT_EQ(k3.predict_all(probe), std::vector<int>{1});
 }
 
+/// Exact kNN: subtract-kernel distances, a full sort by (dist², row), and a
+/// majority vote whose class ties go to the nearest neighbour's class.
+std::vector<int> full_sort_knn(const Dataset& train, int k,
+                               const Dataset& probe) {
+  std::vector<int> out;
+  for (const auto& query : probe.rows) {
+    std::vector<std::pair<double, std::size_t>> all;
+    for (std::size_t i = 0; i < train.size(); ++i) {
+      double d2 = 0.0;
+      for (std::size_t c = 0; c < query.size(); ++c) {
+        const double d = query[c] - train.rows[i][c];
+        d2 += d * d;
+      }
+      all.emplace_back(d2, i);
+    }
+    std::sort(all.begin(), all.end());
+    const auto kk =
+        std::min<std::size_t>(static_cast<std::size_t>(k), all.size());
+    std::vector<int> votes(static_cast<std::size_t>(train.num_classes()), 0);
+    for (std::size_t i = 0; i < kk; ++i) {
+      ++votes[static_cast<std::size_t>(train.labels[all[i].second])];
+    }
+    int best = train.labels[all[0].second];
+    for (std::size_t c = 0; c < votes.size(); ++c) {
+      if (votes[c] > votes[static_cast<std::size_t>(best)]) {
+        best = static_cast<int>(c);
+      }
+    }
+    out.push_back(best);
+  }
+  return out;
+}
+
 TEST(Knn, BatchMatchesPerRowWithDuplicatedTrainingPoints) {
   Rng rng(808);
   Dataset train = random_clusters(150, 4, 3, rng);
@@ -743,7 +778,11 @@ TEST(Knn, BatchMatchesPerRowWithDuplicatedTrainingPoints) {
   for (int k : {1, 2, 5}) {
     KnnClassifier knn(k);
     knn.fit(train);
-    EXPECT_EQ(knn.predict_all(probe), per_row_predictions(knn, probe));
+    const std::vector<int> batch = knn.predict_all(probe);
+    EXPECT_EQ(batch, per_row_predictions(knn, probe)) << "k=" << k;
+    // Per-row and batch share one distance kernel, so only an exact
+    // reference catches a fault in it.
+    EXPECT_EQ(batch, full_sort_knn(train, k, probe)) << "k=" << k;
   }
 }
 

@@ -1,4 +1,4 @@
-// Determinism suite for the observability layer: counter/histogram
+// Determinism suite for the observability layer: counter
 // snapshots must be bitwise identical at any pool width, the metrics-off
 // path must record nothing, and a failed batch must discard its per-shard
 // cells wholesale (never merge them partially by scheduling order).
@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "common/error.h"
 #include "common/parallel.h"
@@ -34,28 +33,22 @@ struct MetricsOn {
   }
 };
 
-/// A workload touching every deterministic metric family from inside
-/// shards: per-shard counter deltas, per-shard histogram observes (doubles,
-/// so merge order matters), plus direct adds from serial code.
+/// A workload touching the deterministic counters from inside shards
+/// (per-shard deltas) and from serial code (direct adds).
 void run_workload() {
   obs::Counter& events = registry().counter("test.obs.events");
-  obs::Histogram& sizes =
-      registry().histogram("test.obs.sizes", {1.0, 10.0, 100.0});
 
   events.add(5);  // direct add outside any batch
   par::parallel_for(0, 16, [&](std::size_t i) {
     events.add(i + 1);
-    sizes.observe(0.1 * static_cast<double>(i * i));
     // Nested batches run inline and accumulate into the enclosing shard's
     // cell; they are not counted as batches at any width. The nesting here
     // is deliberate: it pins exactly that behaviour.
     // pmiot-lint: allow(nested-par)
     par::parallel_for(0, 3, [&](std::size_t j) {
       events.add(j);
-      sizes.observe(static_cast<double>(i) + 0.25 * static_cast<double>(j));
     });
   });
-  sizes.observe(1.0);  // direct observe after the batch
 }
 
 std::string deterministic_text() {
@@ -117,40 +110,9 @@ TEST(Obs, MetricsOffReturnsEmptySnapshot) {
   const obs::Snapshot snap =
       registry().snapshot({.include_nondeterministic = true});
   EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.histograms.empty());
   EXPECT_TRUE(snap.timers.empty());
   EXPECT_TRUE(snap.worker_shards.empty());
   EXPECT_EQ(obs::to_text(snap), "");
-}
-
-TEST(Obs, HistogramBucketEdgeCases) {
-  MetricsOn on;
-  obs::Histogram& h =
-      registry().histogram("test.obs.edges", {1.0, 2.0, 4.0});
-  h.observe(1.0);   // exactly on the first edge -> bucket 0 (v <= edge)
-  h.observe(1.5);   // between edges -> bucket 1
-  h.observe(4.0);   // exactly on the last edge -> bucket 2
-  h.observe(5.0);   // above every edge -> overflow bucket
-  h.observe(-3.0);  // below every edge -> bucket 0
-
-  const obs::Snapshot snap = registry().snapshot({});
-  const auto it = std::find_if(
-      snap.histograms.begin(), snap.histograms.end(),
-      [](const auto& hv) { return hv.name == "test.obs.edges"; });
-  ASSERT_NE(it, snap.histograms.end());
-  EXPECT_EQ(it->buckets, (std::vector<std::uint64_t>{2, 1, 1, 1}));
-  EXPECT_EQ(it->count, 5u);
-  EXPECT_DOUBLE_EQ(it->sum, 1.0 + 1.5 + 4.0 + 5.0 - 3.0);
-
-  // Zero edges means one catch-all bucket.
-  obs::Histogram& all = registry().histogram("test.obs.one_bucket", {});
-  all.observe(123.0);
-
-  // Misuse is a checked error, not UB.
-  EXPECT_THROW(registry().histogram("test.obs.bad_edges", {2.0, 1.0}),
-               InvalidArgument);
-  EXPECT_THROW(registry().histogram("test.obs.edges", {1.0, 2.0}),
-               InvalidArgument);  // re-registered with different edges
 }
 
 // Pins the exception policy audited in ISSUE 5: the pool path keeps
@@ -232,12 +194,10 @@ TEST(Obs, WorkerShardCountsOnlyInNondeterministicSnapshot) {
 TEST(Obs, JsonSnapshotFollowsBenchConventions) {
   MetricsOn on;
   registry().counter("test.obs.json").add(3);
-  registry().histogram("test.obs.json_hist", {2.5}).observe(1.0);
   const std::string json = obs::to_json(
       registry().snapshot({.include_nondeterministic = true}), "obs_test");
   EXPECT_NE(json.find("\"source\": \"obs_test\""), std::string::npos);
   EXPECT_NE(json.find("\"test.obs.json\": 3"), std::string::npos);
-  EXPECT_NE(json.find("\"edges\": [2.5]"), std::string::npos);
   EXPECT_NE(json.find("\"worker_shards\""), std::string::npos);
 }
 
