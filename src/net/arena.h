@@ -73,6 +73,19 @@ std::vector<WindowRow> windowed_recovery_features(
     std::span<const Packet> packets, std::uint32_t device_ip,
     double duration_s, double window_s);
 
+/// One home's windows as `run_arena` scores them, device by device in
+/// roster order: a row per full window [k·w, k·w + w) holding the
+/// `feature_names()` vector followed by the `recovery_feature_names()`
+/// vector (idle windows all zero), tagged like `windowed_features`' rows.
+/// With a null `emission`, the raw home; otherwise the home as that
+/// emission of a defense at θ > 0 reshapes it, windowed straight from each
+/// device's emission with no capture assembled. Exposed for parity checks
+/// against `apply` → `wan_view` → `windowed_features` /
+/// `windowed_recovery_features`.
+std::vector<std::vector<WindowRow>> arena_windows(const RoutedHome& home,
+                                                  const Emission* emission,
+                                                  double window_s);
+
 struct ArenaOptions {
   int train_instances_per_type = 2;  ///< attacker's lab home
   int test_instances_per_type = 2;   ///< deployed home under observation
@@ -107,18 +120,28 @@ struct ArenaResult {
   std::vector<ArenaCell> cells;  ///< defense-major, intensity-minor order
 };
 
+/// Largest total the arena's window tables may need, in bytes: each home's
+/// raw table plus one per θ > 0 cell, each `devices × windows × (row
+/// doubles × 8 + 1)` — the base and recovery features plus a silent flag
+/// per window. A grid over this bound (4 GiB) is rejected with
+/// InvalidArgument before anything is simulated; it is a fixed limit, not
+/// a config key.
+inline constexpr std::uint64_t kMaxTableBytes = std::uint64_t{1} << 32;
+
 /// Throws InvalidArgument unless the grid is non-empty, every defense name
 /// is known, every intensity lies in [0, 1], both homes hold >= 1 instance
-/// per device type, and the finite duration spans at least one full window.
+/// per device type, the finite duration spans at least one full window,
+/// and the window tables fit `kMaxTableBytes`.
 void validate(const ArenaOptions& options);
 
 /// Runs the full grid over the shared `par` pool in three batches of
-/// fine-grained tasks: the two homes and their raw window tables; the
-/// pre-trained attacks' one shared fit each plus, per θ > 0 cell, each
-/// home shaped and windowed (θ = 0 cells reuse the raw tables); then one
-/// fit-and/or-score task per (cell, attack). Nested parallel loops (forest
-/// fits, batched prediction) run inline inside a task. Validates `options`
-/// first.
+/// fine-grained tasks: the two homes, each simulated and routed into its
+/// devices' WAN streams; per θ > 0 cell each home shaped and windowed
+/// device by device from the defense's emission, plus each (home, device)'s
+/// raw windows (θ = 0 cells read the raw tables); then each pre-trained
+/// attack's one shared fit, which scores every cell, and one fit-and-score
+/// task per (cell, adaptive attack). Nested parallel loops (forest fits,
+/// batched prediction) run inline inside a task. Validates `options` first.
 ArenaResult run_arena(const ArenaOptions& options);
 
 /// Empty string when equal, else a human-readable first divergence

@@ -18,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -27,11 +28,8 @@
 
 namespace pmiot::net {
 
-/// A reshaped capture plus the utility bill the defense ran up.
-// pmiot: sensitive — shaped or not, this is still a packet capture; the
-// whole point of the arena is that reshaped metadata can leak.
-struct ShapedCapture {
-  std::vector<Packet> packets;  ///< time-sorted shaped capture
+/// The utility bill a defense runs up on one home.
+struct ShapingBill {
   double original_bytes = 0.0;  ///< sum of input packet sizes
   double added_bytes = 0.0;     ///< shaped total minus original total
   double added_latency_s = 0.0;  ///< total queueing delay over real packets
@@ -49,31 +47,112 @@ struct ShapedCapture {
   }
 };
 
+/// A reshaped capture plus the utility bill the defense ran up.
+// pmiot: sensitive — shaped or not, this is still a packet capture; the
+// whole point of the arena is that reshaped metadata can leak.
+struct ShapedCapture : ShapingBill {
+  std::vector<Packet> packets;  ///< time-sorted shaped capture
+};
+
+/// The roster slot the WAN observer attributes `p` to: -1 for LAN–LAN
+/// chatter (it never crosses the uplink), else the slot of its source,
+/// else the slot of its destination (-1 when neither is on the roster).
+/// A packet it sees has at most one LAN endpoint, so this is that
+/// endpoint's device.
+inline int wan_slot(const DeviceSlots& slots, const Packet& p) noexcept {
+  if (is_lan(p.src_ip) && is_lan(p.dst_ip)) return -1;
+  const int src = slots[p.src_ip];
+  return src >= 0 ? src : slots[p.dst_ip];
+}
+
+/// A home checked and routed once for shaping: the input checks every
+/// defense makes above θ = 0, and each roster device's WAN stream — the
+/// packets `wan_slot` gives it, in capture order.
+// pmiot: sensitive — per-device packet streams of a home.
+class RoutedHome {
+ public:
+  /// Throws InvalidArgument unless `duration_s` is positive and finite,
+  /// the roster's addresses are distinct LAN addresses and the capture is
+  /// time-sorted (`sort_by_time`; NaN timestamps count as unsorted). Keeps
+  /// a reference to `home`, which must outlive this.
+  RoutedHome(const HomeNetwork& home, double duration_s);
+
+  const HomeNetwork& home() const noexcept { return *home_; }
+  double duration_s() const noexcept { return duration_s_; }
+  const DeviceSlots& slots() const noexcept { return slots_; }
+  /// Roster device `d`'s WAN stream, in capture order.
+  std::span<const Packet> stream(std::size_t d) const {
+    return std::span<const Packet>(streams_)
+        .subspan(begin_[d], begin_[d + 1] - begin_[d]);
+  }
+  /// Packets across every device's stream.
+  std::size_t stream_packets() const noexcept { return streams_.size(); }
+  /// Sum of every capture packet's size.
+  double original_bytes() const noexcept { return original_bytes_; }
+
+ private:
+  const HomeNetwork* home_;
+  double duration_s_;
+  DeviceSlots slots_;
+  std::vector<Packet> streams_;     ///< every stream, device after device
+  std::vector<std::size_t> begin_;  ///< stream d is [begin_[d], begin_[d+1])
+  double original_bytes_ = 0.0;
+};
+
+/// What a defense does to one roster device's WAN stream.
+// pmiot: sensitive — a device's reshaped packets, as leaky as a capture.
+struct DeviceEmission {
+  enum class Raw : std::uint8_t {
+    kKept,      ///< the raw stream stays, and `packets` are added to it
+    kReplaced,  ///< `packets` are the device's whole new stream
+    kDropped,   ///< the device leaves the WAN view: `packets` take its raw
+                ///< packets' places in the capture, one for one, and
+                ///< `wan_slot` gives none of them to a roster device
+  };
+  Raw raw = Raw::kKept;
+  /// Time-sorted; tied packets in the defense's emission order. Each one
+  /// is the device's by `wan_slot` or nobody's (LAN–LAN chatter).
+  std::vector<Packet> packets;
+};
+
+/// A defense's output on a home, device by device, with its bill.
+struct Emission : ShapingBill {
+  std::vector<DeviceEmission> devices;  ///< roster order
+};
+
+/// The number of packets in the capture `apply` assembles from
+/// `emission` on `home`.
+std::size_t shaped_size(const RoutedHome& home, const Emission& emission);
+
 /// Interface every traffic defense implements; the network-layer mirror of
 /// `core::Defense`. Contract:
 ///   * intensity is clamped to [0, 1] by callers; 0 MUST return the home's
 ///     packets bitwise unchanged with a zero bill, and checks nothing;
-///   * above 0 the input must be a time-sorted capture (`sort_by_time`;
-///     NaN timestamps count as unsorted) of a roster of distinct LAN
-///     addresses, over a finite `duration_s`. Anything else throws
-///     InvalidArgument before any shaping, as does a constant-rate
+///   * above 0 the input must pass `RoutedHome`'s checks. Anything else
+///     throws InvalidArgument before any shaping, as does a constant-rate
 ///     intensity above 1;
-///   * output order equals `sort_by_time` of the defense's emission
-///     sequence (passed-through packets first, then generated ones, so
-///     ties keep emission order). No defense sorts the whole capture:
-///     constant-rate emits each lane in time order, cover and decoy append
-///     a few sorted runs per device, and `merge_sorted_tail` merges either
-///     into the passed-through packets (DESIGN.md §18); vpn keeps the
-///     input's order;
-///   * all randomness comes from `rng`, so one (home, intensity, seed)
-///     triple fully determines the output.
+///   * a defense shapes device by device (`emit`), and `apply` assembles
+///     the capture from that emission: the capture's packets that stay
+///     (kept devices' and nobody's, with dropped devices' replacements in
+///     place), then each device's added or new stream in roster order,
+///     merged stably by time (DESIGN.md §18). So output order equals
+///     `sort_by_time` of the defense's emission sequence (passed-through
+///     packets first, then generated ones, so ties keep emission order);
+///   * all randomness comes from `rng`, drawn device after device in
+///     roster order, so one (home, intensity, seed) triple fully
+///     determines the output.
 class TrafficDefense {
  public:
   virtual ~TrafficDefense() = default;
   virtual std::string name() const = 0;
-  /// Reshapes the home's capture over [0, duration_s).
-  virtual ShapedCapture apply(const HomeNetwork& home, double duration_s,
-                              double intensity, Rng& rng) const = 0;
+  /// Shapes each roster device's WAN stream over [0, duration_s) at
+  /// intensity > 0 (θ = 0 is the caller's passthrough).
+  virtual Emission emit(const RoutedHome& home, double intensity,
+                        Rng& rng) const = 0;
+  /// Reshapes the home's capture over [0, duration_s): `emit` on the
+  /// routed home, assembled into one time-sorted capture.
+  ShapedCapture apply(const HomeNetwork& home, double duration_s,
+                      double intensity, Rng& rng) const;
 };
 
 /// Pad-to-schedule link shaping at the WAN uplink (1708.05044 §5.3's
@@ -92,8 +171,8 @@ class TrafficDefense {
 class ConstantRatePadding final : public TrafficDefense {
  public:
   std::string name() const override { return "constant-rate"; }
-  ShapedCapture apply(const HomeNetwork& home, double duration_s,
-                      double intensity, Rng& rng) const override;
+  Emission emit(const RoutedHome& home, double intensity,
+                Rng& rng) const override;
 };
 
 /// Independent cover traffic: superimposes fake request/response exchanges
@@ -103,8 +182,8 @@ class ConstantRatePadding final : public TrafficDefense {
 class StochasticCoverTraffic final : public TrafficDefense {
  public:
   std::string name() const override { return "cover"; }
-  ShapedCapture apply(const HomeNetwork& home, double duration_s,
-                      double intensity, Rng& rng) const override;
+  Emission emit(const RoutedHome& home, double intensity,
+                Rng& rng) const override;
 };
 
 /// Decoy personalities: every device also plays a second, different device
@@ -114,8 +193,8 @@ class StochasticCoverTraffic final : public TrafficDefense {
 class DecoyFlows final : public TrafficDefense {
  public:
   std::string name() const override { return "decoy"; }
-  ShapedCapture apply(const HomeNetwork& home, double duration_s,
-                      double intensity, Rng& rng) const override;
+  Emission emit(const RoutedHome& home, double intensity,
+                Rng& rng) const override;
 };
 
 /// VPN-style aggregation (1708.05044 §5.2): tunneled devices' WAN packets
@@ -123,12 +202,14 @@ class DecoyFlows final : public TrafficDefense {
 /// ESP-padded sizes, collapsing per-device 5-tuples into a single tunnel.
 /// Intensity is the fraction of the roster behind the tunnel (first
 /// ceil(intensity * N) devices in roster order). Timing survives — the
-/// classic VPN weakness the adaptive attacker exploits.
+/// classic VPN weakness the adaptive attacker exploits. The tunnel's LAN
+/// end is the router, so above θ = 0 a roster device at the router's
+/// address is rejected (it would be credited with the tunnel's traffic).
 class VpnAggregation final : public TrafficDefense {
  public:
   std::string name() const override { return "vpn"; }
-  ShapedCapture apply(const HomeNetwork& home, double duration_s,
-                      double intensity, Rng& rng) const override;
+  Emission emit(const RoutedHome& home, double intensity,
+                Rng& rng) const override;
 };
 
 /// Names accepted by `make_traffic_defense`, in registry order.
@@ -140,8 +221,8 @@ std::unique_ptr<TrafficDefense> make_traffic_defense(const std::string& name);
 
 /// The WAN observer's view of a capture: only packets with at least one
 /// non-LAN endpoint (what an ISP-side fingerprinter can see; LAN-only
-/// chatter never crosses the uplink). The arena applies the same rule
-/// inline; this copy serves the benches and tests.
+/// chatter never crosses the uplink). The arena routes by `wan_slot`,
+/// which applies the same rule; this copy serves the benches and tests.
 std::vector<Packet> wan_view(std::span<const Packet> packets);
 
 }  // namespace pmiot::net

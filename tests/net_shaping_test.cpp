@@ -450,6 +450,16 @@ TEST(Shaping, RejectsHostileInputAboveIntensityZero) {
                  InvalidArgument)
         << name;
   }
+  // The tunnel's LAN end is the router, so vpn also rejects a roster
+  // device at the router's address, which would be credited with every
+  // tunneled device's traffic.
+  auto at_router = home;
+  at_router.devices.back().ip = kDefaultRouterIp;
+  Rng router_rng(3);
+  EXPECT_THROW((void)VpnAggregation().apply(at_router, 900.0, 0.5, router_rng),
+               InvalidArgument);
+  EXPECT_NO_THROW(
+      (void)StochasticCoverTraffic().apply(at_router, 900.0, 0.5, router_rng));
   // A slot period must stay positive, so constant-rate bounds θ too.
   Rng rng(3);
   EXPECT_THROW((void)ConstantRatePadding().apply(home, 900.0, 1.5, rng),
@@ -898,6 +908,180 @@ TEST(Arena, RejectsBadOptions) {
   options = tiny_arena();
   options.duration_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(run_arena(options), InvalidArgument);
+  // 3.6e12 windows: the tables would need terabytes. Checked by `validate`
+  // alone, so a missing bound fails here instead of allocating.
+  options = tiny_arena();
+  options.duration_s = 3600.0;
+  options.window_s = 1e-9;
+  EXPECT_THROW(validate(options), InvalidArgument);
+  options.window_s = 1e-3;  // 3.6e6 windows x 16 devices x 3 tables: 29 GB
+  EXPECT_THROW(validate(options), InvalidArgument);
+  options.window_s = 1.0;  // 3,600 windows: well inside the bound
+  EXPECT_NO_THROW(validate(options));
+}
+
+// --- per-device windows against the capture path ---------------------------
+
+/// Bitwise equality of two feature vectors.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A simulated home plus the corners the per-device split must get right:
+/// a roster device with no WAN packets (LAN chatter only), WAN traffic of
+/// an off-roster address and between two Internet hosts, LAN–LAN chatter,
+/// and ties at one instant within a device and across devices.
+HomeNetwork degenerate_home(std::uint64_t seed, double duration_s) {
+  Rng rng(seed);
+  auto home = simulate_home_network(1, duration_s, rng);
+  const auto quiet = crafted_device(40);  // 10.0.0.50
+  home.devices.push_back(quiet);
+  const auto a = home.devices[0];
+  const auto b = home.devices[1];
+  const auto off_roster = make_ip(10, 0, 0, 200);
+  const auto remote = make_ip(52, 99, 0, 7);
+  auto& packets = home.packets;
+  for (int i = 0; i < 40; ++i) {
+    const double t = 7.0 * i + 0.5;
+    packets.push_back({t, a.ip, quiet.ip, 5000, 8883, Protocol::kTcp, 150});
+    packets.push_back(
+        {t, quiet.ip, kDefaultRouterIp, 5001, 53, Protocol::kUdp, 60});
+    packets.push_back(
+        {t, off_roster, remote, 40001, 443, Protocol::kTcp, 700});
+    packets.push_back(
+        {t, remote, off_roster, 443, 40001, Protocol::kTcp, 900});
+    packets.push_back(
+        {t, make_ip(8, 8, 8, 8), remote, 53, 53, Protocol::kUdp, 80});
+    packets.push_back(up_packet(a, t, 1));
+    packets.push_back(down_packet(a, t, 2));
+    packets.push_back(up_packet(b, t, 3));
+  }
+  sort_by_time(packets);
+  return home;
+}
+
+/// A defense that only adds: on every raw WAN packet of every device, a
+/// copy of another size at the same instant, so each raw packet ties with
+/// an emitted one, and a LAN–LAN packet the WAN observer must not see.
+/// The window features see the tie order through the running size
+/// statistics.
+class TieEveryPacket final : public TrafficDefense {
+ public:
+  std::string name() const override { return "tie-every-packet"; }
+  Emission emit(const RoutedHome& home, double, Rng&) const override {
+    Emission out;
+    out.original_bytes = home.original_bytes();
+    out.devices.resize(home.home().devices.size());
+    for (std::size_t d = 0; d < out.devices.size(); ++d) {
+      const auto ip = home.home().devices[d].ip;
+      for (const auto& p : home.stream(d)) {
+        Packet copy = p;
+        copy.size_bytes = 3 * p.size_bytes + 1;
+        const Packet chatter{p.timestamp_s, ip, make_ip(10, 0, 0, 250), 7,
+                             7, Protocol::kUdp, 40};
+        for (const auto& q : {copy, chatter}) {
+          out.devices[d].packets.push_back(q);
+          out.added_bytes += q.size_bytes;
+        }
+      }
+    }
+    return out;
+  }
+};
+
+/// `arena_windows` against the public capture path — `apply`, `wan_view`,
+/// then `windowed_features` and `windowed_recovery_features` per roster
+/// device — every row bit for bit, and the bill against the assembled
+/// capture's bytes. A null `defense` checks the raw home.
+void expect_windows_match_capture_path(const HomeNetwork& home,
+                                       const TrafficDefense* defense,
+                                       double duration_s, double window_s,
+                                       double intensity, std::uint64_t seed,
+                                       const std::string& what) {
+  const RoutedHome routed(home, duration_s);
+  std::vector<std::vector<WindowRow>> got;
+  std::vector<Packet> capture = home.packets;
+  if (defense != nullptr) {
+    Rng emit_rng(seed), apply_rng(seed);
+    const auto emission = defense->emit(routed, intensity, emit_rng);
+    for (const auto& device : emission.devices) {
+      ASSERT_TRUE(std::is_sorted(device.packets.begin(), device.packets.end(),
+                                 [](const Packet& x, const Packet& y) {
+                                   return x.timestamp_s < y.timestamp_s;
+                                 }))
+          << what;
+    }
+    got = arena_windows(routed, &emission, window_s);
+    auto shaped = defense->apply(home, duration_s, intensity, apply_rng);
+    double original = 0.0, now = 0.0;
+    for (const auto& p : home.packets) original += p.size_bytes;
+    for (const auto& p : shaped.packets) now += p.size_bytes;
+    EXPECT_EQ(emission.original_bytes, original) << what;
+    EXPECT_EQ(emission.added_bytes, now - original) << what;
+    EXPECT_EQ(emission.added_latency_s, shaped.added_latency_s) << what;
+    EXPECT_EQ(emission.delayed_packets, shaped.delayed_packets) << what;
+    capture = std::move(shaped.packets);
+  } else {
+    got = arena_windows(routed, nullptr, window_s);
+  }
+  const auto wan = wan_view(capture);
+  ASSERT_EQ(got.size(), home.devices.size()) << what;
+  for (std::size_t d = 0; d < home.devices.size(); ++d) {
+    const auto ip = home.devices[d].ip;
+    const auto base = windowed_features(wan, ip, duration_s, window_s,
+                                        /*keep_idle_windows=*/true);
+    const auto recovery =
+        windowed_recovery_features(wan, ip, duration_s, window_s);
+    ASSERT_EQ(got[d].size(), base.size()) << what << " device " << d;
+    for (std::size_t k = 0; k < base.size(); ++k) {
+      auto want = base[k].features;
+      want.insert(want.end(), recovery[k].features.begin(),
+                  recovery[k].features.end());
+      EXPECT_EQ(got[d][k].window_index, k) << what;
+      EXPECT_TRUE(same_bits(got[d][k].features, want))
+          << what << " device " << d << " window " << k;
+    }
+  }
+}
+
+// The arena windows each device straight from the defense's emission; the
+// capture path assembles the whole shaped capture and routes it back. They
+// must agree on every row, on simulated homes and on the degenerate
+// corners, where the raw stream's packet comes first on a tie with an
+// emitted one.
+TEST(Arena, PerDeviceWindowsMatchCapturePath) {
+  constexpr double kDuration = 1000.0;  // three full windows and a part
+  constexpr double kWindow = 300.0;
+  const TieEveryPacket ties;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto shaping_seed = seed * 1000 + 3;
+    const auto degenerate = degenerate_home(seed, kDuration);
+    const auto simulated = small_home(seed, kDuration);
+    for (const auto* home : {&degenerate, &simulated}) {
+      const std::string what =
+          std::string(home == &degenerate ? "degenerate" : "simulated") +
+          " seed " + std::to_string(seed);
+      expect_windows_match_capture_path(*home, nullptr, kDuration, kWindow,
+                                        0.0, shaping_seed, what + " raw");
+      expect_windows_match_capture_path(*home, &ties, kDuration, kWindow,
+                                        1.0, shaping_seed, what + " ties");
+      for (const auto& name : traffic_defense_names()) {
+        const auto defense = make_traffic_defense(name);
+        for (const double theta : {0.35, 0.7, 1.0}) {
+          expect_windows_match_capture_path(
+              *home, defense.get(), kDuration, kWindow, theta, shaping_seed,
+              what + " " + name + " θ " + std::to_string(theta));
+        }
+      }
+    }
+  }
 }
 
 // --- seed sweep --------------------------------------------------------------
@@ -964,7 +1148,13 @@ TEST(Arena, ReportsStageTimersAndCounters) {
   EXPECT_GT(counter_value(snap, "net.arena.packets_routed"), 0u);
   EXPECT_GT(counter_value(snap, "net.shape.packets_added"), 0u);  // padding
 
-  EXPECT_EQ(timer_count(snap, "net.arena.window_table"), tables);
+  // Device streams actually windowed: every raw one (2 homes), and every
+  // constant-rate one, whose stream padding replaces. VPN at θ = 1 tunnels
+  // the whole roster, so its tables are silent rows and none is windowed.
+  const std::uint64_t streams = 2 * kNumDeviceTypes + 2 * kNumDeviceTypes;
+  EXPECT_EQ(timer_count(snap, "net.arena.window_stream"), streams);
+  EXPECT_EQ(counter_value(snap, "net.window_accumulator.windows_emitted"),
+            streams * 2);
   // Each defense shapes only its θ = 1 cell: 1 cell x 2 homes.
   EXPECT_EQ(timer_count(snap, "net.shape.constant-rate"), 2u);
   EXPECT_EQ(timer_count(snap, "net.shape.vpn"), 2u);
@@ -1070,6 +1260,12 @@ TEST(NetAxis, ParserRejectsHostileNumbers) {
                InvalidArgument);
   EXPECT_THROW(campaign::parse_net_config("duration_s = nan"),
                InvalidArgument);
+  // A window count the tables could not hold (kMaxTableBytes).
+  EXPECT_THROW(campaign::parse_net_config("window_s = 1e-9"),
+               InvalidArgument);
+  EXPECT_THROW(
+      campaign::parse_net_config("duration_s = 1e15\nwindow_s = 1"),
+      InvalidArgument);
 }
 
 TEST(NetAxis, FrontierCsvIsByteStable) {
