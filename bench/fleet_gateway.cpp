@@ -2,12 +2,13 @@
 // thousand-home deployment (src/fleet), self-checked against the per-home
 // serial oracle before any timing claim.
 //
-// The fleet pass shards per-home capture generation + feature extraction
-// over the thread pool, batches every home's windows into one columnar
-// `predict_all`, and replays the per-home quarantine state machines in
-// parallel. The oracle runs `SmartGateway::process` home by home. The two
-// reports must be bitwise identical — same verdicts, same event log, same
-// policy counters — at any PMIOT_THREADS setting.
+// The fleet pass is one parallel loop over homes: each shard draws its
+// home as per-device streams, windows and tallies every device from its
+// own stream, classifies the home's windows with one `predict_all` and
+// replays the quarantine state machine. The oracle builds each home's
+// merged capture and runs `SmartGateway::process` on it, home by home. The
+// two reports must be bitwise identical — same verdicts, same event log,
+// same policy counters — at any PMIOT_THREADS setting.
 //
 // `--self-check` prints only deterministic lines (no timing), so CI can
 // diff the output across PMIOT_THREADS ∈ {1, 4, 16}. `--homes N` scales
@@ -106,20 +107,35 @@ int main(int argc, char** argv) {
             << batched.quarantine_packets_dropped
             << " post-quarantine packets dropped\n";
 
-  // Zero-allocation contract for the shard phase (src/fleet): warm one
-  // capture + arena over a sample of homes, then replay the same homes and
-  // assert the global allocation counter did not move.
+  // Snapshot goes to stderr + METRICS_*.json only, so stdout stays bitwise
+  // identical with metrics on and off (CI diffs it at several PMIOT_THREADS
+  // settings). It covers the fleet pass and the oracle; the allocation
+  // probe below runs after it, so its observation passes count nowhere.
+  obs::emit_if_enabled("fleet_gateway");
+
+  // Zero-allocation contract for the fused shard (src/fleet): warm one set
+  // of per-device streams, one observation (its window accumulator, row
+  // and policy buffers, merge queues) and one capture over a sample of
+  // homes, then replay the same homes and assert the global allocation
+  // counter did not move. Classification and replay, which build each
+  // home's report, are outside the contract.
   {
     const std::size_t probe = std::min<std::size_t>(homes, 32);
+    const auto& o = fleet.options();
+    fleet::HomeStreams streams;
+    fleet::HomeObservation seen;
     fleet::HomeCapture capture;
     fleet::HomeArena arena;
-    for (std::size_t h = 0; h < probe; ++h) {
-      fleet::make_home_into(fleet.options(), h, capture, arena);
-    }
+    const auto shard_pass = [&] {
+      for (std::size_t h = 0; h < probe; ++h) {
+        fleet::emit_home_into(o, h, streams);
+        fleet::observe_home(o.gateway, o.duration_s, streams, seen);
+        fleet::make_home_into(o, h, capture, arena);
+      }
+    };
+    shard_pass();
     const std::uint64_t before = g_heap_allocations.load();
-    for (std::size_t h = 0; h < probe; ++h) {
-      fleet::make_home_into(fleet.options(), h, capture, arena);
-    }
+    shard_pass();
     const std::uint64_t steady = g_heap_allocations.load() - before;
     if (steady != 0) {
       return fail("steady-state shard phase allocated ", steady,
@@ -129,10 +145,6 @@ int main(int argc, char** argv) {
               << probe << " warm homes replayed)\n";
   }
 
-  // Snapshot goes to stderr + METRICS_*.json only, so stdout stays bitwise
-  // identical with metrics on and off (CI diffs it at several PMIOT_THREADS
-  // settings).
-  obs::emit_if_enabled("fleet_gateway");
   if (self_check_only) return EXIT_SUCCESS;  // deterministic output only
 
   const double fleet_ms = ms_between(f0, f1);
@@ -146,7 +158,7 @@ int main(int argc, char** argv) {
 
   Table table({"pass", "time (s)", "packets/s", "homes/core (realtime)"});
   table.add_row()
-      .cell("fleet (sharded + batched)")
+      .cell("fleet (fused per-home shards)")
       .cell(fleet_ms / 1e3)
       .cell(static_cast<double>(batched.packets) / (fleet_ms / 1e3), 0)
       .cell(homes_per_core, 0);

@@ -10,18 +10,25 @@
 #   * BENCH_*.json a run writes: identical with metrics on and off once the
 #     wall-clock "results" block is removed;
 #   * the deterministic metrics snapshot on stderr (everything before the
-#     "-- nondeterministic" marker): identical to the first build's
-#     PMIOT_THREADS=1 snapshot, with at least one counter line (and, for
-#     the binaries named in `expect_counter` below, that counter).
+#     "-- nondeterministic" marker): identical to the same build's
+#     PMIOT_THREADS=1 snapshot, and that one identical to the first
+#     build's, with at least one counter line (and, for the binaries named
+#     in `expect_counter` below, that counter).
 #
 # Usage:
 #
-#   scripts/determinism-matrix.sh build [build-parent ...]
+#   scripts/determinism-matrix.sh [--allow-counter NAME ...] build \
+#       [build-parent ...]
 #
 # One build checks pool-width invariance. Pass a second build of the parent
 # commit (first or second; every build is held to the first build's
 # outputs) to check that a change leaves every primary output and counter
-# byte-identical as well. Each run gets a fresh working
+# byte-identical as well. A change that moves a deterministic counter on
+# purpose names it with `--allow-counter NAME` (repeatable): between two
+# builds, that counter may differ from the first build's value, and the
+# script prints both values. Within a build every counter must still match
+# at every width and with metrics on or off, and stdout and BENCH payloads
+# are compared byte for byte as always. Each run gets a fresh working
 # directory, so files a bench writes (BENCH_*.json, checkpoints) never leak
 # between runs; "wrote ..." lines name those files and are not compared.
 set -u -o pipefail
@@ -39,14 +46,24 @@ declare -A expect_counter=(
   [arena]=net.arena.windows
 )
 
-if [[ $# -eq 0 ]]; then
-  echo "usage: scripts/determinism-matrix.sh build-dir [build-dir ...]" >&2
+usage() {
+  echo "usage: scripts/determinism-matrix.sh [--allow-counter NAME ...]" \
+       "build-dir [build-dir ...]" >&2
   exit 2
-fi
+}
+allowed=()
 builds=()
-for b in "$@"; do
-  builds+=("$(cd "${b}" && pwd)")
+while [[ $# -gt 0 ]]; do
+  if [[ "$1" == --allow-counter ]]; then
+    [[ $# -ge 2 && -n "$2" ]] || usage
+    allowed+=("$2")
+    shift 2
+  else
+    builds+=("$(cd "$1" && pwd)") || exit 2
+    shift
+  fi
 done
+[[ ${#builds[@]} -gt 0 ]] || usage
 
 out="$(mktemp -d)"
 trap 'rm -rf "${out}"' EXIT
@@ -86,6 +103,34 @@ if off != on:
 EOF
 }
 
+# counter_value SNAPSHOT NAME: the value of counter NAME, or "absent".
+counter_value() {
+  awk -v name="$2" '$1 == "counter" && $2 == name { print $3; found = 1 }
+                    END { if (!found) print "absent" }' "$1"
+}
+
+# without_allowed SNAPSHOT: the snapshot minus the allowed counters' lines.
+without_allowed() {
+  awk -v names="${allowed[*]}" '
+    BEGIN { split(names, n, " "); for (i in n) skip[n[i]] = 1 }
+    !($1 == "counter" && ($2 in skip))' "$1"
+}
+
+# same_across_builds NAME FIRST OTHER: diffs two builds' snapshots without
+# the allowed counters, and prints each allowed counter whose value moved.
+# Returns nonzero on any other difference.
+same_across_builds() {
+  local name="$1" first="$2" other="$3" counter before after
+  for counter in "${allowed[@]}"; do
+    before="$(counter_value "${first}" "${counter}")"
+    after="$(counter_value "${other}" "${counter}")"
+    if [[ "${before}" != "${after}" ]]; then
+      echo "allowed ${name}: counter ${counter} ${before} -> ${after}"
+    fi
+  done
+  diff -u <(without_allowed "${first}") <(without_allowed "${other}")
+}
+
 # The list is read on fd 3 so a bench reading stdin cannot swallow it.
 while read -r name binary args <&3; do
   [[ -z "${name}" || "${name}" == \#* ]] && continue
@@ -93,6 +138,7 @@ while read -r name binary args <&3; do
   metrics_reference=""
   for i in "${!builds[@]}"; do
     b="${builds[${i}]}"
+    build_metrics=""
     for t in ${threads}; do
       # The position keeps two builds with one basename (build/ in two
       # checkouts) from sharing, and overwriting, a working directory.
@@ -144,11 +190,22 @@ while read -r name binary args <&3; do
         status=1
         continue
       fi
-      if [[ -z "${metrics_reference}" ]]; then
-        metrics_reference="${on}/metrics.txt"
-      elif ! diff -u "${metrics_reference}" "${on}/metrics.txt"; then
-        echo "FAIL ${name} (${tag}): deterministic metrics differ from the" \
-             "first run" >&2
+      # Each build's first snapshot is held to the first build's, allowed
+      # counters aside; every other snapshot to its own build's first.
+      if [[ -z "${build_metrics}" ]]; then
+        build_metrics="${on}/metrics.txt"
+        if [[ -z "${metrics_reference}" ]]; then
+          metrics_reference="${on}/metrics.txt"
+        elif ! same_across_builds "${name}" "${metrics_reference}" \
+                "${on}/metrics.txt"; then
+          echo "FAIL ${name} (${tag}): deterministic metrics differ from" \
+               "the first build's" >&2
+          status=1
+          continue
+        fi
+      elif ! diff -u "${build_metrics}" "${on}/metrics.txt"; then
+        echo "FAIL ${name} (${tag}): deterministic metrics differ from this" \
+             "build's first run" >&2
         status=1
         continue
       fi

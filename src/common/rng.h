@@ -28,14 +28,29 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
   result_type operator()() noexcept { return next(); }
 
-  /// Next raw 64-bit draw.
-  std::uint64_t next() noexcept;
+  /// Next raw 64-bit draw (xoshiro256**). Inline, with the two uniform
+  /// draws below: the simulators call them once or more per packet.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
@@ -77,6 +92,10 @@ class Rng {
   Rng fork() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

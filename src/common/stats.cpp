@@ -68,6 +68,52 @@ QuantilePosition quantile_position(std::size_t n, double q) {
   return {lo, std::min(lo + 1, n - 1), pos - static_cast<double>(lo)};
 }
 
+/// std::nth_element's contract over [first, last): the element that sorts
+/// to `nth` lands there, nothing before it is greater and nothing after it
+/// is smaller. Quickselect with a median-of-three pivot and branch-free
+/// partitions: a pass moves the elements below the pivot to the front by
+/// swapping unconditionally and advancing by the comparison, so it costs
+/// no mispredicted branches. A second pass, run only when `nth` is not
+/// below the pivot, gathers the elements equal to it, so ties cannot stall
+/// the loop. After 64 rounds it hands over to std::nth_element.
+void select_nth(double* first, double* nth, double* last) {
+  for (int rounds = 64; last - first > 24; --rounds) {
+    if (rounds == 0) {
+      std::nth_element(first, nth, last);
+      return;
+    }
+    const double a = *first, b = first[(last - first) / 2], c = *(last - 1);
+    const double pivot = std::max(std::min(a, b), std::min(std::max(a, b), c));
+    double* below = first;  // [first, below) < pivot
+    for (double* it = first; it != last; ++it) {
+      const double v = *it;
+      *it = *below;
+      *below = v;
+      below += v < pivot;
+    }
+    if (nth < below) {
+      last = below;
+      continue;
+    }
+    double* equal = below;  // [below, equal) == pivot
+    for (double* it = below; it != last; ++it) {
+      const double v = *it;
+      *it = *equal;
+      *equal = v;
+      equal += !(pivot < v);
+    }
+    if (nth < equal) return;
+    first = equal;
+  }
+  // Insertion sort of the short rest.
+  for (double* i = first; i != last; ++i) {
+    const double v = *i;
+    double* j = i;
+    for (; j != first && v < *(j - 1); --j) *j = *(j - 1);
+    *j = v;
+  }
+}
+
 }  // namespace
 
 double quantile(std::span<const double> xs, double q) {
@@ -83,9 +129,10 @@ double quantile_in_place(std::span<double> xs, double q) {
   if (xs.size() == 1) return xs[0];
   // Order statistic lo in place; everything after it is no smaller, so
   // order statistic hi = lo + 1 is the minimum of that upper part.
-  const auto lo = xs.begin() + static_cast<std::ptrdiff_t>(at.lo);
-  std::nth_element(xs.begin(), lo, xs.end());
-  const double hi = at.hi == at.lo ? *lo : *std::min_element(lo + 1, xs.end());
+  double* const lo = xs.data() + at.lo;
+  select_nth(xs.data(), lo, xs.data() + xs.size());
+  const double hi =
+      at.hi == at.lo ? *lo : *std::min_element(lo + 1, xs.data() + xs.size());
   return *lo * (1.0 - at.frac) + hi * at.frac;
 }
 

@@ -39,8 +39,8 @@ double median(std::span<const double> xs);
 double quantile(std::span<const double> xs, double q);
 
 /// `quantile` without the copy and the sort: selects the two order
-/// statistics it interpolates between (`nth_element`, then the minimum of
-/// the part above) and leaves `xs` reordered. Bitwise the same value as
+/// statistics it interpolates between (a branch-free quickselect, then the
+/// minimum of the part above) and leaves `xs` reordered. Bitwise the same value as
 /// `quantile` unless `xs` holds a NaN or zeros of both signs.
 double quantile_in_place(std::span<double> xs, double q);
 

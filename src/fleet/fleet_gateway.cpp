@@ -1,6 +1,8 @@
 #include "fleet/fleet_gateway.h"
 
 #include <algorithm>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -8,6 +10,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "ml/dataset.h"
+#include "net/features.h"
 #include "obs/metrics.h"
 #include "obs/scoped_timer.h"
 
@@ -33,21 +36,75 @@ obs::Counter& quarantines_counter() {
   return c;
 }
 
-obs::Timer& make_home_timer() {
-  static obs::Timer& t =
-      obs::MetricsRegistry::instance().timer("fleet.make_home");
-  return t;
+obs::Timer& stage_timer(const char* name) {
+  return obs::MetricsRegistry::instance().timer(name);
 }
 
-net::SmartGateway home_gateway(const ml::Classifier& classifier,
-                               const net::AnomalyDetector& detector,
-                               const FleetOptions& options,
-                               const HomeCapture& home) {
-  net::SmartGateway gateway(classifier, detector, options.gateway);
-  for (const auto& device : home.devices) {
-    gateway.register_device(device.profile.ip, device.profile.name);
+/// Grows `v` to at least `n` elements; never shrinks it, so the elements'
+/// buffers survive a smaller home.
+template <typename T>
+void grow_to(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) v.resize(n);
+}
+
+/// Feeds `accumulator` the union of three time-sorted runs in (timestamp,
+/// run) order: on a tie `lower` goes before `own` and `own` before
+/// `higher`, the order the merged capture has.
+void feed_merged(net::WindowAccumulator& accumulator,
+                 std::span<const net::Packet> lower,
+                 std::span<const net::Packet> own,
+                 std::span<const net::Packet> higher) {
+  std::size_t lo = 0, hi = 0;
+  // Everything of `lower` at or before t and of `higher` before t.
+  const auto feed_others = [&](double t) {
+    for (;;) {
+      const bool take_lo = lo < lower.size() && lower[lo].timestamp_s <= t;
+      const bool take_hi = hi < higher.size() && higher[hi].timestamp_s < t;
+      if (take_lo &&
+          (!take_hi || lower[lo].timestamp_s <= higher[hi].timestamp_s)) {
+        accumulator.add(lower[lo++]);
+      } else if (take_hi) {
+        accumulator.add(higher[hi++]);
+      } else {
+        return;
+      }
+    }
+  };
+  for (const auto& p : own) {
+    if (lo < lower.size() || hi < higher.size()) feed_others(p.timestamp_s);
+    accumulator.add(p);
   }
-  return gateway;
+  feed_others(std::numeric_limits<double>::infinity());
+}
+
+/// Classifies the observed home's rows with one `predict_all` call, in
+/// (device, window) order, into `predictions[d][r]`. The rows' feature
+/// vectors are moved into `batch` and back, so nothing is copied.
+void classify_home(const ml::Classifier& classifier, HomeObservation& seen,
+                   ml::Dataset& batch,
+                   std::vector<std::vector<int>>& predictions) {
+  batch.rows.clear();
+  for (std::size_t d = 0; d < seen.devices; ++d) {
+    for (auto& row : seen.rows[d].rows) {
+      batch.rows.push_back(std::move(row.features));
+    }
+  }
+  grow_to(predictions, seen.devices);
+  if (batch.rows.empty()) {
+    for (std::size_t d = 0; d < seen.devices; ++d) predictions[d].clear();
+    return;
+  }
+  batch.labels.assign(batch.rows.size(), 0);
+  const auto flat = classifier.predict_all(batch);
+  std::size_t next = 0;
+  for (std::size_t d = 0; d < seen.devices; ++d) {
+    auto& rows = seen.rows[d].rows;
+    const auto first = flat.begin() + static_cast<std::ptrdiff_t>(next);
+    predictions[d].assign(first,
+                          first + static_cast<std::ptrdiff_t>(rows.size()));
+    for (auto& row : rows) row.features = std::move(batch.rows[next++]);
+  }
+  PMIOT_ASSERT(next == flat.size(), "prediction scatter misaligned");
 }
 
 /// Shared aggregation over per-home outcomes, in home order.
@@ -73,11 +130,12 @@ net::GatewayOptions fleet_gateway_defaults() {
   return gateway;
 }
 
-// pmiot: no-alloc — the arena overloads exist so fleet passes can reuse
-// capture buffers; no definite heap allocation may creep back in (vector
-// growth on the warm arena is policed by the counting-operator-new tests).
-void make_home_into(const FleetOptions& options, std::size_t home,
-                    HomeCapture& out, HomeArena& arena) {
+// pmiot: no-alloc — the fleet pass draws every home through here, into
+// thread-local streams; no definite heap allocation may creep back in
+// (vector growth on warm buffers is policed by the counting-operator-new
+// probe in `bench/fleet_gateway --self-check`).
+void emit_home_into(const FleetOptions& options, std::size_t home,
+                    HomeStreams& out) {
   PMIOT_CHECK(options.duration_s > 0.0, "duration must be positive");
   PMIOT_CHECK(options.min_devices >= 1 &&
                   options.max_devices >= options.min_devices,
@@ -85,7 +143,6 @@ void make_home_into(const FleetOptions& options, std::size_t home,
 
   Rng rng(par::shard_seed(options.base_seed, home));
   out.devices.clear();
-  out.packets.clear();
   out.infected = kNoInfectedDevice;
   const auto n = static_cast<std::size_t>(
       rng.uniform_int(options.min_devices, options.max_devices));
@@ -101,6 +158,7 @@ void make_home_into(const FleetOptions& options, std::size_t home,
   }
 
   out.devices.reserve(n);
+  grow_to(out.streams, n);
   for (std::size_t d = 0; d < n; ++d) {
     const auto type = static_cast<net::DeviceType>(
         rng.uniform_int(0, net::kNumDeviceTypes - 1));
@@ -123,33 +181,45 @@ void make_home_into(const FleetOptions& options, std::size_t home,
       }
     }
 
-    // Simulate straight into the shared capture: append raw, then filter
-    // this device's suffix in place (`remove_if` keeps order).
-    const std::size_t before = out.packets.size();
+    // The lifecycle filter keeps order, so it commutes with the stable
+    // sort after it.
+    auto& stream = out.streams[d];
+    stream.clear();
     net::simulate_device_append(lifecycle.profile, options.duration_s, rng,
-                                out.packets);
+                                stream);
     if (lifecycle.join_s > 0.0 || lifecycle.leave_s < options.duration_s) {
-      const auto first =
-          out.packets.begin() + static_cast<std::ptrdiff_t>(before);
-      out.packets.erase(
-          std::remove_if(first, out.packets.end(),
-                         [&](const net::Packet& p) {
-                           return p.timestamp_s < lifecycle.join_s ||
-                                  p.timestamp_s >= lifecycle.leave_s;
-                         }),
-          out.packets.end());
+      stream.erase(std::remove_if(stream.begin(), stream.end(),
+                                  [&](const net::Packet& p) {
+                                    return p.timestamp_s < lifecycle.join_s ||
+                                           p.timestamp_s >= lifecycle.leave_s;
+                                  }),
+                   stream.end());
     }
+    // The only allocation reachable from here is the one-time registration
+    // of the net.sort.runs counter; warm calls allocate nothing.
+    // pmiot-lint: allow(no-alloc)
+    net::sort_by_time(stream, out.sort);
     out.devices.push_back(std::move(lifecycle));
   }
-  // One stable sort of the filtered concatenation. Equal timestamps keep
-  // device order, then each device's emission order — exactly what
-  // stable-sorting every device's packets and then the merged capture
-  // gives — and the lifecycle filter commutes with a stable sort.
-  // The only allocation reachable from here is the one-time registration
-  // of the net.sort.runs counter; warm calls allocate nothing, which
-  // `bench/fleet_gateway --self-check` probes at run time.
+}
+
+// pmiot: no-alloc — the serial oracle's capture, built in reused buffers
+// (the same runtime probe as `emit_home_into`).
+void make_home_into(const FleetOptions& options, std::size_t home,
+                    HomeCapture& out, HomeArena& arena) {
+  auto& world = arena.streams;
+  emit_home_into(options, home, world);
+  out.devices.assign(world.devices.begin(), world.devices.end());
+  out.infected = world.infected;
+  out.packets.clear();
+  for (std::size_t d = 0; d < world.devices.size(); ++d) {
+    out.packets.insert(out.packets.end(), world.streams[d].begin(),
+                       world.streams[d].end());
+  }
+  // The concatenation is one sorted run per device, and the run merge is
+  // stable: ties keep device order, then emission order.
   // pmiot-lint: allow(no-alloc)
-  net::sort_by_time(out.packets, arena.sort);
+  net::sort_by_time(out.packets, world.sort);
 }
 
 HomeCapture make_home(const FleetOptions& options, std::size_t home) {
@@ -157,6 +227,91 @@ HomeCapture make_home(const FleetOptions& options, std::size_t home) {
   HomeArena arena;
   make_home_into(options, home, out, arena);
   return out;
+}
+
+// pmiot: no-alloc — the fused shard observes every home here, into
+// thread-local buffers; warm calls allocate nothing (the same runtime
+// probe as `emit_home_into`).
+void observe_home(const net::GatewayOptions& gateway, double duration_s,
+                  const HomeStreams& home, HomeObservation& out) {
+  // The timers' one-time registration is the only allocation reachable
+  // from here.
+  // pmiot-lint: allow(no-alloc)
+  static obs::Timer& window_timer = stage_timer("fleet.window");
+  static obs::Timer& policy_timer = stage_timer("fleet.policy_counts");
+  PMIOT_CHECK(duration_s > 0.0, "duration must be positive");
+  const std::size_t n = home.devices.size();
+  const std::size_t windows =
+      net::full_window_count(duration_s, gateway.window_s);
+  net::DeviceSlots slots;
+  for (std::size_t d = 0; d < n; ++d) {
+    const auto ip = home.devices[d].profile.ip;
+    PMIOT_CHECK(ip != gateway.router_ip, "the router is not a policed device");
+    PMIOT_CHECK(d == 0 || home.devices[d - 1].profile.ip < ip,
+                "roster addresses must ascend");
+    slots.add(ip);
+  }
+  out.devices = n;
+  out.packets = 0;
+  grow_to(out.rows, n);
+  grow_to(out.counts, n);
+  grow_to(out.from_lower, n);
+  grow_to(out.from_higher, n);
+  for (std::size_t d = 0; d < n; ++d) {
+    out.rows[d].ip = home.devices[d].profile.ip;
+    out.rows[d].name = home.devices[d].profile.name;
+    out.from_lower[d].clear();
+    out.from_higher[d].clear();
+  }
+
+  // The policy summaries, keyed by source address (a peer's reply to a
+  // hub poll counts for the peer), and each packet to another roster
+  // device queued for that device.
+  {
+    obs::ScopedTimer span(policy_timer);
+    net::PolicyTally tally(gateway, slots, windows,
+                           std::span(out.counts.data(), n));
+    for (std::size_t e = 0; e < n; ++e) {
+      const auto ip = home.devices[e].profile.ip;
+      const auto& stream = home.streams[e];
+      tally.add_run(stream);
+      for (const auto& p : stream) {
+        PMIOT_CHECK(p.src_ip == ip || p.dst_ip == ip,
+                    "a device's stream holds only its own packets");
+        const int peer = slots[p.src_ip == ip ? p.dst_ip : p.src_ip];
+        if (peer < 0 || static_cast<std::size_t>(peer) == e) continue;
+        const auto to = static_cast<std::size_t>(peer);
+        (e < to ? out.from_lower[to] : out.from_higher[to]).push_back(p);
+      }
+      out.packets += stream.size();
+    }
+    tally.finish();
+  }
+
+  if (windows == 0) {
+    // A horizon shorter than one window has no rows; routine under churn.
+    for (std::size_t d = 0; d < n; ++d) out.rows[d].rows.clear();
+    return;
+  }
+  obs::ScopedTimer span(window_timer);
+  auto& accumulator = out.accumulator;
+  if (!accumulator || accumulator->window_s() != gateway.window_s ||
+      accumulator->router_ip() != gateway.router_ip) {
+    // Restarted for each device below.
+    accumulator.emplace(/*device_ip=*/0, gateway.window_s,
+                        /*keep_idle_windows=*/false, gateway.router_ip);
+  }
+  for (std::size_t d = 0; d < n; ++d) {
+    // Queued in emitter order, each emitter's packets in time order: the
+    // stable sort orders them by (timestamp, emitter, emission).
+    for (auto* queue : {&out.from_lower[d], &out.from_higher[d]}) {
+      if (queue->size() > 1) net::sort_by_time(*queue, out.sort);
+    }
+    accumulator->restart(home.devices[d].profile.ip);
+    feed_merged(*accumulator, out.from_lower[d], home.streams[d],
+                out.from_higher[d]);
+    accumulator->finish_into(duration_s, out.rows[d].rows);
+  }
 }
 
 std::string describe_divergence(const FleetReport& a, const FleetReport& b) {
@@ -232,78 +387,56 @@ FleetGateway::FleetGateway(const ml::Classifier& classifier,
 }
 
 FleetReport FleetGateway::process_fleet() const {
+  static obs::Timer& shard_timer = stage_timer("fleet.shard");
+  static obs::Timer& emit_timer = stage_timer("fleet.emit");
+  static obs::Timer& classify_timer = stage_timer("fleet.classify");
+  static obs::Timer& replay_timer = stage_timer("fleet.replay");
   const std::size_t n = options_.homes;
+  // Replay reads the rows' own device names, so one gateway with no
+  // registered devices serves every home.
+  const net::SmartGateway gateway(classifier_, detector_, options_.gateway);
 
-  // Shard phase: per-home world generation + feature extraction + policy
-  // summaries. Packets never leave the shard.
-  struct HomeScratch {
-    std::vector<net::DeviceRows> rows;
-    std::vector<net::PolicyCounts> counts;
-    std::uint64_t packets = 0;
-    std::size_t devices = 0;
-  };
-  std::vector<HomeScratch> scratch(n);
+  FleetReport report;
+  report.homes.resize(n);
+  std::vector<std::uint64_t> windows(n, 0);
   par::parallel_for(0, n, [&](std::size_t h) {
-    // Per-pool-thread arenas: capture buffers and sort scratch persist
-    // across the homes a thread processes, so steady-state generation
-    // reuses warm capacity instead of reallocating per home.
-    static thread_local HomeCapture home_buf;
-    static thread_local HomeArena sort_arena;
+    // Per-pool-thread buffers, warm across the homes a thread runs.
+    struct Shard {
+      HomeStreams home;
+      HomeObservation seen;
+      ml::Dataset batch;
+      std::vector<std::vector<int>> predictions;
+    };
+    static thread_local Shard shard;
+    obs::ScopedTimer busy(shard_timer);
     {
-      obs::ScopedTimer span(make_home_timer());
-      make_home_into(options_, h, home_buf, sort_arena);
+      obs::ScopedTimer span(emit_timer);
+      emit_home_into(options_, h, shard.home);
     }
-    const HomeCapture& home = home_buf;
-    const auto gateway = home_gateway(classifier_, detector_, options_, home);
-    auto& s = scratch[h];
-    s.rows = gateway.extract_rows(home.packets, options_.duration_s);
-    s.counts = gateway.policy_counts(home.packets, options_.duration_s);
-    s.packets = home.packets.size();
-    s.devices = home.devices.size();
-    packets_counter().add(home.packets.size());
+    auto& seen = shard.seen;
+    observe_home(options_.gateway, options_.duration_s, shard.home, seen);
+    {
+      obs::ScopedTimer span(classify_timer);
+      classify_home(classifier_, seen, shard.batch, shard.predictions);
+    }
+    auto& out = report.homes[h];
+    {
+      obs::ScopedTimer span(replay_timer);
+      out.report = gateway.replay(
+          std::span(seen.rows.data(), seen.devices),
+          std::span(shard.predictions.data(), seen.devices),
+          std::span(seen.counts.data(), seen.devices), options_.duration_s);
+    }
+    out.devices = seen.devices;
+    out.packets = seen.packets;
+    for (std::size_t d = 0; d < seen.devices; ++d) {
+      windows[h] += seen.rows[d].rows.size();
+    }
+    packets_counter().add(seen.packets);
   });
   homes_counter().add(n);
 
-  // Batch phase: one columnar classification across every home's windows
-  // (row order: home asc, device asc, window asc — deterministic).
-  ml::Dataset all;
-  for (const auto& s : scratch) {
-    for (const auto& device : s.rows) {
-      for (const auto& row : device.rows) {
-        all.append(row.features, 0);
-      }
-    }
-  }
-  std::vector<int> flat;
-  if (all.size() > 0) flat = classifier_.predict_all(all);
-
-  std::vector<std::vector<std::vector<int>>> predictions(n);
-  std::size_t next = 0;
-  for (std::size_t h = 0; h < n; ++h) {
-    predictions[h].resize(scratch[h].rows.size());
-    for (std::size_t d = 0; d < scratch[h].rows.size(); ++d) {
-      const auto rows = scratch[h].rows[d].rows.size();
-      predictions[h][d].assign(flat.begin() + static_cast<std::ptrdiff_t>(next),
-                               flat.begin() +
-                                   static_cast<std::ptrdiff_t>(next + rows));
-      next += rows;
-    }
-  }
-  PMIOT_ASSERT(next == flat.size(), "prediction scatter misaligned");
-
-  // Replay phase: the quarantine state machine per home, slot-per-home.
-  FleetReport report;
-  report.homes.resize(n);
-  par::parallel_for(0, n, [&](std::size_t h) {
-    net::SmartGateway gateway(classifier_, detector_, options_.gateway);
-    auto& out = report.homes[h];
-    out.report = gateway.replay(scratch[h].rows, predictions[h],
-                                scratch[h].counts, options_.duration_s);
-    out.devices = scratch[h].devices;
-    out.packets = scratch[h].packets;
-  });
-
-  report.windows_classified = all.size();
+  for (const auto w : windows) report.windows_classified += w;
   accumulate_totals(report);
   quarantines_counter().add(report.quarantined_devices);
   return report;

@@ -1,29 +1,33 @@
 // Fleet-scale gateway: one process simulating and policing thousands of
-// home IoT LANs (ROADMAP item 1 — the paper's §IV gateway agenda run at
-// deployment scale rather than one LAN per process).
+// home IoT LANs (the paper's §IV gateway agenda run at deployment scale
+// rather than one LAN per process).
 //
-// Shape of a fleet pass (`FleetGateway::process_fleet`):
-//   1. Shard phase (parallel over homes): each home's capture is generated
-//      on the fly from `par::shard_seed(base_seed, home)`, windowed into
-//      per-device feature rows, and reduced to compact per-device policy
-//      summaries (`net::PolicyCounts`). The packets are discarded inside
-//      the shard — no global packet vector is ever materialized; what
-//      survives is O(windows × devices) feature rows per home.
-//   2. Batch phase (serial): every home's window rows are assembled into
-//      one dataset, classified with a single columnar
-//      `ml::Classifier::predict_all` call (which fans out internally),
-//      and scattered back per home.
-//   3. Replay phase (parallel over homes): the per-home quarantine state
-//      machine (`net::SmartGateway::replay`) runs with the batched
-//      predictions; results land in per-home slots.
+// A fleet pass (`FleetGateway::process_fleet`) is one parallel loop over
+// homes, and each home is one fused shard:
+//   1. Emission: the home is drawn from `par::shard_seed(base_seed, home)`
+//      into per-device streams (`emit_home_into`): each device's own
+//      packets, lifecycle-filtered and time-sorted.
+//   2. Observation (`observe_home`): each device's `WindowAccumulator` is
+//      fed that device's stream merged with the few packets other devices
+//      send it (hub polls, scanner probes), and one pass over the streams
+//      gives the per-device policy summaries (`net::PolicyCounts`).
+//   3. Classification: the home's window rows go through one
+//      `ml::Classifier::predict_all` call, inline in the shard.
+//   4. Replay: the quarantine state machine (`net::SmartGateway::replay`)
+//      writes the home's report into its slot.
+// No home-wide capture is built and nothing outlives the shard but the
+// home's report. `make_home_into` still builds the merged capture from the
+// same per-device streams, for the serial oracle and the tests.
 //
 // Determinism contract: every per-home result depends only on (options,
-// home index) — captures are shard-seeded, results are slot-written, and
-// `predict_all` is contractually identical to per-row `predict`. A fleet
-// report is therefore bitwise identical to running `SmartGateway::process`
-// over each home serially (`reference::run_fleet_serial`, the oracle the
-// self-check bench and soak test compare against) and invariant across
-// PMIOT_THREADS.
+// home index). A device's merged stream is exactly the time-sorted
+// capture restricted to that device: ties go by timestamp, then emitting
+// device index, then emission order, which is what a stable sort of the
+// devices' concatenated emissions gives. `predict_all` is contractually
+// identical to per-row `predict`. A fleet report is therefore bitwise
+// identical to running `SmartGateway::process` over each home's capture
+// serially (`reference::run_fleet_serial`, the oracle the self-check bench
+// and soak test compare against) and invariant across PMIOT_THREADS.
 //
 // Churn model: each device is registered with the gateway for the whole
 // horizon but only emits traffic inside its [join_s, leave_s) lifecycle —
@@ -34,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +48,7 @@
 #include "net/device.h"
 #include "net/gateway.h"
 #include "net/packet.h"
+#include "net/window_accumulator.h"
 
 namespace pmiot::fleet {
 
@@ -86,25 +92,73 @@ struct HomeCapture {
   std::size_t infected = kNoInfectedDevice;  ///< index into devices
 };
 
-/// Deterministic per-home world generation: depends only on (options,
-/// home). The fleet pass and the serial oracle both call this, so they
-/// police identical captures.
-HomeCapture make_home(const FleetOptions& options, std::size_t home);
-
-/// Reusable scratch for `make_home_into`: the buffers of its one
-/// capture-wide `net::sort_by_time`, so repeated home generation performs
-/// no hidden allocations once capacities are warm.
-struct HomeArena {
+/// One home as per-device streams: the roster, and for each device the
+/// packets it emits (to the cloud, to the router and to other devices),
+/// lifecycle-filtered and sorted by `net::sort_by_time`. Reused from home
+/// to home: only the first `devices.size()` streams are the current
+/// home's. Device `d` has address 10.0.0.(10 + d), so the roster is in the
+/// gateway's (ascending address) order.
+// pmiot: sensitive — every device's packets.
+struct HomeStreams {
+  std::vector<DeviceLifecycle> devices;
+  std::size_t infected = kNoInfectedDevice;  ///< index into devices
+  std::vector<std::vector<net::Packet>> streams;
   net::SortScratch sort;
 };
 
+/// Draws home `home` into `out`: the device count, the infection, then for
+/// each device its type, profile, churn and emission, all from one
+/// `Rng(par::shard_seed(options.base_seed, home))`. Depends only on
+/// (options, home); warm buffers are reused without allocating.
+void emit_home_into(const FleetOptions& options, std::size_t home,
+                    HomeStreams& out);
+
+/// Deterministic per-home world generation: depends only on (options,
+/// home). The serial oracle calls this, so it polices exactly the streams
+/// the fleet pass observes.
+HomeCapture make_home(const FleetOptions& options, std::size_t home);
+
+/// Reusable scratch for `make_home_into`: the home's per-device streams.
+struct HomeArena {
+  HomeStreams streams;
+};
+
 /// Arena variant of `make_home`: regenerates home `home` into `out`,
-/// reusing `out`'s and `arena`'s capacity. Produces a capture bitwise
-/// identical to `make_home` (same RNG stream, same packet order). After a
-/// warm-up pass over the same homes, steady-state calls allocate nothing —
-/// the contract `bench/fleet_gateway --self-check` asserts.
+/// reusing `out`'s and `arena`'s capacity. The capture is the devices'
+/// streams merged into time order, ties to the lower device index, then
+/// emission order. After a warm-up pass over the same homes, steady-state
+/// calls allocate nothing.
 void make_home_into(const FleetOptions& options, std::size_t home,
                     HomeCapture& out, HomeArena& arena);
+
+/// What the fused shard knows of one home before classification: each
+/// registered device's window rows and policy summary, in roster order.
+/// Reused from home to home: only the first `devices` entries of `rows`
+/// and `counts` are the current home's.
+struct HomeObservation {
+  std::size_t devices = 0;
+  std::uint64_t packets = 0;  ///< packets every device emitted
+  std::vector<net::DeviceRows> rows;
+  std::vector<net::PolicyCounts> counts;
+
+  // Scratch. Per device, the packets that lower- and higher-indexed
+  // devices emit to it, each time-sorted.
+  std::vector<std::vector<net::Packet>> from_lower, from_higher;
+  std::optional<net::WindowAccumulator> accumulator;
+  net::SortScratch sort;
+};
+
+/// Windows and tallies every device of `home` from the streams alone, as
+/// `SmartGateway::extract_rows` and `policy_counts` would from the merged
+/// capture (a gateway with `gateway` options and the roster registered).
+/// Each device's accumulator gets its own stream merged with the packets
+/// other devices emit to it, in (timestamp, emitting device, emission)
+/// order. Throws InvalidArgument unless the roster's addresses are LAN
+/// addresses, not the router's, and ascending, and every packet of a
+/// device's stream has that device's address at one end; a stream out of
+/// time order throws too, as `extract_rows` does.
+void observe_home(const net::GatewayOptions& gateway, double duration_s,
+                  const HomeStreams& home, HomeObservation& out);
 
 /// Per-home outcome inside a fleet report.
 struct HomeOutcome {
@@ -137,8 +191,9 @@ class FleetGateway {
 
   const FleetOptions& options() const noexcept { return options_; }
 
-  /// The batched fleet pass described above. Emits `fleet.homes`,
-  /// `fleet.packets`, and `fleet.quarantines` metrics.
+  /// The fused fleet pass described above. Emits the `fleet.homes`,
+  /// `fleet.packets` and `fleet.quarantines` counters and one timer per
+  /// shard stage.
   FleetReport process_fleet() const;
 
  private:

@@ -1,6 +1,7 @@
 #include "net/device.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -14,21 +15,45 @@ constexpr std::uint16_t kDnsPort = 53;
 
 std::uint32_t lan_router() { return make_ip(10, 0, 0, 1); }
 
+/// Appends packets to a capture through a small local buffer, so the
+/// generation loops store packets instead of calling the vector's growth
+/// path for each one. Call `flush` before anyone reads the capture.
+class PacketSink {
+ public:
+  explicit PacketSink(std::vector<Packet>& out) : out_(out) {}
+
+  void push(const Packet& p) {
+    buffer_[size_++] = p;
+    if (size_ == buffer_.size()) flush();
+  }
+
+  void flush() {
+    out_.insert(out_.end(), buffer_.begin(),
+                buffer_.begin() + static_cast<std::ptrdiff_t>(size_));
+    size_ = 0;
+  }
+
+ private:
+  std::vector<Packet>& out_;
+  std::array<Packet, 64> buffer_;
+  std::size_t size_ = 0;
+};
+
 /// Emits a request/response exchange of the given byte sizes (split into
 /// MTU packets 10 ms apart) between the device and a remote endpoint.
-void emit_exchange(std::vector<Packet>& out, double ts, std::uint32_t dev,
+void emit_exchange(PacketSink& packets, double ts, std::uint32_t dev,
                    std::uint32_t remote, std::uint16_t remote_port,
                    Protocol proto, int up_bytes, int down_bytes,
                    std::uint16_t src_port) {
   double t = ts;
   for (int left = up_bytes; left > 0; left -= kMtu) {
-    out.push_back(Packet{t, dev, remote, src_port, remote_port, proto,
-                         std::min(left, kMtu)});
+    packets.push(Packet{t, dev, remote, src_port, remote_port, proto,
+                        std::min(left, kMtu)});
     t += 0.01;
   }
   for (int left = down_bytes; left > 0; left -= kMtu) {
-    out.push_back(Packet{t, remote, dev, remote_port, src_port, proto,
-                         std::min(left, kMtu)});
+    packets.push(Packet{t, remote, dev, remote_port, src_port, proto,
+                        std::min(left, kMtu)});
     t += 0.01;
   }
 }
@@ -136,6 +161,7 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
                             Rng& rng, std::vector<Packet>& out) {
   PMIOT_CHECK(duration_s > 0.0, "duration must be positive");
   PMIOT_CHECK(is_lan(profile.ip), "device must have a LAN address");
+  PacketSink packets(out);
   const std::uint16_t src_port =
       static_cast<std::uint16_t>(40000 + (profile.ip & 0xff));
 
@@ -144,7 +170,7 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
        t < duration_s;
        t += std::max(1.0, rng.normal(profile.heartbeat_period_s,
                                      0.05 * profile.heartbeat_period_s))) {
-    emit_exchange(out, t, profile.ip, profile.cloud_ip, kTlsPort,
+    emit_exchange(packets, t, profile.ip, profile.cloud_ip, kTlsPort,
                   Protocol::kTcp, profile.heartbeat_up_bytes,
                   profile.heartbeat_down_bytes, src_port);
   }
@@ -155,7 +181,7 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
          t < duration_s;
          t += std::max(1.0, rng.normal(profile.telemetry_period_s,
                                        0.1 * profile.telemetry_period_s))) {
-      emit_exchange(out, t, profile.ip, profile.cloud_ip, kTlsPort,
+      emit_exchange(packets, t, profile.ip, profile.cloud_ip, kTlsPort,
                     Protocol::kTcp, profile.telemetry_bytes, 200, src_port);
     }
   }
@@ -168,7 +194,7 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
           rng.uniform_int(profile.event_bytes_min,
                           std::max(profile.event_bytes_min,
                                    profile.event_bytes_max)));
-      emit_exchange(out, t, profile.ip, profile.cloud_ip, kTlsPort,
+      emit_exchange(packets, t, profile.ip, profile.cloud_ip, kTlsPort,
                     Protocol::kTcp, bytes, bytes / 20 + 100, src_port);
       t += rng.exponential(profile.event_rate_per_hour / 3600.0);
     }
@@ -180,13 +206,11 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
     for (double t = rng.uniform(0.0, gap); t < duration_s;
          t += rng.uniform(0.5 * gap, 1.5 * gap)) {
       if (profile.stream_upstream) {
-        out.push_back(Packet{t, profile.ip, profile.cloud_ip, src_port,
-                             kTlsPort, Protocol::kUdp,
-                             profile.stream_pkt_bytes});
+        packets.push(Packet{t, profile.ip, profile.cloud_ip, src_port, kTlsPort,
+                            Protocol::kUdp, profile.stream_pkt_bytes});
       } else {
-        out.push_back(Packet{t, profile.cloud_ip, profile.ip, kTlsPort,
-                             src_port, Protocol::kUdp,
-                             profile.stream_pkt_bytes});
+        packets.push(Packet{t, profile.cloud_ip, profile.ip, kTlsPort, src_port,
+                            Protocol::kUdp, profile.stream_pkt_bytes});
       }
     }
   }
@@ -199,8 +223,8 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
       const auto peer =
           make_ip(10, 0, 0, static_cast<int>(rng.uniform_int(10, 40)));
       if (peer == profile.ip) continue;
-      emit_exchange(out, t, profile.ip, peer, 8883, Protocol::kTcp, 150, 120,
-                    src_port);
+      emit_exchange(packets, t, profile.ip, peer, 8883, Protocol::kTcp, 150,
+                    120, src_port);
     }
   }
 
@@ -208,7 +232,7 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
   if (profile.dns_rate_per_hour > 0.0) {
     double t = rng.exponential(profile.dns_rate_per_hour / 3600.0);
     while (t < duration_s) {
-      emit_exchange(out, t, profile.ip, lan_router(), kDnsPort,
+      emit_exchange(packets, t, profile.ip, lan_router(), kDnsPort,
                     Protocol::kUdp, 60, 140, src_port);
       t += rng.exponential(profile.dns_rate_per_hour / 3600.0);
     }
@@ -229,7 +253,7 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
           rng.bernoulli(0.5)
               ? static_cast<std::uint16_t>(rng.uniform_int(20, 1024))
               : 23;  // telnet, the classic IoT botnet door
-      out.push_back(
+      packets.push(
           Packet{t, profile.ip, target, src_port, port, Protocol::kTcp, 60});
     }
   } else if (profile.infection == Infection::kDdosBot) {
@@ -240,9 +264,10 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
       const double burst_end = t + rng.uniform(30.0, 120.0);
       for (double bt = t; bt < burst_end && bt < duration_s;
            bt += rng.exponential(40.0)) {
-        out.push_back(Packet{bt, profile.ip, victim, src_port,
-                             static_cast<std::uint16_t>(rng.uniform_int(1, 65535)),
-                             Protocol::kUdp, 600});
+        const auto port =
+            static_cast<std::uint16_t>(rng.uniform_int(1, 65535));
+        packets.push(Packet{bt, profile.ip, victim, src_port, port,
+                            Protocol::kUdp, 600});
       }
       t = burst_end + rng.uniform(120.0, 600.0);  // idle between bursts
     }
@@ -251,10 +276,11 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
     const double gap = 0.15;  // ~7 MTU packets/second, continuous upload
     for (double t = std::max(0.0, profile.infection_start_s); t < duration_s;
          t += rng.uniform(0.5 * gap, 1.5 * gap)) {
-      out.push_back(Packet{t, profile.ip, sink, src_port, 4444,
-                           Protocol::kTcp, kMtu});
+      packets.push(
+          Packet{t, profile.ip, sink, src_port, 4444, Protocol::kTcp, kMtu});
     }
   }
+  packets.flush();
 }
 
 std::vector<Packet> simulate_device(const DeviceProfile& profile,

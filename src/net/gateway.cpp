@@ -130,56 +130,71 @@ std::vector<DeviceRows> SmartGateway::extract_rows(
   return out;
 }
 
-std::vector<PolicyCounts> SmartGateway::policy_counts(
-    std::span<const Packet> packets, double duration_s) const {
-  obs::ScopedTimer span(policy_counts_timer());
-  const auto windows = static_cast<std::size_t>(window_count(duration_s));
-
-  std::vector<PolicyCounts> out(devices_.size());
-  for (auto& pc : out) {
-    pc.nonexempt_from.assign(windows + 1, 0);
-    pc.lateral_nonexempt_from.assign(windows + 1, 0);
+PolicyTally::PolicyTally(const GatewayOptions& options,
+                         const DeviceSlots& slots, std::size_t windows,
+                         std::span<PolicyCounts> out)
+    : options_(options), slots_(slots), windows_(windows), out_(out) {
+  for (auto& pc : out_) {
+    pc.policed = 0;
+    pc.lateral_total = 0;
+    pc.nonexempt_from.assign(windows_ + 1, 0);
+    pc.lateral_nonexempt_from.assign(windows_ + 1, 0);
   }
+}
 
-  const auto slots = device_slots();
-  for (const auto& p : packets) {
-    const int src = slots[p.src_ip];
+void PolicyTally::count(int src, const Packet& p, std::size_t k) {
+  auto& pc = out_[static_cast<std::size_t>(src)];
+  ++pc.policed;
+  const bool lateral = is_lan(p.dst_ip) && p.dst_ip != options_.router_ip &&
+                       slots_[p.dst_ip] < 0;
+  if (lateral) ++pc.lateral_total;
+  if (quarantine_exempt(p)) return;
+  ++pc.nonexempt_from[k];
+  if (lateral) ++pc.lateral_nonexempt_from[k];
+}
+
+void PolicyTally::add_run(std::span<const Packet> run) {
+  // k is the largest boundary index in [0, windows] with timestamp >=
+  // k * window_s, using the same `int * double` boundary arithmetic as the
+  // replay's quarantine timestamps so the bucket test is exact. It only
+  // grows along a time-ordered run, and a timestamp <= 0 stays at k = 0.
+  std::size_t k = 0;
+  double last_timestamp = -std::numeric_limits<double>::infinity();
+  for (const auto& p : run) {
+    PMIOT_CHECK(p.timestamp_s >= last_timestamp,
+                "packets must arrive in timestamp order (use sort_by_time)");
+    last_timestamp = p.timestamp_s;
+    const int src = slots_[p.src_ip];
     if (src < 0) continue;
-    auto& pc = out[static_cast<std::size_t>(src)];
-    ++pc.policed;
-    const bool lateral = is_lan(p.dst_ip) && p.dst_ip != options_.router_ip &&
-                         slots[p.dst_ip] < 0;
-    if (lateral) ++pc.lateral_total;
-    if (quarantine_exempt(p)) continue;
-    // Largest boundary index k in [0, windows] with timestamp >= k *
-    // window_s, using the same `int * double` boundary arithmetic as the
-    // replay's quarantine timestamps so the bucket test is exact.
-    std::size_t k = 0;
-    if (p.timestamp_s > 0.0) {
-      k = std::min(windows,
-                   static_cast<std::size_t>(p.timestamp_s / options_.window_s));
-      while (k + 1 <= windows &&
-             p.timestamp_s >= static_cast<double>(k + 1) * options_.window_s) {
-        ++k;
-      }
-      while (k > 0 &&
-             p.timestamp_s < static_cast<double>(k) * options_.window_s) {
-        --k;
-      }
+    while (k < windows_ &&
+           p.timestamp_s >= static_cast<double>(k + 1) * options_.window_s) {
+      ++k;
     }
-    ++pc.nonexempt_from[k];
-    if (lateral) ++pc.lateral_nonexempt_from[k];
+    count(src, p, k);
   }
+}
 
+void PolicyTally::finish() {
   // Bucket counts -> suffix sums: [k] covers every packet at or after the
   // boundary k * window_s.
-  for (auto& pc : out) {
+  for (auto& pc : out_) {
     packets_policed_counter().add(pc.policed);
-    for (std::size_t k = windows; k-- > 0;) {
+    for (std::size_t k = windows_; k-- > 0;) {
       pc.nonexempt_from[k] += pc.nonexempt_from[k + 1];
       pc.lateral_nonexempt_from[k] += pc.lateral_nonexempt_from[k + 1];
     }
   }
+}
+
+std::vector<PolicyCounts> SmartGateway::policy_counts(
+    std::span<const Packet> packets, double duration_s) const {
+  obs::ScopedTimer span(policy_counts_timer());
+  const auto windows = static_cast<std::size_t>(window_count(duration_s));
+  std::vector<PolicyCounts> out(devices_.size());
+  const auto slots = device_slots();
+  PolicyTally tally(options_, slots, windows, out);
+  tally.add_run(packets);
+  tally.finish();
   return out;
 }
 

@@ -19,13 +19,16 @@
 //    router_ip` nor a registered peer counts in `lateral_packets_blocked`.
 //  * The two counters are mutually exclusive — no packet is counted twice.
 //
-// `process` is the composition of three stages that are also public so the
-// fleet layer (src/fleet) can batch the classification step across homes:
+// `process` is the composition of three stages that are also public:
 // `extract_rows` (windowed features per device), `policy_counts` (compact
 // per-device accounting summaries, no packet retention), and `replay` (the
-// scoring/quarantine state machine plus counter derivation).
+// scoring/quarantine state machine plus counter derivation). The fleet
+// layer (src/fleet) builds the first two from per-device streams instead
+// of a merged capture (`WindowAccumulator`, `PolicyTally`) and classifies
+// each home's rows in one batch before `replay`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -108,6 +111,37 @@ struct PolicyCounts {
   std::vector<std::uint64_t> lateral_nonexempt_from;
 };
 
+/// The counting half of `SmartGateway::policy_counts`, for callers that
+/// hold a capture as several time-ordered runs (one per device, say): the
+/// summaries are sums, so the runs may come in any order. `slots` maps
+/// each registered device's address to its summary in `out`.
+class PolicyTally {
+ public:
+  /// Empties `out` (one summary per registered device) for a capture of
+  /// `windows` windows, keeping its buffers.
+  PolicyTally(const GatewayOptions& options, const DeviceSlots& slots,
+              std::size_t windows, std::span<PolicyCounts> out);
+
+  /// Counts each packet of `run` into its source device's summary, if it
+  /// has one. Each packet's boundary bucket is found by walking forward
+  /// from the previous packet's. Throws InvalidArgument unless `run` is in
+  /// timestamp order.
+  void add_run(std::span<const Packet> run);
+
+  /// Turns the bucket counts into suffix counts. Call once, after the last
+  /// `add_run`.
+  void finish();
+
+ private:
+  /// Counts `p`, whose boundary bucket is `k`, for source slot `src`.
+  void count(int src, const Packet& p, std::size_t k);
+
+  const GatewayOptions& options_;
+  const DeviceSlots& slots_;
+  std::size_t windows_;
+  std::span<PolicyCounts> out_;
+};
+
 /// Offline gateway evaluation: replays a time-ordered capture, windows it,
 /// classifies and scores each device, and applies the isolation policy.
 class SmartGateway {
@@ -144,6 +178,7 @@ class SmartGateway {
 
   /// Stage 2: per-device policy summaries, aligned with `extract_rows`
   /// output. One pass over the capture; nothing is retained per packet.
+  /// Throws InvalidArgument on a capture that is not in timestamp order.
   std::vector<PolicyCounts> policy_counts(std::span<const Packet> packets,
                                           double duration_s) const;
 
@@ -152,7 +187,7 @@ class SmartGateway {
   /// predicted type of `devices[i].rows[r]`) and derives the policy
   /// counters from the summaries. `process` == stages 1+2 with per-row
   /// `Classifier::predict`, then this; the fleet path substitutes one
-  /// batched `predict_all` across homes — `predict_all` is contractually
+  /// batched `predict_all` per home — `predict_all` is contractually
   /// identical to per-row `predict`, so the reports match bitwise.
   GatewayReport replay(std::span<const DeviceRows> devices,
                        std::span<const std::vector<int>> predictions,

@@ -45,8 +45,8 @@ class OpenTable {
   /// value (assignable) and whether this call inserted it. The reference
   /// is valid until the next `try_emplace` or `clear`: growth moves slots.
   std::pair<Value&, bool> try_emplace(const Key& key, Value value) {
-    if (2 * (used_.size() + 1) > slots_.size()) grow();
-    const std::size_t mask = slots_.size() - 1;
+    if (2 * (used_.size() + 1) > active_) grow();
+    const std::size_t mask = active_ - 1;
     for (std::size_t i = Hash{}(key) & mask;; i = (i + 1) & mask) {
       Slot& slot = slots_[i];
       if (!slot.used) {
@@ -67,6 +67,15 @@ class OpenTable {
     used_.clear();
   }
 
+  /// `clear`, and probe the smallest table again: keys spread over only
+  /// as many slots as they need until growth, while the allocation stays
+  /// for that growth. A table reused for many small key sets after one
+  /// large one keeps its probes in cache this way.
+  void clear_and_shrink() noexcept {
+    clear();
+    active_ = 0;
+  }
+
  private:
   struct Slot {
     Key key{};
@@ -74,16 +83,25 @@ class OpenTable {
     bool used = false;
   };
 
+  /// Doubles the probed table (16 slots at first), reusing the allocation
+  /// when it is already large enough, and re-inserts every key.
   void grow() {
-    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
-    old.swap(slots_);
-    std::vector<std::uint32_t> positions;
-    positions.swap(used_);
-    for (const auto i : positions) try_emplace(old[i].key, old[i].value);
+    moving_.clear();
+    for (const auto i : used_) {
+      moving_.push_back(slots_[i]);
+      slots_[i].used = false;
+    }
+    used_.clear();
+    active_ = std::max<std::size_t>(16, 2 * active_);
+    if (slots_.size() < active_) slots_.resize(active_);
+    for (const auto& slot : moving_) try_emplace(slot.key, slot.value);
   }
 
-  std::vector<Slot> slots_;
+  std::vector<Slot> slots_;          ///< allocation; every slot unused past
+                                     ///< the first `active_`
+  std::size_t active_ = 0;           ///< probed slots: 0 or a power of two
   std::vector<std::uint32_t> used_;  ///< occupied slot positions
+  std::vector<Slot> moving_;         ///< `grow` scratch
 };
 
 }  // namespace pmiot::net

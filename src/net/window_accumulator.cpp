@@ -150,7 +150,7 @@ bool WindowAccumulator::track_flow(const Packet& p) {
 
 void WindowAccumulator::close_window() {
   if (state_.total > 0 || keep_idle_windows_) {
-    std::vector<double> f(feature_names().size(), 0.0);
+    std::vector<double> f = zero_features();
     if (state_.total > 0) {
       const double window_s = window_s_;
       f[0] = static_cast<double>(state_.up_size.count()) / window_s;
@@ -208,7 +208,19 @@ void WindowAccumulator::close_window() {
   }
 }
 
-std::vector<WindowRow> WindowAccumulator::finish(double duration_s) {
+std::vector<double> WindowAccumulator::zero_features() {
+  const std::size_t width = feature_names().size();
+  if (spare_.empty()) {
+    if (spare_.capacity() < ++made_) spare_.reserve(2 * made_);
+    return std::vector<double>(width, 0.0);
+  }
+  auto f = std::move(spare_.back());
+  spare_.pop_back();
+  f.assign(width, 0.0);
+  return f;
+}
+
+void WindowAccumulator::close_through(double duration_s) {
   PMIOT_CHECK(duration_s >= window_s_, "need at least one full window");
   const auto full_windows = full_window_count(duration_s, window_s_);
   while (current_ < full_windows) close_window();
@@ -217,9 +229,37 @@ std::vector<WindowRow> WindowAccumulator::finish(double duration_s) {
   if (state_.total > 0) packets_ingested_counter().add(state_.total);
   // Drop windows opened by trailing packets past duration_s.
   while (!rows_.empty() && rows_.back().window_index >= full_windows) {
+    spare_.push_back(std::move(rows_.back().features));
     rows_.pop_back();
   }
+}
+
+std::vector<WindowRow> WindowAccumulator::finish(double duration_s) {
+  close_through(duration_s);
   return std::move(rows_);
+}
+
+void WindowAccumulator::finish_into(double duration_s,
+                                    std::vector<WindowRow>& out) {
+  for (auto& row : out) spare_.push_back(std::move(row.features));
+  out.clear();
+  close_through(duration_s);
+  for (auto& row : rows_) out.push_back(std::move(row));
+  rows_.clear();
+}
+
+void WindowAccumulator::restart(std::uint32_t device_ip) {
+  device_ip_ = device_ip;
+  current_ = 0;
+  window_end_ = window_s_;
+  last_timestamp_ = -std::numeric_limits<double>::infinity();
+  state_.reset();
+  // The tables return to their smallest size, so a small device after a
+  // flooding one probes a few cache lines, not the flood's table.
+  state_.flows.clear_and_shrink();
+  state_.remotes.clear_and_shrink();
+  for (auto& row : rows_) spare_.push_back(std::move(row.features));
+  rows_.clear();
 }
 
 }  // namespace pmiot::net

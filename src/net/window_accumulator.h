@@ -59,8 +59,21 @@ class WindowAccumulator {
   /// Closes the `full_window_count(duration_s, window_s)` full windows and
   /// returns the emitted rows in window order. Windows already opened past
   /// `duration_s` (trailing partial traffic) are discarded, mirroring
-  /// `windowed_features`' full-window semantics. Terminal: call once.
+  /// `windowed_features`' full-window semantics. Call once, or `restart`.
   std::vector<WindowRow> finish(double duration_s);
+
+  /// `finish` into `out`, whose previous rows' feature buffers are taken
+  /// back for later windows. An accumulator restarted for device after
+  /// device, each finished into its own reused `out`, allocates nothing
+  /// once its buffers have grown to the largest device seen.
+  void finish_into(double duration_s, std::vector<WindowRow>& out);
+
+  /// Re-arms the accumulator for `device_ip` from window 0, with the same
+  /// window and router, keeping every buffer's capacity.
+  void restart(std::uint32_t device_ip);
+
+  double window_s() const noexcept { return window_s_; }
+  std::uint32_t router_ip() const noexcept { return router_ip_; }
 
  private:
   /// A flow idle for longer than this ends; the key's next packet starts
@@ -119,6 +132,10 @@ class WindowAccumulator {
   /// this window, the only time its peer can be new too.
   bool track_flow(const Packet& packet);
   void close_window();
+  /// Closes every full window and drops rows opened past `duration_s`.
+  void close_through(double duration_s);
+  /// A zeroed feature vector, from `spare_` when one is there.
+  std::vector<double> zero_features();
 
   std::uint32_t device_ip_;
   double window_s_;
@@ -130,6 +147,11 @@ class WindowAccumulator {
   double last_timestamp_ = -std::numeric_limits<double>::infinity();
   State state_;
   std::vector<WindowRow> rows_;
+  /// Feature buffers of rows handed back through `finish_into` or
+  /// `restart`; `made_` counts the buffers this accumulator allocated, and
+  /// `spare_` keeps room for all of them so recycling never regrows it.
+  std::vector<std::vector<double>> spare_;
+  std::size_t made_ = 0;
 };
 
 }  // namespace pmiot::net

@@ -211,11 +211,21 @@ TEST(Stats, QuantileEndpointsAndMiddle) {
 TEST(Stats, QuantileInPlaceMatchesSortingQuantileBitwise) {
   Rng rng(7);
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  for (int trial = 0; trial < 300; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 24));
+  for (int trial = 0; trial < 600; ++trial) {
+    // Short ranges go straight to the insertion sort; longer ones are
+    // partitioned first.
+    const auto n = static_cast<std::size_t>(
+        rng.uniform_int(1, trial % 2 == 0 ? 24 : 400));
     std::vector<double> xs(n);
-    // Few distinct values, so most trials hold ties.
-    for (auto& x : xs) x = 0.125 * static_cast<double>(rng.uniform_int(0, 6));
+    // Few distinct values, so most trials hold ties; every 50th is all
+    // equal, and some are sorted or reversed.
+    const std::int64_t distinct =
+        trial % 50 == 0 ? 0 : (trial % 3 == 0 ? 6 : 1000);
+    for (auto& x : xs) {
+      x = 0.125 * static_cast<double>(rng.uniform_int(0, distinct));
+    }
+    if (trial % 7 == 0) std::sort(xs.begin(), xs.end());
+    if (trial % 7 == 1) std::sort(xs.rbegin(), xs.rend());
     for (const double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
       auto scratch = xs;
       EXPECT_EQ(bits(stats::quantile_in_place(scratch, q)),

@@ -4,9 +4,11 @@
 // long horizon.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -222,6 +224,224 @@ TEST(Fleet, RoutedExtractionRejectsOutOfOrderUnregisteredTraffic) {
                                        net::Protocol::kTcp, 60});
   EXPECT_THROW(gateway.extract_rows(home.packets, options.duration_s),
                InvalidArgument);
+  EXPECT_THROW(gateway.policy_counts(home.packets, options.duration_s),
+               InvalidArgument);
+}
+
+// --- the fused shard's per-device streams against the capture path --------
+
+/// Per-row `predict` over each device's rows.
+std::vector<std::vector<int>> predict_rows(
+    std::span<const net::DeviceRows> devices) {
+  const auto& models = trained_models();
+  std::vector<std::vector<int>> out;
+  for (const auto& device : devices) {
+    auto& labels = out.emplace_back();
+    for (const auto& row : device.rows) {
+      labels.push_back(models.forest.predict(row.features));
+    }
+  }
+  return out;
+}
+
+/// A one-home fleet report, so `describe_divergence` compares the reports.
+FleetReport one_home(std::size_t devices, std::uint64_t packets,
+                     net::GatewayReport report) {
+  FleetReport out;
+  out.homes.push_back({devices, packets, std::move(report)});
+  return out;
+}
+
+/// `observe_home` on `home`'s streams must give, device by device, the rows
+/// and policy summaries `extract_rows` and `policy_counts` give on
+/// `capture`, the same packet count, and a replay equal to
+/// `SmartGateway::process` on the capture.
+void expect_streams_match_capture(const HomeStreams& home,
+                                  const std::vector<net::Packet>& capture,
+                                  const FleetOptions& options,
+                                  const std::string& what) {
+  SCOPED_TRACE(what);
+  const auto& models = trained_models();
+  net::SmartGateway gateway(models.forest, models.detector, options.gateway);
+  for (const auto& device : home.devices) {
+    gateway.register_device(device.profile.ip, device.profile.name);
+  }
+  const auto rows = gateway.extract_rows(capture, options.duration_s);
+  const auto counts = gateway.policy_counts(capture, options.duration_s);
+
+  // A reused observation: stale buffers from a bigger home must not leak.
+  static HomeObservation seen;
+  observe_home(options.gateway, options.duration_s, home, seen);
+  const std::size_t n = home.devices.size();
+  ASSERT_EQ(seen.devices, n);
+  ASSERT_EQ(rows.size(), n);
+  EXPECT_EQ(seen.packets, capture.size());
+  for (std::size_t d = 0; d < n; ++d) {
+    const auto& got = seen.rows[d];
+    EXPECT_EQ(got.ip, rows[d].ip);
+    EXPECT_EQ(got.name, rows[d].name);
+    ASSERT_EQ(got.rows.size(), rows[d].rows.size()) << got.name;
+    for (std::size_t r = 0; r < got.rows.size(); ++r) {
+      EXPECT_EQ(got.rows[r].window_index, rows[d].rows[r].window_index);
+      EXPECT_EQ(got.rows[r].features, rows[d].rows[r].features)
+          << got.name << " row " << r;
+    }
+    const auto& pc = seen.counts[d];
+    EXPECT_EQ(pc.policed, counts[d].policed) << got.name;
+    EXPECT_EQ(pc.lateral_total, counts[d].lateral_total) << got.name;
+    EXPECT_EQ(pc.nonexempt_from, counts[d].nonexempt_from) << got.name;
+    EXPECT_EQ(pc.lateral_nonexempt_from, counts[d].lateral_nonexempt_from)
+        << got.name;
+  }
+
+  const std::span<const net::DeviceRows> fused_rows(seen.rows.data(), n);
+  const auto fused = gateway.replay(fused_rows, predict_rows(fused_rows),
+                                    std::span(seen.counts.data(), n),
+                                    options.duration_s);
+  EXPECT_EQ(describe_divergence(
+                one_home(n, seen.packets, fused),
+                one_home(n, capture.size(),
+                         gateway.process(capture, options.duration_s))),
+            "");
+}
+
+/// A roster device with address 10.0.0.(10 + index).
+DeviceLifecycle roster_device(net::DeviceType type, int index,
+                              double duration_s) {
+  DeviceLifecycle device;
+  device.profile.type = type;
+  device.profile.name = std::string(net::to_string(type)) + "-" +
+                        std::to_string(index);
+  device.profile.ip = net::make_ip(10, 0, 0, 10 + index);
+  device.join_s = 0.0;
+  device.leave_s = duration_s;
+  return device;
+}
+
+/// The capture path's input for hand-built streams: their concatenation,
+/// stable-sorted by time.
+std::vector<net::Packet> capture_of(const HomeStreams& home) {
+  std::vector<net::Packet> capture;
+  for (std::size_t d = 0; d < home.devices.size(); ++d) {
+    capture.insert(capture.end(), home.streams[d].begin(),
+                   home.streams[d].end());
+  }
+  std::stable_sort(capture.begin(), capture.end(),
+                   [](const net::Packet& a, const net::Packet& b) {
+                     return a.timestamp_s < b.timestamp_s;
+                   });
+  return capture;
+}
+
+TEST(Fleet, PerDeviceStreamsMatchCapturePath) {
+  // Drawn homes: every infection kind, churn, hub polls of registered
+  // peers. The capture path polices `make_home`'s capture.
+  FleetOptions options;
+  options.duration_s = 600.0;
+  options.infected_fraction = 1.0;
+  options.join_fraction = 0.4;
+  options.leave_fraction = 0.4;
+  std::set<net::Infection> infections;
+  HomeStreams streams;
+  for (std::size_t h = 0; h < 24; ++h) {
+    emit_home_into(options, h, streams);
+    const auto home = make_home(options, h);
+    ASSERT_EQ(home.devices.size(), streams.devices.size());
+    infections.insert(home.devices[home.infected].profile.infection);
+    expect_streams_match_capture(streams, home.packets, options,
+                                 "home " + std::to_string(h));
+  }
+  EXPECT_EQ(infections.size(), 3u);
+
+  // Constructed home. The hub (device 0, lower index) polls devices 1
+  // and 3, and the scanner (device 2, higher index) probes them. Device 3
+  // left before emitting anything, so it is reached only as a hub peer and
+  // a scanner target. At t = 130 device 1 sends a packet of its own and a
+  // reply to each side, so both tie directions decide the order of its
+  // upstream sizes.
+  FleetOptions hand = options;
+  const double horizon = hand.duration_s;
+  HomeStreams home;
+  home.devices = {roster_device(net::DeviceType::kHub, 0, horizon),
+                  roster_device(net::DeviceType::kSmartPlug, 1, horizon),
+                  roster_device(net::DeviceType::kCamera, 2, horizon),
+                  roster_device(net::DeviceType::kDoorLock, 3, horizon)};
+  home.devices[2].profile.infection = net::Infection::kScanner;
+  home.devices[3].join_s = 200.0;
+  home.devices[3].leave_s = 200.0;
+  home.infected = 2;
+  home.streams.assign(4, {});
+  const auto hub = home.devices[0].profile.ip;
+  const auto plug = home.devices[1].profile.ip;
+  const auto scanner = home.devices[2].profile.ip;
+  const auto lock = home.devices[3].profile.ip;
+  const auto cloud = net::make_ip(52, 20, 0, 9);
+  const auto tcp = net::Protocol::kTcp;
+  for (int k = 0; k < 40; ++k) {
+    const double t = 5.0 + 14.0 * k;
+    const auto port = static_cast<std::uint16_t>(20 + k);
+    auto& polls = home.streams[0];
+    polls.push_back({t, hub, plug, 40010, 8883, tcp, 150});
+    polls.push_back({t + 0.01, plug, hub, 8883, 40010, tcp, 97 + 13 * k});
+    polls.push_back({t + 0.1, hub, lock, 40010, 8883, tcp, 150});
+    polls.push_back({t + 0.11, lock, hub, 8883, 40010, tcp, 120});
+    polls.push_back({t + 0.5, hub, cloud, 40010, 443, tcp, 300});
+    auto& probes = home.streams[2];
+    probes.push_back({t + 0.25, scanner, plug, 40012, port, tcp, 60});
+    probes.push_back({t + 0.26, scanner, lock, 40012, port, tcp, 60});
+    probes.push_back({t + 0.3, scanner, cloud, 40012, 23, tcp, 60});
+  }
+  // The tied packets, each in its emitter's stream at its time position.
+  const auto insert_sorted = [&](std::size_t emitter, net::Packet p) {
+    auto& stream = home.streams[emitter];
+    stream.insert(std::upper_bound(stream.begin(), stream.end(), p,
+                                   [](const net::Packet& a,
+                                      const net::Packet& b) {
+                                     return a.timestamp_s < b.timestamp_s;
+                                   }),
+                  p);
+  };
+  // Sizes picked so that the window's mean and standard deviation of
+  // upstream sizes (Welford sums) come out different in either wrong order.
+  insert_sorted(0, {130.0, plug, hub, 8883, 40010, tcp, 636});
+  insert_sorted(2, {130.0, plug, scanner, 9, 40012, tcp, 94});
+  home.streams[1] = {{60.0, plug, cloud, 40011, 443, tcp, 410},
+                     {130.0, plug, cloud, 40011, 443, tcp, 31},
+                     {130.0, plug, cloud, 40011, 443, tcp, 1239},
+                     {400.0, plug, cloud, 40011, 443, tcp, 88}};
+  expect_streams_match_capture(home, capture_of(home), hand,
+                               "constructed home");
+
+  // A home whose devices are all silent: no rows, empty summaries.
+  auto silent = home;
+  for (auto& stream : silent.streams) stream.clear();
+  expect_streams_match_capture(silent, {}, hand, "all-silent home");
+
+  // A stream may hold only its device's packets, in time order, and the
+  // roster must ascend as the gateway registers it.
+  HomeObservation rejected;
+  auto foreign = home;
+  foreign.streams[3].push_back({300.0, plug, cloud, 40011, 443, tcp, 60});
+  EXPECT_THROW(observe_home(hand.gateway, horizon, foreign, rejected),
+               InvalidArgument);
+  auto unsorted = home;
+  unsorted.streams[1].push_back({10.0, plug, cloud, 40011, 443, tcp, 60});
+  EXPECT_THROW(observe_home(hand.gateway, horizon, unsorted, rejected),
+               InvalidArgument);
+  auto swapped = home;
+  std::swap(swapped.devices[0], swapped.devices[1]);
+  EXPECT_THROW(observe_home(hand.gateway, horizon, swapped, rejected),
+               InvalidArgument);
+
+  // A horizon shorter than one window: no rows, counts still kept.
+  FleetOptions short_horizon = options;
+  short_horizon.duration_s = 100.0;
+  for (std::size_t h = 0; h < 2; ++h) {
+    emit_home_into(short_horizon, h, streams);
+    expect_streams_match_capture(streams, make_home(short_horizon, h).packets,
+                                 short_horizon,
+                                 "short home " + std::to_string(h));
+  }
 }
 
 TEST(Fleet, MakeHomeRespectsRosterAndLifecycles) {
