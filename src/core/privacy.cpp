@@ -24,11 +24,13 @@ void check_intensity(double intensity) {
               "intensity must be in [0,1]");
 }
 
-/// Fitted state of ApplianceAttack: the per-home PowerPlay tracker plus the
-/// ground-truth indices of the tracked appliances actually present.
+/// Fitted state of ApplianceAttack: the per-home PowerPlay tracker, the
+/// ground-truth indices of the tracked appliances actually present, and
+/// whether each of them ran at all in the home (only those are scored).
 struct ApplianceAttackModel final : AttackModel {
   std::unique_ptr<nilm::PowerPlay> tracker;  ///< null: nothing trackable
   std::vector<std::size_t> truth_idx;
+  std::vector<bool> ran;
 };
 
 /// Fitted state of SupervisedOccupancyAttack: the supervised detector,
@@ -80,6 +82,7 @@ std::unique_ptr<AttackModel> ApplianceAttack::fit(
       if (truth.appliance_names[i] == name) {
         in_home = true;
         fitted->truth_idx.push_back(i);
+        fitted->ran.push_back(truth.per_appliance[i].energy_kwh() > 0.0);
         break;
       }
     }
@@ -112,8 +115,8 @@ double ApplianceAttack::leakage_with(const AttackModel* model,
   double total = 0.0;
   std::size_t scored = 0;
   for (std::size_t i = 0; i < tracked.size(); ++i) {
+    if (!fitted.ran[i]) continue;
     const auto& actual = truth.per_appliance[fitted.truth_idx[i]];
-    if (actual.energy_kwh() <= 0.0) continue;  // never ran this window
     const double err =
         nilm::disaggregation_error(tracked[i].power, actual.values());
     total += std::max(0.0, 1.0 - std::min(err, 1.0));

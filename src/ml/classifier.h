@@ -32,7 +32,7 @@ class Classifier {
   /// rows out across `pmiot::par`'s shared pool; row i's result is written
   /// only to slot i, so the output is bitwise identical at any
   /// `PMIOT_THREADS`. Models with their own batch path override it (k-NN's
-  /// blocked kernel; the random forest, to count its work once per call);
+  /// blocked kernel; the random forest's tree-major block traversal);
   /// every override must return exactly what per-row `predict` would.
   virtual std::vector<int> predict_all(const Dataset& data) const;
 };

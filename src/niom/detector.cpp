@@ -1,8 +1,8 @@
 #include "niom/detector.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <utility>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -143,9 +143,10 @@ std::vector<int> ThresholdNiom::detect(const ts::TimeSeries& power,
 
 namespace {
 
-/// Window feature vector of the supervised detector (both models): mean,
-/// stddev, range, and edge-ish burst count proxy (max-min over sub-windows).
-std::vector<double> window_feature_row(const ts::WindowStat& win) {
+/// Window features of the supervised detector (both models): mean,
+/// stddev and range.
+constexpr std::size_t kWindowFeatures = 3;
+std::array<double, kWindowFeatures> window_features(const ts::WindowStat& win) {
   return {win.mean, std::sqrt(win.variance), win.range};
 }
 
@@ -179,7 +180,8 @@ int build_waking_dataset(const ts::TimeSeries& power,
     const int label = 2 * ones >= w ? 1 : 0;
     saw_occupied |= label == 1;
     saw_vacant |= label == 0;
-    data.append(window_feature_row(win), label);
+    const auto x = window_features(win);
+    data.append({x.begin(), x.end()}, label);
   }
   PMIOT_CHECK(saw_occupied || saw_vacant, "no waking-hours training windows");
   if (saw_occupied && saw_vacant) return -1;
@@ -230,26 +232,39 @@ std::vector<int> SupervisedNiom::detect(const ts::TimeSeries& power,
   }
   const std::size_t w = window_samples(power, options_.window_minutes);
   const auto windows = ts::window_stats(power.values(), w, w);
-  // Batch the features of every window a scored sample reads into one
-  // dataset, so the kNN blocked batch kernel can amortize the training
-  // matrix over every query. The last window also labels the samples after
-  // it (see expand).
-  const bool knn = options_.model == Model::kKnn;
-  ml::Dataset queries;
+  // Classify every window a scored sample reads in one batch: the kNN
+  // blocked kernel amortizes the training matrix over every query, and the
+  // forest reads the features straight from one column block. The last
+  // window also labels the samples after it (see expand).
   std::vector<std::size_t> classified;
   for (std::size_t wi = 0; wi < windows.size(); ++wi) {
     const std::size_t first = windows[wi].first;
     const std::size_t labelled =
         wi + 1 == windows.size() ? power.size() - first : w;
-    if (!any_sample_scored(power.meta(), first, labelled, scored)) continue;
-    auto row = window_feature_row(windows[wi]);
-    queries.append(knn ? scaler_.transform(row) : std::move(row), 0);
-    classified.push_back(wi);
+    if (any_sample_scored(power.meta(), first, labelled, scored)) {
+      classified.push_back(wi);
+    }
   }
-  const auto predicted =
-      knn ? knn_.predict_all(queries) : forest_.predict_all(queries);
+  const std::size_t n = classified.size();
+  std::vector<int> predicted;
+  if (options_.model == Model::kKnn) {
+    ml::Dataset queries;
+    for (const std::size_t wi : classified) {
+      queries.append(scaler_.transform(window_features(windows[wi])), 0);
+    }
+    predicted = knn_.predict_all(queries);
+  } else {
+    std::vector<double> columns(kWindowFeatures * n);
+    for (std::size_t q = 0; q < n; ++q) {
+      const auto x = window_features(windows[classified[q]]);
+      for (std::size_t f = 0; f < kWindowFeatures; ++f) {
+        columns[f * n + q] = x[f];
+      }
+    }
+    predicted = forest_.predict_columns(columns, n);
+  }
   std::vector<int> labels(windows.size(), 0);
-  for (std::size_t q = 0; q < classified.size(); ++q) {
+  for (std::size_t q = 0; q < n; ++q) {
     labels[classified[q]] = predicted[q];
   }
   return expand(labels, w, power.size());

@@ -29,23 +29,33 @@ NiomReport score_predictions(const std::string& name,
   PMIOT_CHECK(predicted.size() == power.size(),
               "prediction length mismatch");
   check_scoring_window(options);
-  const auto truth = align_occupancy(power, occupancy_minutes);
+  // At 1-minute resolution the occupancy is read in place.
+  const bool minutes = power.meta().interval_seconds == 60;
+  const auto coarse = minutes ? std::vector<int>{}
+                              : align_occupancy(power, occupancy_minutes);
+  const std::vector<int>& truth = minutes ? occupancy_minutes : coarse;
+  PMIOT_CHECK(truth.size() >= power.size(),
+              "occupancy does not cover the power trace");
 
-  std::vector<int> scored_pred, scored_truth;
-  scored_pred.reserve(predicted.size());
-  scored_truth.reserve(predicted.size());
-  for (std::size_t t = 0; t < predicted.size(); ++t) {
-    const int mod = power.minute_of_day_at(t);
-    if (mod >= options.score_start_minute && mod < options.score_end_minute) {
-      scored_pred.push_back(predicted[t]);
-      scored_truth.push_back(truth[t]);
-    }
-  }
-  PMIOT_CHECK(!scored_pred.empty(), "no samples in scoring window");
-
+  // One pass: the minute of day steps forward by the whole-minute sampling
+  // interval, and each scored sample lands in its confusion cell.
   NiomReport report;
   report.detector = name;
-  report.confusion = stats::confusion(scored_pred, scored_truth);
+  auto& c = report.confusion;
+  const int step = power.meta().interval_seconds / 60 % kMinutesPerDay;
+  int minute = power.meta().start_minute;
+  for (std::size_t t = 0; t < predicted.size(); ++t) {
+    if (minute >= options.score_start_minute &&
+        minute < options.score_end_minute) {
+      const bool p = predicted[t] != 0;
+      const bool a = truth[t] != 0;
+      ++(p ? (a ? c.tp : c.fp) : (a ? c.fn : c.tn));
+    }
+    minute += step;
+    if (minute >= kMinutesPerDay) minute -= kMinutesPerDay;
+  }
+  PMIOT_CHECK(c.total() > 0, "no samples in scoring window");
+
   report.accuracy = report.confusion.accuracy();
   report.mcc = report.confusion.mcc();
   report.precision = report.confusion.precision();

@@ -2,8 +2,9 @@
 // tree equivalence (including degenerate corners and infinite features),
 // weighted-bootstrap fits against the materialized sample, NaN rejection,
 // forest determinism across pool widths and against a golden node hash, the
-// flat forest's early-exit vote against the seed forest's full vote,
-// batch-vs-per-row prediction identity, kNN tie-breaking with duplicated
+// flat forest's early-exit vote against the seed forest's full vote, the
+// tree-major batch traversal around the block size and on campaign-shaped
+// batches, batch-vs-per-row prediction identity, kNN tie-breaking with duplicated
 // training points and batch kNN against an exact full-sort search, and the
 // kmeans 1-D fast path.
 #include <gtest/gtest.h>
@@ -661,6 +662,194 @@ TEST(FlatForest, CountsRowsAndTreesWalkedOncePerCall) {
   // Every row walks at least a strict majority and at most all trees.
   EXPECT_GE(batch_walked, n * static_cast<std::uint64_t>(num_trees / 2 + 1));
   EXPECT_LE(batch_walked, n * static_cast<std::uint64_t>(num_trees));
+}
+
+// --- Tree-major batch traversal ----------------------------------------------
+
+/// Label and number of trees walked for one row, read row by row off the
+/// forest's flat node array: tree t + 1 starts where tree t's pre-order
+/// ends, and the row stops at the first strict majority of all trees.
+struct RowVote {
+  int label = 0;
+  std::size_t walked = 0;
+};
+
+RowVote row_at_a_time(const RandomForest& forest, std::span<const double> row,
+                      int classes) {
+  const auto nodes = forest.nodes();
+  const std::size_t trees = forest.tree_count();
+  std::vector<int> votes(static_cast<std::size_t>(classes), 0);
+  std::size_t root = 0;
+  for (std::size_t t = 0; t < trees; ++t) {
+    const int c = DecisionTree::walk(nodes.data(), root, row.data());
+    if (2 * static_cast<std::size_t>(++votes[static_cast<std::size_t>(c)]) >
+        trees) {
+      return {c, t + 1};
+    }
+    for (std::size_t open = 1; open > 0; ++root) {
+      open = nodes[root].feature >= 0 ? open + 1 : open - 1;
+    }
+  }
+  return {static_cast<int>(std::max_element(votes.begin(), votes.end()) -
+                           votes.begin()),
+          trees};
+}
+
+/// Sets about half of `probe`'s feature values to a split threshold of the
+/// forest on that feature, where `<=` and `<` part ways.
+void snap_to_thresholds(const RandomForest& forest, Dataset& probe, Rng& rng) {
+  if (probe.size() == 0) return;
+  std::vector<std::vector<double>> thresholds(probe.width());
+  for (const auto& node : forest.nodes()) {
+    if (node.feature >= 0) {
+      thresholds[static_cast<std::size_t>(node.feature)].push_back(
+          node.threshold);
+    }
+  }
+  for (auto& row : probe.rows) {
+    for (std::size_t f = 0; f < row.size(); ++f) {
+      const auto& on_f = thresholds[f];
+      if (on_f.empty() || rng.uniform() < 0.5) continue;
+      row[f] = on_f[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(on_f.size()) - 1))];
+    }
+  }
+}
+
+/// `data` feature-major, the layout `predict_columns` reads.
+std::vector<double> columns_of(const Dataset& data) {
+  const std::size_t n = data.size();
+  std::vector<double> columns(n * data.width());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t f = 0; f < data.width(); ++f) {
+      columns[f * n + i] = data.rows[i][f];
+    }
+  }
+  return columns;
+}
+
+/// The `ml.forest.trees_walked` that `call` adds.
+template <typename Call>
+std::uint64_t trees_walked_by(const Call& call) {
+  auto& registry = obs::MetricsRegistry::instance();
+  auto& walked = registry.counter("ml.forest.trees_walked");
+  registry.reset_values_for_testing();
+  obs::set_enabled_for_testing(true);
+  call();
+  const std::uint64_t value = walked.value();
+  obs::set_enabled_for_testing(false);
+  registry.reset_values_for_testing();
+  return value;
+}
+
+/// Requires `predict_all`, `predict_columns` and per-row `predict` to give
+/// `expected` labels and to walk `expected_walked` trees in all, at pool
+/// widths 1 and 4.
+void expect_batches_match(const RandomForest& forest, const Dataset& probe,
+                          const std::vector<int>& expected,
+                          std::uint64_t expected_walked) {
+  const auto columns = columns_of(probe);
+  for (std::size_t width : {1u, 4u}) {
+    par::ThreadPool pool(width);
+    par::ScopedPoolOverride guard(pool);
+    std::vector<int> batch, column_batch, single;
+    EXPECT_EQ(trees_walked_by([&] { batch = forest.predict_all(probe); }),
+              expected_walked)
+        << "width " << width;
+    EXPECT_EQ(trees_walked_by([&] {
+                column_batch = forest.predict_columns(columns, probe.size());
+              }),
+              expected_walked)
+        << "width " << width;
+    EXPECT_EQ(trees_walked_by([&] { single = per_row_predictions(forest, probe); }),
+              expected_walked)
+        << "width " << width;
+    EXPECT_EQ(batch, expected) << "width " << width;
+    EXPECT_EQ(column_batch, expected) << "width " << width;
+    EXPECT_EQ(single, expected) << "width " << width;
+  }
+}
+
+TEST(FlatForest, BatchSizesAroundTheBlock) {
+  Rng rng(1808);
+  const Dataset train = random_clusters(300, 5, 4, rng);
+  const ForestOptions options{.num_trees = 15, .tree = {}};
+  RandomForest forest(options, 8);
+  forest.fit(train);
+  reference::SeedForest naive(options, 8);
+  naive.fit(train);
+  constexpr std::size_t block = RandomForest::kBlockRows;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, block - 1, block,
+                        block + 1, 2 * block + 5}) {
+    Dataset probe = random_clusters(n, 5, 4, rng);
+    snap_to_thresholds(forest, probe, rng);
+    std::uint64_t walked = 0;
+    for (const auto& row : probe.rows) {
+      walked += row_at_a_time(forest, row, 4).walked;
+    }
+    SCOPED_TRACE(n);
+    expect_batches_match(forest, probe, per_row_predictions(naive, probe),
+                         walked);
+  }
+}
+
+TEST(FlatForest, CampaignShapedBatchesMatchSeedForest) {
+  // The campaign's occupancy attacker: 100 trees over three features,
+  // predicting one cell's 180 waking-hours windows per call.
+  Rng rng(1909);
+  const Dataset train = campaign_shaped(rng);
+  const ForestOptions options{.num_trees = 100, .tree = {}};
+  RandomForest forest(options, 7);
+  forest.fit(train);
+  reference::SeedForest naive(options, 7);
+  naive.fit(train);
+  for (int cell = 0; cell < 4; ++cell) {
+    const Dataset probe = campaign_shaped(rng);
+    std::uint64_t walked = 0;
+    for (const auto& row : probe.rows) {
+      const auto vote = row_at_a_time(forest, row, 2);
+      EXPECT_EQ(vote.label, naive.predict(row));
+      walked += vote.walked;
+    }
+    SCOPED_TRACE(cell);
+    expect_batches_match(forest, probe, per_row_predictions(naive, probe),
+                         walked);
+  }
+}
+
+TEST(FlatForest, MajorityAtTheEarliestTree) {
+  // Rows whose first floor(T/2) + 1 trees all agree leave the batch at
+  // exactly that tree; the rest of the batch walks on past them.
+  Rng rng(2020);
+  const Dataset train = random_clusters(300, 4, 2, rng);
+  for (int num_trees : {9, 10}) {
+    const ForestOptions options{.num_trees = num_trees, .tree = {}};
+    RandomForest forest(options, 12);
+    forest.fit(train);
+    Dataset pool = random_clusters(400, 4, 2, rng);
+    snap_to_thresholds(forest, pool, rng);
+    reference::SeedForest naive(options, 12);
+    naive.fit(train);
+    const auto earliest = static_cast<std::size_t>(num_trees / 2 + 1);
+    Dataset early;
+    Dataset mixed;
+    std::uint64_t mixed_walked = 0;
+    for (const auto& row : pool.rows) {
+      const auto vote = row_at_a_time(forest, row, 2);
+      if (vote.walked == earliest) early.append(row, 0);
+      if (vote.walked == earliest || vote.walked == forest.tree_count()) {
+        mixed.append(row, 0);
+        mixed_walked += vote.walked;
+      }
+    }
+    ASSERT_GT(early.size(), 0u) << "trees=" << num_trees;
+    ASSERT_GT(mixed.size(), early.size()) << "trees=" << num_trees;
+    SCOPED_TRACE(num_trees);
+    expect_batches_match(forest, early, per_row_predictions(naive, early),
+                         early.size() * earliest);
+    expect_batches_match(forest, mixed, per_row_predictions(naive, mixed),
+                         mixed_walked);
+  }
 }
 
 // --- Batch prediction identity -----------------------------------------------
