@@ -101,29 +101,14 @@ std::vector<DeviceRows> SmartGateway::extract_rows(
   // under fleet churn, not an error.
   if (windows == 0 || out.empty()) return out;
 
-  // One pass: each packet goes to its src device's accumulator and, if
-  // different, its dst device's (a hub polling a registered peer counts
-  // for both). The order check covers every packet, whichever device it
-  // involves, so an unsorted capture throws as the per-device scans did.
+  // One pass routes each packet to its devices' accumulators.
   std::vector<WindowAccumulator> accumulators;
   accumulators.reserve(out.size());
   for (const auto& device : out) {
     accumulators.emplace_back(device.ip, options_.window_s,
                               /*keep_idle_windows=*/false, options_.router_ip);
   }
-  const auto slots = device_slots();
-  double last_timestamp = -std::numeric_limits<double>::infinity();
-  for (const auto& p : packets) {
-    PMIOT_CHECK(p.timestamp_s >= last_timestamp,
-                "packets must arrive in timestamp order (use sort_by_time)");
-    last_timestamp = p.timestamp_s;
-    const int src = slots[p.src_ip];
-    const int dst = slots[p.dst_ip];
-    if (src >= 0) accumulators[static_cast<std::size_t>(src)].add(p);
-    if (dst >= 0 && dst != src) {
-      accumulators[static_cast<std::size_t>(dst)].add(p);
-    }
-  }
+  route_packets(packets, device_slots(), accumulators);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i].rows = accumulators[i].finish(duration_s);
   }

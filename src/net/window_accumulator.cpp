@@ -262,4 +262,20 @@ void WindowAccumulator::restart(std::uint32_t device_ip) {
   rows_.clear();
 }
 
+void route_packets(std::span<const Packet> packets, const DeviceSlots& slots,
+                   std::span<WindowAccumulator> accumulators) {
+  double last_timestamp = -std::numeric_limits<double>::infinity();
+  for (const auto& p : packets) {
+    PMIOT_CHECK(p.timestamp_s >= last_timestamp,
+                "packets must arrive in timestamp order (use sort_by_time)");
+    last_timestamp = p.timestamp_s;
+    const int src = slots[p.src_ip];
+    const int dst = slots[p.dst_ip];
+    if (src >= 0) accumulators[static_cast<std::size_t>(src)].add(p);
+    if (dst >= 0 && dst != src) {
+      accumulators[static_cast<std::size_t>(dst)].add(p);
+    }
+  }
+}
+
 }  // namespace pmiot::net

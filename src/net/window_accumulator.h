@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -153,5 +154,14 @@ class WindowAccumulator {
   std::vector<std::vector<double>> spare_;
   std::size_t made_ = 0;
 };
+
+/// Feeds a merged capture to per-device accumulators in one pass: each
+/// packet goes to the accumulator at its src device's slot and, if
+/// different, at its dst device's (a hub polling a registered peer counts
+/// for both), so each device reads its own packets in capture order. The
+/// order check covers every packet, whichever device it involves, so an
+/// unsorted capture throws as a whole-capture scan per device would.
+void route_packets(std::span<const Packet> packets, const DeviceSlots& slots,
+                   std::span<WindowAccumulator> accumulators);
 
 }  // namespace pmiot::net
