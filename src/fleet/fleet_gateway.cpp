@@ -1,7 +1,6 @@
 #include "fleet/fleet_gateway.h"
 
 #include <algorithm>
-#include <limits>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -45,36 +44,6 @@ obs::Timer& stage_timer(const char* name) {
 template <typename T>
 void grow_to(std::vector<T>& v, std::size_t n) {
   if (v.size() < n) v.resize(n);
-}
-
-/// Feeds `accumulator` the union of three time-sorted runs in (timestamp,
-/// run) order: on a tie `lower` goes before `own` and `own` before
-/// `higher`, the order the merged capture has.
-void feed_merged(net::WindowAccumulator& accumulator,
-                 std::span<const net::Packet> lower,
-                 std::span<const net::Packet> own,
-                 std::span<const net::Packet> higher) {
-  std::size_t lo = 0, hi = 0;
-  // Everything of `lower` at or before t and of `higher` before t.
-  const auto feed_others = [&](double t) {
-    for (;;) {
-      const bool take_lo = lo < lower.size() && lower[lo].timestamp_s <= t;
-      const bool take_hi = hi < higher.size() && higher[hi].timestamp_s < t;
-      if (take_lo &&
-          (!take_hi || lower[lo].timestamp_s <= higher[hi].timestamp_s)) {
-        accumulator.add(lower[lo++]);
-      } else if (take_hi) {
-        accumulator.add(higher[hi++]);
-      } else {
-        return;
-      }
-    }
-  };
-  for (const auto& p : own) {
-    if (lo < lower.size() || hi < higher.size()) feed_others(p.timestamp_s);
-    accumulator.add(p);
-  }
-  feed_others(std::numeric_limits<double>::infinity());
 }
 
 /// Classifies the observed home's rows with one `predict_all` call, in
@@ -255,13 +224,10 @@ void observe_home(const net::GatewayOptions& gateway, double duration_s,
   out.packets = 0;
   grow_to(out.rows, n);
   grow_to(out.counts, n);
-  grow_to(out.from_lower, n);
-  grow_to(out.from_higher, n);
+  out.peers.reset(n);
   for (std::size_t d = 0; d < n; ++d) {
     out.rows[d].ip = home.devices[d].profile.ip;
     out.rows[d].name = home.devices[d].profile.name;
-    out.from_lower[d].clear();
-    out.from_higher[d].clear();
   }
 
   // The policy summaries, keyed by source address (a peer's reply to a
@@ -272,17 +238,9 @@ void observe_home(const net::GatewayOptions& gateway, double duration_s,
     net::PolicyTally tally(gateway, slots, windows,
                            std::span(out.counts.data(), n));
     for (std::size_t e = 0; e < n; ++e) {
-      const auto ip = home.devices[e].profile.ip;
       const auto& stream = home.streams[e];
       tally.add_run(stream);
-      for (const auto& p : stream) {
-        PMIOT_CHECK(p.src_ip == ip || p.dst_ip == ip,
-                    "a device's stream holds only its own packets");
-        const int peer = slots[p.src_ip == ip ? p.dst_ip : p.src_ip];
-        if (peer < 0 || static_cast<std::size_t>(peer) == e) continue;
-        const auto to = static_cast<std::size_t>(peer);
-        (e < to ? out.from_lower[to] : out.from_higher[to]).push_back(p);
-      }
+      out.peers.add_stream(slots, e, stream);
       out.packets += stream.size();
     }
     tally.finish();
@@ -302,14 +260,8 @@ void observe_home(const net::GatewayOptions& gateway, double duration_s,
                         /*keep_idle_windows=*/false, gateway.router_ip);
   }
   for (std::size_t d = 0; d < n; ++d) {
-    // Queued in emitter order, each emitter's packets in time order: the
-    // stable sort orders them by (timestamp, emitter, emission).
-    for (auto* queue : {&out.from_lower[d], &out.from_higher[d]}) {
-      if (queue->size() > 1) net::sort_by_time(*queue, out.sort);
-    }
     accumulator->restart(home.devices[d].profile.ip);
-    feed_merged(*accumulator, out.from_lower[d], home.streams[d],
-                out.from_higher[d]);
+    out.peers.feed(d, home.streams[d], *accumulator);
     accumulator->finish_into(duration_s, out.rows[d].rows);
   }
 }

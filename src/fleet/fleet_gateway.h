@@ -141,11 +141,9 @@ struct HomeObservation {
   std::vector<net::DeviceRows> rows;
   std::vector<net::PolicyCounts> counts;
 
-  // Scratch. Per device, the packets that lower- and higher-indexed
-  // devices emit to it, each time-sorted.
-  std::vector<std::vector<net::Packet>> from_lower, from_higher;
+  // Scratch: the packets each device's peers emit to it.
+  net::PeerQueues peers;
   std::optional<net::WindowAccumulator> accumulator;
-  net::SortScratch sort;
 };
 
 /// Windows and tallies every device of `home` from the streams alone, as

@@ -228,10 +228,10 @@ std::vector<int> RandomForest::predict_columns(std::span<const double> columns,
   PMIOT_CHECK(columns.size() >= rows * width_, "column block too narrow");
   std::vector<int> labels(rows);
   std::vector<std::uint32_t> walked(rows);
-  // One shard per row, as `par.shards` has always counted a forest batch:
-  // the shard of a block's first row walks the block, the others return.
-  par::parallel_for(0, rows, [&](std::size_t i) {
-    if (i % kBlockRows != 0) return;
+  // One shard per block of rows.
+  const std::size_t blocks = (rows + kBlockRows - 1) / kBlockRows;
+  par::parallel_for(0, blocks, [&](std::size_t b) {
+    const std::size_t i = b * kBlockRows;
     walk_block(columns.data() + i, rows, std::min(kBlockRows, rows - i),
                labels.data() + i, walked.data() + i);
   });

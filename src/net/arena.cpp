@@ -511,7 +511,7 @@ Emission shape(const TrafficDefense& defense, const RoutedHome& home,
   obs::ScopedTimer span(
       obs::MetricsRegistry::instance().timer("net.shape." + defense.name()));
   auto emission = defense.emit(home, intensity, rng);
-  const auto before = home.home().packets.size();
+  const auto before = home.capture_size();
   if (const auto after = shaped_size(home, emission); after > before) {
     packets_added_counter().add(after - before);
   }
@@ -659,16 +659,16 @@ ArenaResult run_arena(const ArenaOptions& o) {
   };
 
   // Set-up: the attacker's lab home (h = 0) and the observed home (h = 1),
-  // each checked and routed into its devices' WAN streams once.
+  // each drawn as per-device streams and checked once.
   constexpr std::size_t kHomes = 2;
-  std::array<HomeNetwork, kHomes> homes;
   std::array<std::optional<RoutedHome>, kHomes> routed;
   timed_parallel_for("net.arena.setup", kHomes, [&](std::size_t h) {
     Rng rng(par::shard_seed(o.seed, h == 0 ? kTrainHomeSalt : kTestHomeSalt));
-    homes[h] = simulate_home_network(h == 0 ? o.train_instances_per_type
-                                            : o.test_instances_per_type,
-                                     o.duration_s, rng);
-    routed[h].emplace(homes[h], o.duration_s);
+    routed[h].emplace(
+        simulate_home_streams(h == 0 ? o.train_instances_per_type
+                                     : o.test_instances_per_type,
+                              o.duration_s, rng),
+        o.duration_s);
     packets_routed_counter().add(routed[h]->stream_packets());
   });
 
@@ -686,8 +686,8 @@ ArenaResult run_arena(const ArenaOptions& o) {
   std::array<WindowTable, kHomes> raw;
   std::vector<std::pair<std::size_t, std::size_t>> raw_streams;
   for (std::size_t h = 0; h < kHomes; ++h) {
-    raw[h] = blank_table(homes[h].devices);
-    for (std::size_t d = 0; d < homes[h].devices.size(); ++d) {
+    raw[h] = blank_table(routed[h]->home().devices);
+    for (std::size_t d = 0; d < raw[h].devices.size(); ++d) {
       raw_streams.emplace_back(h, d);
     }
   }

@@ -291,18 +291,27 @@ std::vector<Packet> simulate_device(const DeviceProfile& profile,
   return out;
 }
 
-HomeNetwork simulate_home_network(int instances_per_type, double duration_s,
-                                  Rng& rng) {
+DeviceStreams simulate_home_streams(int instances_per_type, double duration_s,
+                                    Rng& rng) {
   PMIOT_CHECK(instances_per_type >= 1, "need at least one instance per type");
-  HomeNetwork home;
+  DeviceStreams home;
   int instance = 0;
   for (int t = 0; t < kNumDeviceTypes; ++t) {
     for (int i = 0; i < instances_per_type; ++i) {
       auto profile = make_device(static_cast<DeviceType>(t), instance++, rng);
-      auto packets = simulate_device(profile, duration_s, rng);
-      home.packets.insert(home.packets.end(), packets.begin(), packets.end());
+      home.streams.push_back(simulate_device(profile, duration_s, rng));
       home.devices.push_back(std::move(profile));
     }
+  }
+  return home;
+}
+
+HomeNetwork simulate_home_network(int instances_per_type, double duration_s,
+                                  Rng& rng) {
+  auto streams = simulate_home_streams(instances_per_type, duration_s, rng);
+  HomeNetwork home{std::move(streams.devices), {}};
+  for (const auto& stream : streams.streams) {
+    home.packets.insert(home.packets.end(), stream.begin(), stream.end());
   }
   sort_by_time(home.packets);
   return home;

@@ -87,13 +87,26 @@ std::vector<Packet> simulate_device(const DeviceProfile& profile,
 void simulate_device_append(const DeviceProfile& profile, double duration_s,
                             Rng& rng, std::vector<Packet>& out);
 
+/// A whole home drawn device by device: the roster and, per roster
+/// device, the packets it emits, time-sorted.
+// pmiot: sensitive — every device's packets.
+struct DeviceStreams {
+  std::vector<DeviceProfile> devices;
+  std::vector<std::vector<Packet>> streams;  ///< roster order
+};
+
+/// Simulates `instances_per_type` of every device type for `duration_s`,
+/// each instance's profile then its packets from `rng`, type after type.
+DeviceStreams simulate_home_streams(int instances_per_type, double duration_s,
+                                    Rng& rng);
+
 /// A whole home: one or more instances of each type, merged & time-sorted.
 struct HomeNetwork {
   std::vector<DeviceProfile> devices;
   std::vector<Packet> packets;
 };
 
-/// Simulates `instances_per_type` of every device type for `duration_s`.
+/// `simulate_home_streams`, concatenated in roster order and `sort_by_time`d.
 HomeNetwork simulate_home_network(int instances_per_type, double duration_s,
                                   Rng& rng);
 

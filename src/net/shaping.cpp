@@ -47,15 +47,16 @@ Emission blank_emission(const RoutedHome& home) {
   return out;
 }
 
-/// The capture an emission describes (the `TrafficDefense` contract): the
-/// packets that stay, in capture order — every packet of a kept device or
-/// of no device, and each dropped device's replacements in its packets'
-/// places — then every kept device's added packets and every replaced
-/// device's new stream in roster order, merged stably by time. Each of
-/// those is one sorted run, so the merge sees at most one run per device.
-ShapedCapture assemble(const RoutedHome& home, const Emission& emission) {
+/// The capture an emission on `home` describes (the `TrafficDefense`
+/// contract): the packets of `capture` that stay, in order — every packet
+/// of a kept device or of no device, and each dropped device's
+/// replacements in its packets' places — then every kept device's added
+/// packets and every replaced device's new stream in roster order,
+/// merged stably by time. Each of those is one sorted run, so the merge
+/// sees at most one run per device.
+ShapedCapture assemble(std::span<const Packet> capture,
+                       const RoutedHome& home, const Emission& emission) {
   using Raw = DeviceEmission::Raw;
-  const auto& capture = home.home().packets;
   const auto& devices = emission.devices;
   const std::size_t size = shaped_size(home, emission);
   ShapedCapture out;
@@ -91,6 +92,25 @@ ShapedCapture assemble(const RoutedHome& home, const Emission& emission) {
   return out;
 }
 
+/// The roster and each roster device's packets by `wan_slot`, in capture
+/// order; throws unless the capture is time-sorted and the roster valid.
+DeviceStreams wan_streams(const HomeNetwork& home) {
+  DeviceSlots slots;
+  for (const auto& dev : home.devices) slots.add(dev.ip);
+  DeviceStreams out{home.devices, std::vector<std::vector<Packet>>(
+                                       home.devices.size())};
+  double last = -std::numeric_limits<double>::infinity();
+  for (const auto& p : home.packets) {
+    PMIOT_CHECK(p.timestamp_s >= last,
+                "shaper input must be time-sorted (use sort_by_time)");
+    last = p.timestamp_s;
+    if (const int slot = wan_slot(slots, p); slot >= 0) {
+      out.streams[static_cast<std::size_t>(slot)].push_back(p);
+    }
+  }
+  return out;
+}
+
 /// Rounds a wire size up to the quantization grid ("pad-to-bucket").
 int quantize_size(int size_bytes, int quantum) {
   if (size_bytes <= 0) return quantum;
@@ -101,7 +121,7 @@ int quantize_size(int size_bytes, int quantum) {
 
 std::size_t shaped_size(const RoutedHome& home, const Emission& emission) {
   using Raw = DeviceEmission::Raw;
-  std::size_t size = home.home().packets.size();
+  std::size_t size = home.capture_size();
   PMIOT_ASSERT(emission.devices.size() == home.home().devices.size(),
                "one emission per roster device");
   for (std::size_t d = 0; d < emission.devices.size(); ++d) {
@@ -115,33 +135,38 @@ std::size_t shaped_size(const RoutedHome& home, const Emission& emission) {
   return size;
 }
 
+RoutedHome::RoutedHome(DeviceStreams home, double duration_s)
+    : home_(std::move(home)), duration_s_(duration_s) {
+  PMIOT_CHECK(duration_s > 0.0 && std::isfinite(duration_s),
+              "duration must be positive and finite");
+  for (const auto& dev : home_.devices) slots_.add(dev.ip);
+  PMIOT_CHECK(home_.streams.size() == home_.devices.size(),
+              "one stream per roster device");
+  for (std::size_t d = 0; d < home_.streams.size(); ++d) {
+    auto& stream = home_.streams[d];
+    const auto slot = static_cast<int>(d);
+    double last = -std::numeric_limits<double>::infinity();
+    for (const auto& p : stream) {
+      PMIOT_CHECK(p.timestamp_s >= last,
+                  "shaper input must be time-sorted (use sort_by_time)");
+      last = p.timestamp_s;
+      PMIOT_CHECK(slots_[p.src_ip] == slot || slots_[p.dst_ip] == slot,
+                  "a device's stream holds only its own packets");
+      original_bytes_ += p.size_bytes;
+    }
+    capture_size_ += stream.size();
+    std::erase_if(stream, [](const Packet& p) {
+      return is_lan(p.src_ip) && is_lan(p.dst_ip);
+    });
+    stream_packets_ += stream.size();
+  }
+}
+
 RoutedHome::RoutedHome(const HomeNetwork& home, double duration_s)
-    : home_(&home), duration_s_(duration_s) {
-  PMIOT_CHECK(duration_s > 0.0, "duration must be positive");
-  PMIOT_CHECK(std::isfinite(duration_s), "duration must be finite");
-  for (const auto& dev : home.devices) slots_.add(dev.ip);
-  // A counting sort by slot: device d's count lands in begin_[d + 2], so
-  // after the prefix sum begin_[d + 1] is where its stream starts, and
-  // after the fill, which advances it, begin_[d] is.
-  begin_.assign(home.devices.size() + 2, 0);
-  double last = -std::numeric_limits<double>::infinity();
-  for (const auto& p : home.packets) {
-    PMIOT_CHECK(p.timestamp_s >= last,
-                "shaper input must be time-sorted (use sort_by_time)");
-    last = p.timestamp_s;
-    original_bytes_ += p.size_bytes;
-    if (const int slot = wan_slot(slots_, p); slot >= 0) {
-      ++begin_[static_cast<std::size_t>(slot) + 2];
-    }
-  }
-  for (std::size_t d = 2; d < begin_.size(); ++d) begin_[d] += begin_[d - 1];
-  streams_.resize(begin_.back());
-  for (const auto& p : home.packets) {
-    if (const int slot = wan_slot(slots_, p); slot >= 0) {
-      streams_[begin_[static_cast<std::size_t>(slot) + 1]++] = p;
-    }
-  }
-  begin_.pop_back();
+    : RoutedHome(wan_streams(home), duration_s) {
+  // Off-roster and LAN–LAN packets are in the capture but in no stream.
+  capture_size_ = home.packets.size();
+  original_bytes_ = total_bytes(home.packets);
 }
 
 ShapedCapture TrafficDefense::apply(const HomeNetwork& home, double duration_s,
@@ -149,7 +174,7 @@ ShapedCapture TrafficDefense::apply(const HomeNetwork& home, double duration_s,
   PMIOT_CHECK(duration_s > 0.0, "duration must be positive");
   if (intensity <= 0.0) return passthrough(home);
   const RoutedHome routed(home, duration_s);
-  return assemble(routed, emit(routed, intensity, rng));
+  return assemble(home.packets, routed, emit(routed, intensity, rng));
 }
 
 Emission ConstantRatePadding::emit(const RoutedHome& home, double intensity,

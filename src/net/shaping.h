@@ -67,35 +67,39 @@ inline int wan_slot(const DeviceSlots& slots, const Packet& p) noexcept {
 
 /// A home checked and routed once for shaping: the input checks every
 /// defense makes above θ = 0, and each roster device's WAN stream — the
-/// packets `wan_slot` gives it, in capture order.
+/// packets `wan_slot` gives it, in time order.
 // pmiot: sensitive — per-device packet streams of a home.
 class RoutedHome {
  public:
-  /// Throws InvalidArgument unless `duration_s` is positive and finite,
-  /// the roster's addresses are distinct LAN addresses and the capture is
-  /// time-sorted (`sort_by_time`; NaN timestamps count as unsorted). Keeps
-  /// a reference to `home`, which must outlive this.
+  /// From per-device streams (`simulate_home_streams`), dropping LAN–LAN
+  /// packets in place. Throws InvalidArgument unless `duration_s` is
+  /// positive and finite, the roster's addresses are distinct LAN
+  /// addresses, and each device has one time-sorted stream (NaN counts as
+  /// unsorted) with the device at one end of every packet.
+  RoutedHome(DeviceStreams home, double duration_s);
+  /// From a time-sorted capture, split by `wan_slot`; the same checks.
   RoutedHome(const HomeNetwork& home, double duration_s);
 
-  const HomeNetwork& home() const noexcept { return *home_; }
+  /// The roster and each roster device's WAN stream.
+  const DeviceStreams& home() const noexcept { return home_; }
   double duration_s() const noexcept { return duration_s_; }
   const DeviceSlots& slots() const noexcept { return slots_; }
-  /// Roster device `d`'s WAN stream, in capture order.
+  /// Roster device `d`'s WAN stream, in time order.
   std::span<const Packet> stream(std::size_t d) const {
-    return std::span<const Packet>(streams_)
-        .subspan(begin_[d], begin_[d + 1] - begin_[d]);
+    return home_.streams[d];
   }
   /// Packets across every device's stream.
-  std::size_t stream_packets() const noexcept { return streams_.size(); }
+  std::size_t stream_packets() const noexcept { return stream_packets_; }
+  /// Packets in the home's capture, LAN–LAN chatter included.
+  std::size_t capture_size() const noexcept { return capture_size_; }
   /// Sum of every capture packet's size.
   double original_bytes() const noexcept { return original_bytes_; }
 
  private:
-  const HomeNetwork* home_;
+  DeviceStreams home_;
   double duration_s_;
   DeviceSlots slots_;
-  std::vector<Packet> streams_;     ///< every stream, device after device
-  std::vector<std::size_t> begin_;  ///< stream d is [begin_[d], begin_[d+1])
+  std::size_t stream_packets_ = 0, capture_size_ = 0;
   double original_bytes_ = 0.0;
 };
 

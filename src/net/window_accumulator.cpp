@@ -278,4 +278,56 @@ void route_packets(std::span<const Packet> packets, const DeviceSlots& slots,
   }
 }
 
+void PeerQueues::reset(std::size_t devices) {
+  from_lower_.resize(std::max(from_lower_.size(), devices));
+  from_higher_.resize(from_lower_.size());
+  for (auto& queue : from_lower_) queue.clear();
+  for (auto& queue : from_higher_) queue.clear();
+}
+
+void PeerQueues::add_stream(const DeviceSlots& slots, std::size_t e,
+                            std::span<const Packet> stream) {
+  const auto self = static_cast<int>(e);
+  for (const auto& p : stream) {
+    const int src = slots[p.src_ip];
+    PMIOT_CHECK(src == self || slots[p.dst_ip] == self,
+                "a device's stream holds only its own packets");
+    const int peer = src == self ? slots[p.dst_ip] : src;
+    if (peer < 0 || peer == self) continue;
+    (self < peer ? from_lower_ : from_higher_)[static_cast<std::size_t>(peer)]
+        .push_back(p);
+  }
+}
+
+void PeerQueues::feed(std::size_t d, std::span<const Packet> own,
+                      WindowAccumulator& accumulator) {
+  // Filled in emitter order, a queue sorts stably to (timestamp, emitter,
+  // emission). On a tie `lower` goes before `own`, `own` before `higher`.
+  auto& lower = from_lower_[d];
+  auto& higher = from_higher_[d];
+  if (lower.size() > 1) sort_by_time(lower, sort_);
+  if (higher.size() > 1) sort_by_time(higher, sort_);
+  std::size_t lo = 0, hi = 0;
+  // Everything of `lower` at or before t and of `higher` before t.
+  const auto feed_others = [&](double t) {
+    for (;;) {
+      const bool take_lo = lo < lower.size() && lower[lo].timestamp_s <= t;
+      const bool take_hi = hi < higher.size() && higher[hi].timestamp_s < t;
+      if (take_lo &&
+          (!take_hi || lower[lo].timestamp_s <= higher[hi].timestamp_s)) {
+        accumulator.add(lower[lo++]);
+      } else if (take_hi) {
+        accumulator.add(higher[hi++]);
+      } else {
+        return;
+      }
+    }
+  };
+  for (const auto& p : own) {
+    if (lo < lower.size() || hi < higher.size()) feed_others(p.timestamp_s);
+    accumulator.add(p);
+  }
+  feed_others(std::numeric_limits<double>::infinity());
+}
+
 }  // namespace pmiot::net

@@ -164,4 +164,30 @@ class WindowAccumulator {
 void route_packets(std::span<const Packet> packets, const DeviceSlots& slots,
                    std::span<WindowAccumulator> accumulators);
 
+/// Windows a home device by device from its per-device streams (each the
+/// time-sorted packets one roster device emits), with no merged capture:
+/// `feed` gives a device exactly the packets of the capture that involve
+/// it, in the order `sort_by_time` of the streams' roster-order
+/// concatenation has, (timestamp, emitting device, emission). Buffers keep
+/// their capacity from home to home.
+class PeerQueues {
+ public:
+  /// Empties the queues for a home of `devices` roster devices.
+  void reset(std::size_t devices);
+  /// Queues each packet of roster device `e`'s stream for the other
+  /// roster device it involves, if any. Throws InvalidArgument unless `e`
+  /// (its slot in `slots`) is at one end of every packet.
+  void add_stream(const DeviceSlots& slots, std::size_t e,
+                  std::span<const Packet> stream);
+  /// Feeds `accumulator` device `d`'s stream `own` merged with what the
+  /// other streams sent it. Call after every stream has been added.
+  void feed(std::size_t d, std::span<const Packet> own,
+            WindowAccumulator& accumulator);
+
+ private:
+  /// Per device, what lower- and higher-indexed devices send it.
+  std::vector<std::vector<Packet>> from_lower_, from_higher_;
+  SortScratch sort_;
+};
+
 }  // namespace pmiot::net

@@ -1084,6 +1084,161 @@ TEST(Arena, PerDeviceWindowsMatchCapturePath) {
   }
 }
 
+// --- per-device routing ------------------------------------------------------
+
+/// The capture a per-device draw merges into, by a stable-sort oracle: the
+/// streams concatenated in roster order, then sorted by time.
+HomeNetwork merged(const DeviceStreams& home) {
+  HomeNetwork out{home.devices, {}};
+  for (const auto& stream : home.streams) {
+    out.packets.insert(out.packets.end(), stream.begin(), stream.end());
+  }
+  std::stable_sort(out.packets.begin(), out.packets.end(),
+                   [](const Packet& a, const Packet& b) {
+                     return a.timestamp_s < b.timestamp_s;
+                   });
+  return out;
+}
+
+TEST(HomeStreams, CaptureIsTheMergeOfThePerDeviceDraw) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const int instances : {1, 2}) {
+      Rng capture_rng(seed), streams_rng(seed);
+      const auto got = simulate_home_network(instances, 1800.0, capture_rng);
+      const auto want =
+          merged(simulate_home_streams(instances, 1800.0, streams_rng));
+      const std::string what = "seed " + std::to_string(seed) +
+                               " instances " + std::to_string(instances);
+      ASSERT_EQ(got.devices.size(), want.devices.size()) << what;
+      for (std::size_t d = 0; d < want.devices.size(); ++d) {
+        EXPECT_EQ(got.devices[d].name, want.devices[d].name) << what;
+        EXPECT_EQ(got.devices[d].ip, want.devices[d].ip) << what;
+        EXPECT_EQ(got.devices[d].type, want.devices[d].type) << what;
+      }
+      EXPECT_TRUE(same_packets(got.packets, want.packets)) << what;
+      EXPECT_EQ(capture_rng.next(), streams_rng.next()) << what;
+    }
+  }
+}
+
+/// A simulated per-device home plus the corners routing must get right: a
+/// silent roster device, one that only its peers' packets reach, a hub
+/// whose only traffic is LAN–LAN chatter (to that device and the router),
+/// and packets at one instant across devices and within one.
+DeviceStreams degenerate_streams(std::uint64_t seed, double duration_s) {
+  Rng rng(seed);
+  auto home = simulate_home_streams(1, duration_s, rng);
+  const auto silent = crafted_device(40);   // 10.0.0.50
+  const auto reached = crafted_device(41);  // 10.0.0.51
+  const auto hub = crafted_device(42);      // 10.0.0.52
+  const auto a = home.devices[0];
+  const auto b = home.devices[1];
+  std::vector<Packet> chatter;
+  for (int i = 0; i < 40; ++i) {
+    const double t = 7.0 * i + 0.5;
+    chatter.push_back({t, hub.ip, reached.ip, 5000, 8883, Protocol::kTcp, 150});
+    chatter.push_back({t, reached.ip, hub.ip, 8883, 5000, Protocol::kTcp, 120});
+    chatter.push_back(
+        {t, hub.ip, kDefaultRouterIp, 5001, 53, Protocol::kUdp, 60});
+    home.streams[0].push_back(up_packet(a, t, 1));
+    home.streams[0].push_back(down_packet(a, t, 2));
+    home.streams[1].push_back(up_packet(b, t, 3));
+  }
+  sort_by_time(home.streams[0]);
+  sort_by_time(home.streams[1]);
+  for (const auto& device : {silent, reached, hub}) {
+    home.devices.push_back(device);
+    home.streams.emplace_back();
+  }
+  home.streams.back() = std::move(chatter);
+  return home;
+}
+
+/// Every device's stream, the capture size and the original bytes.
+void expect_same_routing(const RoutedHome& got, const RoutedHome& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.home().devices.size(), want.home().devices.size()) << what;
+  for (std::size_t d = 0; d < want.home().devices.size(); ++d) {
+    EXPECT_EQ(got.home().devices[d].ip, want.home().devices[d].ip) << what;
+    const auto g = got.stream(d);
+    const auto w = want.stream(d);
+    EXPECT_TRUE(same_packets(std::vector<Packet>(g.begin(), g.end()),
+                             std::vector<Packet>(w.begin(), w.end())))
+        << what << " device " << d;
+  }
+  EXPECT_EQ(got.stream_packets(), want.stream_packets()) << what;
+  EXPECT_EQ(got.capture_size(), want.capture_size()) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.original_bytes()),
+            std::bit_cast<std::uint64_t>(want.original_bytes()))
+      << what;
+}
+
+// A home routed from its per-device streams must equal the same home
+// routed from the merged capture.
+TEST(RoutedHome, PerDeviceStreamsMatchCaptureRouting) {
+  constexpr double kDuration = 1000.0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    const auto simulated = simulate_home_streams(1, kDuration, rng);
+    const auto degenerate = degenerate_streams(seed, kDuration);
+    for (const auto* home : {&simulated, &degenerate}) {
+      const std::string what =
+          std::string(home == &degenerate ? "degenerate" : "simulated") +
+          " seed " + std::to_string(seed);
+      const auto capture = merged(*home);
+      const RoutedHome want(capture, kDuration);
+      const RoutedHome got(*home, kDuration);
+      EXPECT_EQ(want.capture_size(), capture.packets.size()) << what;
+      expect_same_routing(got, want, what);
+      if (home == &degenerate) {
+        const auto n = home->devices.size();
+        for (std::size_t d = n - 3; d < n; ++d) {
+          EXPECT_TRUE(got.stream(d).empty()) << what << " device " << d;
+        }
+      }
+    }
+  }
+}
+
+TEST(RoutedHome, RejectsBadPerDeviceStreams) {
+  constexpr double kDuration = 900.0;
+  Rng rng(5);
+  const auto home = simulate_home_streams(1, kDuration, rng);
+  ASSERT_NO_THROW(RoutedHome(home, kDuration));
+  auto unsorted = home;
+  unsorted.streams[2].push_back(unsorted.streams[2].front());
+  auto not_a_number = home;
+  not_a_number.streams[3][1].timestamp_s = std::nan("");
+  auto foreign = home;  // device 1's packet in device 0's stream
+  foreign.streams[0].push_back(home.streams[1].back());
+  foreign.streams[0].back().timestamp_s = kDuration;
+  auto strangers = home;  // between two hosts off the roster
+  strangers.streams[4].push_back({kDuration, make_ip(10, 0, 0, 200),
+                                  make_ip(52, 99, 0, 7), 40001, 443,
+                                  Protocol::kTcp, 700});
+  auto fewer = home;
+  fewer.streams.pop_back();
+  auto more = home;
+  more.streams.emplace_back();
+  auto duplicate = home;
+  duplicate.devices.back().ip = duplicate.devices.front().ip;
+  const std::pair<const char*, const DeviceStreams*> cases[] = {
+      {"out-of-order stream", &unsorted},
+      {"NaN timestamp", &not_a_number},
+      {"another device's packet", &foreign},
+      {"packet of two off-roster hosts", &strangers},
+      {"fewer streams than devices", &fewer},
+      {"more streams than devices", &more},
+      {"duplicate roster address", &duplicate},
+  };
+  for (const auto& [what, hostile] : cases) {
+    EXPECT_THROW(RoutedHome(*hostile, kDuration), InvalidArgument) << what;
+  }
+  EXPECT_THROW(RoutedHome(home, std::numeric_limits<double>::infinity()),
+               InvalidArgument);
+  EXPECT_THROW(RoutedHome(home, 0.0), InvalidArgument);
+}
+
 // --- seed sweep --------------------------------------------------------------
 
 // A 2x2 grid over many seeds is the cheapest fuzzer of the whole pipeline:

@@ -828,6 +828,71 @@ TEST(Fingerprint, RoutedRowsMatchPerDeviceWholeCaptureScans) {
   }
 }
 
+/// The fingerprint set as it was built from a merged capture: the whole
+/// home simulated and sorted into one capture, then `route_packets` to one
+/// accumulator per roster device.
+ml::Dataset capture_path_dataset(const FingerprintOptions& options,
+                                 Rng& rng) {
+  const auto home = simulate_home_network(options.instances_per_type,
+                                          options.duration_s, rng);
+  DeviceSlots slots;
+  std::vector<WindowAccumulator> accumulators;
+  for (const auto& device : home.devices) {
+    slots.add(device.ip);
+    accumulators.emplace_back(device.ip, options.window_s);
+  }
+  route_packets(home.packets, slots, accumulators);
+  ml::Dataset data;
+  for (std::size_t d = 0; d < home.devices.size(); ++d) {
+    for (auto& row : accumulators[d].finish(options.duration_s)) {
+      data.append(std::move(row.features),
+                  static_cast<int>(home.devices[d].type));
+    }
+  }
+  return data;
+}
+
+// Each device windowed from its own stream and its peers' packets to it
+// must give the capture path's rows bit for bit, and leave the Rng where
+// the capture path leaves it.
+TEST(Fingerprint, PerDeviceStreamsMatchCapturePath) {
+  struct Case {
+    int instances;
+    double duration_s, window_s;
+  };
+  const Case cases[] = {{1, 3600.0, 600.0},
+                        {2, 3 * 3600.0, 600.0},
+                        {3, 1800.0, 120.0},
+                        {2, 5000.0, 1440.0}};  // a partial last window
+  for (const auto& c : cases) {
+    for (const std::uint64_t seed : {3u, 17u}) {
+      FingerprintOptions options;
+      options.instances_per_type = c.instances;
+      options.duration_s = c.duration_s;
+      options.window_s = c.window_s;
+      Rng rng(seed), oracle_rng(seed);
+      const auto got = build_fingerprint_dataset(options, rng);
+      const auto want = capture_path_dataset(options, oracle_rng);
+      const std::string what = "instances " + std::to_string(c.instances) +
+                               " duration " + std::to_string(c.duration_s) +
+                               " window " + std::to_string(c.window_s) +
+                               " seed " + std::to_string(seed);
+      ASSERT_GT(want.size(), 0u) << what;
+      ASSERT_EQ(got.size(), want.size()) << what;
+      EXPECT_EQ(got.labels, want.labels) << what;
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        ASSERT_EQ(got.rows[r].size(), want.rows[r].size()) << what;
+        for (std::size_t f = 0; f < want.rows[r].size(); ++f) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.rows[r][f]),
+                    std::bit_cast<std::uint64_t>(want.rows[r][f]))
+              << what << " row " << r << " feature " << f;
+        }
+      }
+      EXPECT_EQ(rng.next(), oracle_rng.next()) << what;
+    }
+  }
+}
+
 TEST(Fingerprint, RandomForestIdentifiesDevices) {
   Rng rng(10);
   FingerprintOptions options;
