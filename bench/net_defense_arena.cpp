@@ -60,22 +60,6 @@ net::ArenaOptions self_check_options() {
   return options;
 }
 
-bool same_packets(const std::vector<net::Packet>& a,
-                  const std::vector<net::Packet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    if (x.timestamp_s != y.timestamp_s || x.src_ip != y.src_ip ||
-        x.dst_ip != y.dst_ip || x.src_port != y.src_port ||
-        x.dst_port != y.dst_port || x.protocol != y.protocol ||
-        x.size_bytes != y.size_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
 int self_check() {
   const auto options = self_check_options();
 
@@ -87,7 +71,7 @@ int self_check() {
       const auto defense = net::make_traffic_defense(name);
       Rng apply_rng(par::shard_seed(options.seed, 17));
       const auto shaped = defense->apply(home, 900.0, 0.0, apply_rng);
-      if (!same_packets(shaped.packets, home.packets)) {
+      if (shaped.packets != home.packets) {
         return fail("defense '" + name + "' mutates packets at intensity 0");
       }
       if (shaped.added_bytes != 0.0 || shaped.added_latency_s != 0.0 ||
@@ -112,7 +96,7 @@ int self_check() {
         Rng oracle_rng(par::shard_seed(options.seed, 29));
         const auto want =
             reference::constant_rate_padding(home, 1200.0, 0.7, oracle_rng);
-        if (!same_packets(shaped.packets, want.packets) ||
+        if (shaped.packets != want.packets ||
             shaped.added_bytes != want.added_bytes ||
             shaped.added_latency_s != want.added_latency_s ||
             shaped.delayed_packets != want.delayed_packets) {

@@ -27,7 +27,10 @@ interquartile range, the A/A ratio of the medians (b over a) and the
 quartiles of the per-pair b/a ratios. A before/after claim smaller than
 that spread cannot be told from noise on the host.
 
-Exit status is 0 when every run succeeded, 1 otherwise.
+Exit status is 0 when every run succeeded, 1 otherwise: the script stops
+at the first run that exits nonzero or whose result line reads "correct":
+false (a run that failed its own check measures nothing), and names the
+checkout and the pair.
 """
 
 import argparse
@@ -44,7 +47,7 @@ def end_to_end_metrics(checkout):
     return [(m["name"], m["better"]) for m in spec["end_to_end"]]
 
 
-def run_once(checkout, workload, args):
+def run_once(checkout, workload, args, pair):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", "0"]
@@ -52,10 +55,13 @@ def run_once(checkout, workload, args):
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
-        raise RuntimeError("perfbench failed in %s (status %d)"
-                           % (checkout, proc.returncode))
-    metrics = json.loads(lines[-1])["metrics"]
-    return {name: m["value"] for name, m in metrics.items()}
+        raise RuntimeError("perfbench failed in %s, pair %d (status %d)"
+                           % (checkout, pair, proc.returncode))
+    result = json.loads(lines[-1])
+    if result["correct"] is not True:
+        raise RuntimeError("perfbench in %s, pair %d, failed its own check"
+                           % (checkout, pair))
+    return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def quartiles(values):
@@ -84,7 +90,7 @@ def run_pairs(sides, workload, args, metrics):
     for i in range(args.pairs):
         order = names if i % 2 == 0 else names[::-1]
         for side in order:
-            runs[side].append(run_once(sides[side], workload, args))
+            runs[side].append(run_once(sides[side], workload, args, i + 1))
         cells = []
         for name, _ in metrics:
             p = runs[names[0]][-1][name]

@@ -89,13 +89,4 @@ std::string to_string(const CivilDate& date) {
   return buf;
 }
 
-std::string minute_to_hhmm(int minute_of_day) {
-  PMIOT_CHECK(minute_of_day >= 0 && minute_of_day < kMinutesPerDay,
-              "minute of day out of range");
-  char buf[8];
-  std::snprintf(buf, sizeof buf, "%02d:%02d", minute_of_day / 60,
-                minute_of_day % 60);
-  return buf;
-}
-
 }  // namespace pmiot

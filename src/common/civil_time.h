@@ -55,7 +55,4 @@ CivilDate add_days(const CivilDate& date, long n);
 /// "YYYY-MM-DD".
 std::string to_string(const CivilDate& date);
 
-/// "HH:MM" for a minute-of-day in [0, 1440).
-std::string minute_to_hhmm(int minute_of_day);
-
 }  // namespace pmiot

@@ -24,14 +24,6 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double sample_variance(std::span<const double> xs) {
-  PMIOT_CHECK(xs.size() >= 2, "sample variance needs at least two values");
-  const double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return s / static_cast<double>(xs.size() - 1);
-}
-
 double min(std::span<const double> xs) {
   PMIOT_CHECK(!xs.empty(), "min of empty range");
   return *std::min_element(xs.begin(), xs.end());

@@ -22,9 +22,6 @@ double variance(std::span<const double> xs);
 /// Population standard deviation.
 double stddev(std::span<const double> xs);
 
-/// Sample variance (divide by N-1). Requires at least two values.
-double sample_variance(std::span<const double> xs);
-
 /// Minimum / maximum. Require non-empty input.
 double min(std::span<const double> xs);
 double max(std::span<const double> xs);

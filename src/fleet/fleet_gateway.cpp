@@ -1,6 +1,5 @@
 #include "fleet/fleet_gateway.h"
 
-#include <algorithm>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -150,24 +149,12 @@ void emit_home_into(const FleetOptions& options, std::size_t home,
       }
     }
 
-    // The lifecycle filter keeps order, so it commutes with the stable
-    // sort after it.
-    auto& stream = out.streams[d];
-    stream.clear();
-    net::simulate_device_append(lifecycle.profile, options.duration_s, rng,
-                                stream);
-    if (lifecycle.join_s > 0.0 || lifecycle.leave_s < options.duration_s) {
-      stream.erase(std::remove_if(stream.begin(), stream.end(),
-                                  [&](const net::Packet& p) {
-                                    return p.timestamp_s < lifecycle.join_s ||
-                                           p.timestamp_s >= lifecycle.leave_s;
-                                  }),
-                   stream.end());
-    }
     // The only allocation reachable from here is the one-time registration
     // of the net.sort.runs counter; warm calls allocate nothing.
     // pmiot-lint: allow(no-alloc)
-    net::sort_by_time(stream, out.sort);
+    net::simulate_device_into(lifecycle.profile, options.duration_s,
+                              lifecycle.join_s, lifecycle.leave_s, rng,
+                              out.streams[d], out.sort);
     out.devices.push_back(std::move(lifecycle));
   }
 }
@@ -176,19 +163,12 @@ void emit_home_into(const FleetOptions& options, std::size_t home,
 // (the same runtime probe as `emit_home_into`).
 void make_home_into(const FleetOptions& options, std::size_t home,
                     HomeCapture& out, HomeArena& arena) {
-  auto& world = arena.streams;
-  emit_home_into(options, home, world);
-  out.devices.assign(world.devices.begin(), world.devices.end());
-  out.infected = world.infected;
-  out.packets.clear();
-  for (std::size_t d = 0; d < world.devices.size(); ++d) {
-    out.packets.insert(out.packets.end(), world.streams[d].begin(),
-                       world.streams[d].end());
-  }
-  // The concatenation is one sorted run per device, and the run merge is
-  // stable: ties keep device order, then emission order.
+  emit_home_into(options, home, arena);
+  out.devices.assign(arena.devices.begin(), arena.devices.end());
+  out.infected = arena.infected;
   // pmiot-lint: allow(no-alloc)
-  net::sort_by_time(out.packets, world.sort);
+  net::merge_streams(std::span(arena.streams.data(), arena.devices.size()),
+                     out.packets, arena.sort);
 }
 
 HomeCapture make_home(const FleetOptions& options, std::size_t home) {
@@ -335,6 +315,10 @@ FleetGateway::FleetGateway(const ml::Classifier& classifier,
                            FleetOptions options)
     : classifier_(classifier), detector_(detector), options_(options) {
   PMIOT_CHECK(options_.homes >= 1, "need at least one home");
+  PMIOT_CHECK(options_.min_devices >= 1 &&
+                  options_.max_devices >= options_.min_devices &&
+                  options_.max_devices <= net::kMaxDeviceInstances,
+              "devices per home must lie in [1, kMaxDeviceInstances]");
   PMIOT_CHECK(detector_.fitted(), "detector must be fitted");
 }
 

@@ -6,7 +6,7 @@
 // homes, and each home is one fused shard:
 //   1. Emission: the home is drawn from `par::shard_seed(base_seed, home)`
 //      into per-device streams (`emit_home_into`): each device's own
-//      packets, lifecycle-filtered and time-sorted.
+//      packets, lifecycle-filtered and time-sorted (`simulate_device_into`).
 //   2. Observation (`observe_home`): each device's `WindowAccumulator` is
 //      fed that device's stream merged with the few packets other devices
 //      send it (hub polls, scanner probes), and one pass over the streams
@@ -16,8 +16,8 @@
 //   4. Replay: the quarantine state machine (`net::SmartGateway::replay`)
 //      writes the home's report into its slot.
 // No home-wide capture is built and nothing outlives the shard but the
-// home's report. `make_home_into` still builds the merged capture from the
-// same per-device streams, for the serial oracle and the tests.
+// home's report. `make_home_into` still merges the same per-device streams
+// into a capture, for the serial oracle and the tests.
 //
 // Determinism contract: every per-home result depends only on (options,
 // home index). A device's merged stream is exactly the time-sorted
@@ -94,10 +94,10 @@ struct HomeCapture {
 
 /// One home as per-device streams: the roster, and for each device the
 /// packets it emits (to the cloud, to the router and to other devices),
-/// lifecycle-filtered and sorted by `net::sort_by_time`. Reused from home
-/// to home: only the first `devices.size()` streams are the current
-/// home's. Device `d` has address 10.0.0.(10 + d), so the roster is in the
-/// gateway's (ascending address) order.
+/// lifecycle-filtered and time-sorted (`net::simulate_device_into`).
+/// Reused from home to home: only the first `devices.size()` streams are
+/// the current home's. Device `d` has address 10.0.0.(10 + d), so the
+/// roster is in the gateway's (ascending address) order.
 // pmiot: sensitive — every device's packets.
 struct HomeStreams {
   std::vector<DeviceLifecycle> devices;
@@ -119,9 +119,7 @@ void emit_home_into(const FleetOptions& options, std::size_t home,
 HomeCapture make_home(const FleetOptions& options, std::size_t home);
 
 /// Reusable scratch for `make_home_into`: the home's per-device streams.
-struct HomeArena {
-  HomeStreams streams;
-};
+using HomeArena = HomeStreams;
 
 /// Arena variant of `make_home`: regenerates home `home` into `out`,
 /// reusing `out`'s and `arena`'s capacity. The capture is the devices'
@@ -183,7 +181,8 @@ std::string describe_divergence(const FleetReport& a, const FleetReport& b);
 class FleetGateway {
  public:
   /// Models must be trained; borrowed by reference and must outlive the
-  /// fleet gateway.
+  /// fleet gateway. Throws InvalidArgument unless 1 <= min_devices <=
+  /// max_devices <= `net::kMaxDeviceInstances`.
   FleetGateway(const ml::Classifier& classifier,
                const net::AnomalyDetector& detector, FleetOptions options);
 

@@ -57,20 +57,6 @@ Split train_test_split(const Dataset& data, double test_fraction, Rng& rng) {
   return split;
 }
 
-std::vector<std::vector<std::size_t>> kfold_indices(std::size_t n, int k,
-                                                    Rng& rng) {
-  PMIOT_CHECK(k >= 2, "k must be at least 2");
-  PMIOT_CHECK(static_cast<std::size_t>(k) <= n, "k larger than dataset");
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0);
-  rng.shuffle(idx);
-  std::vector<std::vector<std::size_t>> folds(static_cast<std::size_t>(k));
-  for (std::size_t i = 0; i < n; ++i) {
-    folds[i % static_cast<std::size_t>(k)].push_back(idx[i]);
-  }
-  return folds;
-}
-
 Dataset take(const Dataset& data, std::span<const std::size_t> indices) {
   Dataset out;
   for (auto i : indices) {

@@ -43,11 +43,6 @@ struct Split {
 /// Requires at least 2 rows.
 Split train_test_split(const Dataset& data, double test_fraction, Rng& rng);
 
-/// Index folds for k-fold cross-validation (shuffled, near-equal sizes).
-/// Requires 2 <= k <= data.size().
-std::vector<std::vector<std::size_t>> kfold_indices(std::size_t n, int k,
-                                                    Rng& rng);
-
 /// Selects the rows at `indices` into a new dataset.
 Dataset take(const Dataset& data, std::span<const std::size_t> indices);
 

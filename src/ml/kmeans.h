@@ -1,8 +1,9 @@
-// k-means clustering (k-means++ init, Lloyd iterations).
+// 1-D k-means clustering (k-means++ init, Lloyd iterations).
 //
-// Used by the Kleiminger-style NIOM detector (clustering window features
-// into occupied/vacant regimes without labels) and by appliance-state
-// discovery in the FHMM trainer.
+// Seeds the Gaussian HMM's states (`GaussianHmm::init_from_data`, behind
+// the HMM NIOM detector) and discovers appliance power levels in the FHMM
+// trainer. The general multi-dimensional algorithm it is held to bit for
+// bit is `reference::kmeans`.
 #pragma once
 
 #include <cstdint>
@@ -20,14 +21,9 @@ struct KMeansResult {
   int iterations = 0;
 };
 
-/// Clusters `rows` (non-empty, rectangular) into k >= 1 groups. If k exceeds
-/// the number of distinct rows, some clusters may come back empty-free by
-/// construction of k-means++ (duplicates collapse); `assignment` is always
-/// valid.
-KMeansResult kmeans(const std::vector<std::vector<double>>& rows, int k,
-                    Rng& rng, int max_iterations = 100);
-
-/// 1-D convenience overload used for appliance power-level discovery.
+/// Clusters `xs` (non-empty) into k >= 1 groups. If k exceeds the number of
+/// distinct values, k-means++ seeding stops early (duplicates collapse), so
+/// fewer centroids may come back; `assignment` is always valid.
 KMeansResult kmeans1d(std::span<const double> xs, int k, Rng& rng,
                       int max_iterations = 100);
 

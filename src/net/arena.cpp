@@ -303,9 +303,8 @@ struct WindowTable {
 };
 
 /// Windows roster device `d` of `home`: `raw` (the device's own stream,
-/// or none) merged with the packets of `added` that `wan_slot` gives the
-/// device, raw first on ties, straight into a `WindowAccumulator` and a
-/// recovery stream. Both inputs are time-sorted.
+/// or none) `merge_by_time`d with `added`, raw first on ties, straight into
+/// a `WindowAccumulator` and a recovery stream, LAN–LAN packets skipped.
 std::shared_ptr<const DeviceWindows> window_stream(
     const RoutedHome& home, std::size_t d, std::span<const Packet> raw,
     std::span<const Packet> added, double window_s) {
@@ -318,23 +317,14 @@ std::shared_ptr<const DeviceWindows> window_stream(
   WindowAccumulator accumulator(home.home().devices[d].ip, window_s,
                                 /*keep_idle_windows=*/true);
   RecoveryStream recovery(window_s, num_windows, recovery_scratch());
-  const auto feed = [&](const Packet& p) {
-    accumulator.add(p);  // checks the time order first
-    recovery.add(p.timestamp_s, p.size_bytes);
-  };
-  std::size_t next_raw = 0;
-  for (const auto& p : added) {
+  merge_by_time(std::array{raw, added}, [&](const Packet& p) {
     const int slot = wan_slot(home.slots(), p);
-    if (slot < 0) continue;  // LAN–LAN chatter: never on the WAN
+    if (slot < 0) return;  // LAN–LAN chatter: never on the WAN
     PMIOT_ASSERT(static_cast<std::size_t>(slot) == d,
                  "emitted packet belongs to another device");
-    while (next_raw < raw.size() &&
-           raw[next_raw].timestamp_s <= p.timestamp_s) {
-      feed(raw[next_raw++]);
-    }
-    feed(p);
-  }
-  for (; next_raw < raw.size(); ++next_raw) feed(raw[next_raw]);
+    accumulator.add(p);  // checks the time order first
+    recovery.add(p.timestamp_s, p.size_bytes);
+  });
 
   const auto rows = accumulator.finish(duration_s);
   const auto rec = recovery.finish();
@@ -621,9 +611,14 @@ void validate(const ArenaOptions& options) {
     PMIOT_CHECK(i >= 0.0 && i <= 1.0, "intensity must be within [0, 1]");
     shaped_cells += i > 0.0 ? options.defenses.size() : 0;
   }
-  PMIOT_CHECK(options.train_instances_per_type >= 1 &&
-                  options.test_instances_per_type >= 1,
-              "arena needs >= 1 instance per device type");
+  for (const auto& name : options.attacks) (void)make_fingerprint_attack(name);
+  const auto fits = [](int n) {  // `make_device` numbers instances home-wide
+    return n >= 1 && n <= kMaxDeviceInstances / kNumDeviceTypes;
+  };
+  PMIOT_CHECK(fits(options.train_instances_per_type) &&
+                  fits(options.test_instances_per_type),
+              "arena homes need 1 to kMaxDeviceInstances / kNumDeviceTypes "
+              "instances per device type");
   PMIOT_CHECK(std::isfinite(options.duration_s), "duration must be finite");
   PMIOT_CHECK(options.window_s > 0.0 && options.duration_s >= options.window_s,
               "need at least one full window");

@@ -128,10 +128,11 @@ struct ArenaResult {
 /// a config key.
 inline constexpr std::uint64_t kMaxTableBytes = std::uint64_t{1} << 32;
 
-/// Throws InvalidArgument unless the grid is non-empty, every defense name
-/// is known, every intensity lies in [0, 1], both homes hold >= 1 instance
-/// per device type, the finite duration spans at least one full window,
-/// and the window tables fit `kMaxTableBytes`.
+/// Throws InvalidArgument unless the grid is non-empty, every defense and
+/// attack name is known, every intensity lies in [0, 1], both homes hold
+/// >= 1 instance per device type and at most `kMaxDeviceInstances`
+/// devices, the finite duration spans at least one full window, and the
+/// window tables fit `kMaxTableBytes`.
 void validate(const ArenaOptions& options);
 
 /// Runs the full grid over the shared `par` pool in three batches of

@@ -75,7 +75,8 @@ const char* to_string(DeviceType type) {
 }
 
 DeviceProfile make_device(DeviceType type, int instance, Rng& rng) {
-  PMIOT_CHECK(instance >= 0 && instance < 200, "instance out of range");
+  PMIOT_CHECK(instance >= 0 && instance < kMaxDeviceInstances,
+              "instance out of range");
   DeviceProfile p;
   p.type = type;
   p.name = std::string(to_string(type)) + "-" + std::to_string(instance);
@@ -283,11 +284,24 @@ void simulate_device_append(const DeviceProfile& profile, double duration_s,
   packets.flush();
 }
 
+void simulate_device_into(const DeviceProfile& profile, double duration_s,
+                          double join_s, double leave_s, Rng& rng,
+                          std::vector<Packet>& out, SortScratch& sort) {
+  out.clear();
+  simulate_device_append(profile, duration_s, rng, out);
+  if (join_s > 0.0 || leave_s < duration_s) {
+    std::erase_if(out, [&](const Packet& p) {
+      return p.timestamp_s < join_s || p.timestamp_s >= leave_s;
+    });
+  }
+  sort_by_time(out, sort);
+}
+
 std::vector<Packet> simulate_device(const DeviceProfile& profile,
                                     double duration_s, Rng& rng) {
   std::vector<Packet> out;
-  simulate_device_append(profile, duration_s, rng, out);
-  sort_by_time(out);
+  SortScratch sort;
+  simulate_device_into(profile, duration_s, 0.0, duration_s, rng, out, sort);
   return out;
 }
 
@@ -295,11 +309,13 @@ DeviceStreams simulate_home_streams(int instances_per_type, double duration_s,
                                     Rng& rng) {
   PMIOT_CHECK(instances_per_type >= 1, "need at least one instance per type");
   DeviceStreams home;
+  SortScratch sort;
   int instance = 0;
   for (int t = 0; t < kNumDeviceTypes; ++t) {
     for (int i = 0; i < instances_per_type; ++i) {
       auto profile = make_device(static_cast<DeviceType>(t), instance++, rng);
-      home.streams.push_back(simulate_device(profile, duration_s, rng));
+      simulate_device_into(profile, duration_s, 0.0, duration_s, rng,
+                           home.streams.emplace_back(), sort);
       home.devices.push_back(std::move(profile));
     }
   }
@@ -310,10 +326,8 @@ HomeNetwork simulate_home_network(int instances_per_type, double duration_s,
                                   Rng& rng) {
   auto streams = simulate_home_streams(instances_per_type, duration_s, rng);
   HomeNetwork home{std::move(streams.devices), {}};
-  for (const auto& stream : streams.streams) {
-    home.packets.insert(home.packets.end(), stream.begin(), stream.end());
-  }
-  sort_by_time(home.packets);
+  SortScratch sort;
+  merge_streams(streams.streams, home.packets, sort);
   return home;
 }
 

@@ -71,21 +71,29 @@ struct DeviceProfile {
   double infection_start_s = 0.0;
 };
 
-/// Builds a randomized instance of a device class. `instance` picks the
-/// LAN address (10.0.0.10+instance) and flavors the parameters.
+/// Builds a randomized instance of a device class. `instance`, in [0,
+/// kMaxDeviceInstances), picks the LAN address (10.0.0.10+instance) and
+/// flavors the parameters.
+inline constexpr int kMaxDeviceInstances = 200;
 DeviceProfile make_device(DeviceType type, int instance, Rng& rng);
 
-/// Generates the device's packets over [0, duration_s), time-sorted.
-std::vector<Packet> simulate_device(const DeviceProfile& profile,
-                                    double duration_s, Rng& rng);
-
-/// Allocation-reusing variant: appends the device's packets to `out` in
-/// generation order (NOT time-sorted; `out` is not cleared). Draws exactly
-/// the same RNG stream as `simulate_device`, which is this append plus a
-/// stable time-sort of the appended suffix — callers that batch several
-/// devices into one arena sort the suffixes themselves.
+/// Appends the device's packets over [0, duration_s) to `out` in
+/// generation order (NOT time-sorted; `out` is not cleared). A split
+/// exchange that starts before `duration_s` keeps its later packets.
 void simulate_device_append(const DeviceProfile& profile, double duration_s,
                             Rng& rng, std::vector<Packet>& out);
+
+/// The device's time-sorted stream over a [join_s, leave_s) lifecycle into
+/// `out` (replaced): `simulate_device_append`, the packets outside a
+/// partial lifecycle dropped (a full one keeps those past `duration_s`),
+/// then `sort_by_time` through `sort`.
+void simulate_device_into(const DeviceProfile& profile, double duration_s,
+                          double join_s, double leave_s, Rng& rng,
+                          std::vector<Packet>& out, SortScratch& sort);
+
+/// `simulate_device_into` over the full lifecycle [0, duration_s).
+std::vector<Packet> simulate_device(const DeviceProfile& profile,
+                                    double duration_s, Rng& rng);
 
 /// A whole home drawn device by device: the roster and, per roster
 /// device, the packets it emits, time-sorted.
@@ -106,7 +114,7 @@ struct HomeNetwork {
   std::vector<Packet> packets;
 };
 
-/// `simulate_home_streams`, concatenated in roster order and `sort_by_time`d.
+/// `simulate_home_streams`, its streams `merge_streams`d into one capture.
 HomeNetwork simulate_home_network(int instances_per_type, double duration_s,
                                   Rng& rng);
 

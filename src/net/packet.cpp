@@ -104,9 +104,9 @@ void merge_run_range(Packet* data, const std::size_t* bounds, std::size_t lo,
                  buffer);
 }
 
-/// The run merge behind `sort_by_time` and `merge_sorted_tail`: finds the
-/// maximal non-decreasing runs of `packets` and merges neighbours in place
-/// until one is left. Returns the number of runs found.
+/// The run merge behind `sort_by_time`: finds the maximal non-decreasing
+/// runs of `packets` and merges neighbours in place until one is left.
+/// Returns the number of runs found.
 ///
 /// Every merge joins two adjacent ranges and keeps the left one's packet on
 /// ties, and the left range holds the earlier input positions, so whatever
@@ -138,18 +138,13 @@ void sort_by_time(std::vector<Packet>& packets, SortScratch& scratch) {
   sort_runs_counter().add(merge_runs(packets, scratch));
 }
 
-void merge_sorted_tail(std::vector<Packet>& packets, std::size_t prefix) {
-  PMIOT_CHECK(prefix <= packets.size(), "prefix longer than the capture");
-  const std::span<Packet> all(packets);
-  const std::size_t tail = all.size() - prefix;
-  SortScratch scratch;
-  // Room for the largest merge below: half the tail, or the final merge's
-  // shorter side.
-  scratch.buffer.reserve(std::max(tail / 2, std::min(prefix, tail)));
-  merge_runs(all.first(prefix), scratch);  // one run unless unsorted
-  merge_runs(all.subspan(prefix), scratch);
-  merge_adjacent(all.data(), all.data() + prefix, all.data() + all.size(),
-                 scratch.buffer);
+void merge_streams(std::span<const std::vector<Packet>> streams,
+                   std::vector<Packet>& out, SortScratch& scratch) {
+  out.clear();
+  for (const auto& stream : streams) {
+    out.insert(out.end(), stream.begin(), stream.end());
+  }
+  sort_by_time(out, scratch);
 }
 
 }  // namespace pmiot::net

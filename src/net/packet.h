@@ -11,6 +11,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,8 @@ struct Packet {
   std::uint16_t dst_port = 0;
   Protocol protocol = Protocol::kTcp;
   int size_bytes = 0;
+
+  bool operator==(const Packet&) const = default;
 };
 
 /// Dotted-quad helpers for synthetic addresses.
@@ -91,14 +94,46 @@ struct SortScratch {
 void sort_by_time(std::vector<Packet>& packets);
 void sort_by_time(std::vector<Packet>& packets, SortScratch& scratch);
 
-/// `sort_by_time` for a capture whose first `prefix` packets are already
-/// in order and whose tail was appended: the tail's natural runs are
-/// merged into one, then the tail into the prefix, all in place, so the
-/// result is identical to `sort_by_time(packets)` (a tied prefix packet
-/// precedes a tied tail packet). A tail appended as r sorted runs costs
-/// O(t log r) and the prefix one pass; the buffer holds at most half the
-/// capture. An unsorted prefix is sorted the same way first. Throws
-/// InvalidArgument when `prefix` exceeds the capture.
-void merge_sorted_tail(std::vector<Packet>& packets, std::size_t prefix);
+/// The concatenation of `streams`, `sort_by_time`d into `out` (replaced):
+/// a tie keeps stream order, then each stream's own order.
+void merge_streams(std::span<const std::vector<Packet>> streams,
+                   std::vector<Packet>& out, SortScratch& scratch);
+
+/// Feeds `sink` the packets of a few time-sorted `runs` in (timestamp, run)
+/// order: `std::stable_sort` by time of their concatenation. The last run
+/// left goes straight through. An unsorted run keeps its own order, so a
+/// sink that checks time order refuses it.
+template <std::size_t N, typename Sink>
+void merge_by_time(std::array<std::span<const Packet>, N> runs, Sink&& sink) {
+  for (;;) {
+    // The run with the first head and the first head of the rest, each
+    // tie to the earlier run.
+    std::size_t take = N, next = N;
+    for (std::size_t r = 0; r < N; ++r) {
+      if (runs[r].empty()) continue;
+      const double t = runs[r].front().timestamp_s;
+      if (take == N || t < runs[take].front().timestamp_s) {
+        next = take;
+        take = r;
+      } else if (next == N || t < runs[next].front().timestamp_s) {
+        next = r;
+      }
+    }
+    if (take == N) return;
+    auto& run = runs[take];
+    if (next == N) {
+      for (const auto& p : run) sink(p);
+      return;
+    }
+    // `take` goes on up to `next`'s head, and past a tie if it is earlier.
+    const double bound = runs[next].front().timestamp_s;
+    std::size_t i = 0;
+    do {
+      sink(run[i++]);
+    } while (i < run.size() && (run[i].timestamp_s < bound ||
+                                (take < next && run[i].timestamp_s == bound)));
+    run = run.subspan(i);
+  }
+}
 
 }  // namespace pmiot::net

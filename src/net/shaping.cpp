@@ -52,8 +52,8 @@ Emission blank_emission(const RoutedHome& home) {
 /// of a kept device or of no device, and each dropped device's
 /// replacements in its packets' places — then every kept device's added
 /// packets and every replaced device's new stream in roster order,
-/// merged stably by time. Each of those is one sorted run, so the merge
-/// sees at most one run per device.
+/// sorted stably by time. Each of those is one sorted run, so the sort
+/// merges at most one run per device into the packets that stay.
 ShapedCapture assemble(std::span<const Packet> capture,
                        const RoutedHome& home, const Emission& emission) {
   using Raw = DeviceEmission::Raw;
@@ -81,14 +81,13 @@ ShapedCapture assemble(std::span<const Packet> capture,
         break;
     }
   }
-  const std::size_t stays = out.packets.size();
   for (const auto& device : devices) {
     if (device.raw == Raw::kDropped) continue;
     out.packets.insert(out.packets.end(), device.packets.begin(),
                        device.packets.end());
   }
   PMIOT_ASSERT(out.packets.size() == size, "emission does not fit the home");
-  merge_sorted_tail(out.packets, stays);
+  sort_by_time(out.packets);
   return out;
 }
 
@@ -238,7 +237,6 @@ Emission ConstantRatePadding::emit(const RoutedHome& home, double intensity,
     }
     auto& runs = device.packets;
     runs.reserve(most_out);
-    std::size_t up_end = 0;  // where the down lane's output starts
 
     for (std::size_t li = 0; li < 2; ++li) {
       const auto& lane = lanes[li];
@@ -352,9 +350,8 @@ Emission ConstantRatePadding::emit(const RoutedHome& home, double intensity,
           --r;
         }
       }
-      if (up) up_end = runs.size();
     }
-    merge_sorted_tail(runs, up_end);  // the down lane into the up lane
+    sort_by_time(runs);  // the down lane into the up lane
     shaped_bytes += total_bytes(runs);
   }
   out.added_bytes = shaped_bytes - raw_bytes;
@@ -390,7 +387,7 @@ Emission StochasticCoverTraffic::emit(const RoutedHome& home,
       t += rng.exponential(rate);
     }
     // Requests are in time order; a reply can land after the next request.
-    merge_sorted_tail(cover, 0);
+    sort_by_time(cover);
   }
   return out;
 }
@@ -422,7 +419,7 @@ Emission DecoyFlows::emit(const RoutedHome& home, double intensity,
     }
     packets.resize(kept);
     for (const auto& p : packets) out.added_bytes += p.size_bytes;
-    merge_sorted_tail(packets, 0);  // the decoy's processes, interleaved
+    sort_by_time(packets);  // the decoy's processes, interleaved
   }
   return out;
 }

@@ -139,7 +139,7 @@ std::size_t shaped_size(const RoutedHome& home, const Emission& emission);
 ///     the capture from that emission: the capture's packets that stay
 ///     (kept devices' and nobody's, with dropped devices' replacements in
 ///     place), then each device's added or new stream in roster order,
-///     merged stably by time (DESIGN.md §18). So output order equals
+///     sorted stably by time (DESIGN.md §18). So output order equals
 ///     `sort_by_time` of the defense's emission sequence (passed-through
 ///     packets first, then generated ones, so ties keep emission order);
 ///   * all randomness comes from `rng`, drawn device after device in

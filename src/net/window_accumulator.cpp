@@ -1,6 +1,7 @@
 #include "net/window_accumulator.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -262,22 +263,6 @@ void WindowAccumulator::restart(std::uint32_t device_ip) {
   rows_.clear();
 }
 
-void route_packets(std::span<const Packet> packets, const DeviceSlots& slots,
-                   std::span<WindowAccumulator> accumulators) {
-  double last_timestamp = -std::numeric_limits<double>::infinity();
-  for (const auto& p : packets) {
-    PMIOT_CHECK(p.timestamp_s >= last_timestamp,
-                "packets must arrive in timestamp order (use sort_by_time)");
-    last_timestamp = p.timestamp_s;
-    const int src = slots[p.src_ip];
-    const int dst = slots[p.dst_ip];
-    if (src >= 0) accumulators[static_cast<std::size_t>(src)].add(p);
-    if (dst >= 0 && dst != src) {
-      accumulators[static_cast<std::size_t>(dst)].add(p);
-    }
-  }
-}
-
 void PeerQueues::reset(std::size_t devices) {
   from_lower_.resize(std::max(from_lower_.size(), devices));
   from_higher_.resize(from_lower_.size());
@@ -307,27 +292,8 @@ void PeerQueues::feed(std::size_t d, std::span<const Packet> own,
   auto& higher = from_higher_[d];
   if (lower.size() > 1) sort_by_time(lower, sort_);
   if (higher.size() > 1) sort_by_time(higher, sort_);
-  std::size_t lo = 0, hi = 0;
-  // Everything of `lower` at or before t and of `higher` before t.
-  const auto feed_others = [&](double t) {
-    for (;;) {
-      const bool take_lo = lo < lower.size() && lower[lo].timestamp_s <= t;
-      const bool take_hi = hi < higher.size() && higher[hi].timestamp_s < t;
-      if (take_lo &&
-          (!take_hi || lower[lo].timestamp_s <= higher[hi].timestamp_s)) {
-        accumulator.add(lower[lo++]);
-      } else if (take_hi) {
-        accumulator.add(higher[hi++]);
-      } else {
-        return;
-      }
-    }
-  };
-  for (const auto& p : own) {
-    if (lo < lower.size() || hi < higher.size()) feed_others(p.timestamp_s);
-    accumulator.add(p);
-  }
-  feed_others(std::numeric_limits<double>::infinity());
+  merge_by_time(std::array<std::span<const Packet>, 3>{lower, own, higher},
+                [&](const Packet& p) { accumulator.add(p); });
 }
 
 }  // namespace pmiot::net

@@ -155,15 +155,6 @@ class WindowAccumulator {
   std::size_t made_ = 0;
 };
 
-/// Feeds a merged capture to per-device accumulators in one pass: each
-/// packet goes to the accumulator at its src device's slot and, if
-/// different, at its dst device's (a hub polling a registered peer counts
-/// for both), so each device reads its own packets in capture order. The
-/// order check covers every packet, whichever device it involves, so an
-/// unsorted capture throws as a whole-capture scan per device would.
-void route_packets(std::span<const Packet> packets, const DeviceSlots& slots,
-                   std::span<WindowAccumulator> accumulators);
-
 /// Windows a home device by device from its per-device streams (each the
 /// time-sorted packets one roster device emits), with no merged capture:
 /// `feed` gives a device exactly the packets of the capture that involve
@@ -179,8 +170,9 @@ class PeerQueues {
   /// (its slot in `slots`) is at one end of every packet.
   void add_stream(const DeviceSlots& slots, std::size_t e,
                   std::span<const Packet> stream);
-  /// Feeds `accumulator` device `d`'s stream `own` merged with what the
-  /// other streams sent it. Call after every stream has been added.
+  /// Feeds `accumulator` `merge_by_time` of what lower-indexed devices sent
+  /// device `d`, its own stream `own`, and what higher-indexed ones sent it.
+  /// Call after every stream has been added.
   void feed(std::size_t d, std::span<const Packet> own,
             WindowAccumulator& accumulator);
 

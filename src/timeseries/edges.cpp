@@ -36,13 +36,4 @@ std::vector<Edge> detect_edges(std::span<const double> xs, double min_delta) {
   return out;
 }
 
-std::size_t count_edges_in_range(const std::vector<Edge>& edges,
-                                 std::size_t first, std::size_t count) {
-  std::size_t n = 0;
-  for (const auto& e : edges) {
-    if (e.index >= first && e.index < first + count) ++n;
-  }
-  return n;
-}
-
 }  // namespace pmiot::ts

@@ -24,8 +24,4 @@ struct Edge {
 /// over a few samples reads as one appliance event).
 std::vector<Edge> detect_edges(std::span<const double> xs, double min_delta);
 
-/// Count of edges with |delta| >= min_delta inside [first, first+count).
-std::size_t count_edges_in_range(const std::vector<Edge>& edges,
-                                 std::size_t first, std::size_t count);
-
 }  // namespace pmiot::ts

@@ -180,7 +180,6 @@ TEST(Stats, MeanAndVariance) {
   EXPECT_DOUBLE_EQ(stats::mean(xs), 2.5);
   EXPECT_DOUBLE_EQ(stats::variance(xs), 1.25);
   EXPECT_DOUBLE_EQ(stats::stddev(xs), std::sqrt(1.25));
-  EXPECT_NEAR(stats::sample_variance(xs), 5.0 / 3.0, 1e-12);
 }
 
 TEST(Stats, EmptyRangesThrow) {
@@ -362,10 +361,6 @@ TEST(CivilTime, AddDaysAcrossBoundaries) {
 
 TEST(CivilTime, Formatting) {
   EXPECT_EQ(to_string(CivilDate{2017, 6, 5}), "2017-06-05");
-  EXPECT_EQ(minute_to_hhmm(0), "00:00");
-  EXPECT_EQ(minute_to_hhmm(605), "10:05");
-  EXPECT_EQ(minute_to_hhmm(1439), "23:59");
-  EXPECT_THROW(minute_to_hhmm(1440), InvalidArgument);
 }
 
 // --- Table ------------------------------------------------------------------

@@ -93,16 +93,7 @@ TEST(Fleet, MakeHomeIntoReusedBuffersMatchFreshMakeHome) {
       EXPECT_EQ(reused.devices[d].join_s, fresh.devices[d].join_s);
       EXPECT_EQ(reused.devices[d].leave_s, fresh.devices[d].leave_s);
     }
-    ASSERT_EQ(reused.packets.size(), fresh.packets.size()) << "home " << home;
-    for (std::size_t i = 0; i < fresh.packets.size(); ++i) {
-      const auto& p = reused.packets[i];
-      const auto& q = fresh.packets[i];
-      ASSERT_TRUE(p.timestamp_s == q.timestamp_s && p.src_ip == q.src_ip &&
-                  p.dst_ip == q.dst_ip && p.src_port == q.src_port &&
-                  p.dst_port == q.dst_port && p.protocol == q.protocol &&
-                  p.size_bytes == q.size_bytes)
-          << "home " << home << " packet " << i;
-    }
+    EXPECT_TRUE(reused.packets == fresh.packets) << "home " << home;
   }
 }
 
@@ -556,6 +547,25 @@ TEST(Fleet, RejectsEmptyPopulationAndBadRoster) {
   bad.min_devices = 5;
   bad.max_devices = 4;
   EXPECT_THROW(make_home(bad, 0), InvalidArgument);
+}
+
+TEST(Fleet, RejectsMoreDevicesThanHomeAddresses) {
+  // Device d gets instance d, and `make_device` takes instances below
+  // kMaxDeviceInstances, so a larger roster would throw from inside a
+  // `process_fleet` shard.
+  const auto& models = trained_models();
+  FleetOptions options;
+  options.homes = 4;
+  options.max_devices = net::kMaxDeviceInstances + 1;
+  EXPECT_THROW(FleetGateway(models.forest, models.detector, options),
+               InvalidArgument);
+  options.min_devices = 0;
+  options.max_devices = 4;
+  EXPECT_THROW(FleetGateway(models.forest, models.detector, options),
+               InvalidArgument);
+  options.min_devices = net::kMaxDeviceInstances;
+  options.max_devices = net::kMaxDeviceInstances;
+  EXPECT_NO_THROW(FleetGateway(models.forest, models.detector, options));
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "reference/decision_tree.h"
+#include "reference/kmeans.h"
 
 namespace pmiot::ml {
 namespace {
@@ -991,7 +992,7 @@ TEST(KMeans, OneDFastPathMatchesGeneralKernel) {
   for (int k : {1, 2, 3, 5}) {
     Rng rng_full(1234);
     Rng rng_fast(1234);
-    const KMeansResult full = kmeans(rows, k, rng_full);
+    const KMeansResult full = reference::kmeans(rows, k, rng_full);
     const KMeansResult fast = kmeans1d(xs, k, rng_fast);
     EXPECT_EQ(fast.centroids, full.centroids) << "k=" << k;
     EXPECT_EQ(fast.assignment, full.assignment) << "k=" << k;

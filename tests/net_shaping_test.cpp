@@ -36,23 +36,6 @@ namespace {
 
 using reference::extract_window_features;
 
-/// Field-by-field equality, timestamps compared bit for bit.
-bool same_packets(const std::vector<Packet>& a, const std::vector<Packet>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    if (std::bit_cast<std::uint64_t>(x.timestamp_s) !=
-            std::bit_cast<std::uint64_t>(y.timestamp_s) ||
-        x.src_ip != y.src_ip || x.dst_ip != y.dst_ip ||
-        x.src_port != y.src_port || x.dst_port != y.dst_port ||
-        x.protocol != y.protocol || x.size_bytes != y.size_bytes) {
-      return false;
-    }
-  }
-  return true;
-}
-
 HomeNetwork small_home(std::uint64_t seed = 11, double duration_s = 900.0) {
   Rng rng(seed);
   return simulate_home_network(1, duration_s, rng);
@@ -66,7 +49,7 @@ TEST(Shaping, IntensityZeroIsBitwisePassthrough) {
     const auto defense = make_traffic_defense(name);
     Rng rng(5);
     const auto shaped = defense->apply(home, 900.0, 0.0, rng);
-    EXPECT_TRUE(same_packets(shaped.packets, home.packets)) << name;
+    EXPECT_TRUE(shaped.packets == home.packets) << name;
     EXPECT_EQ(shaped.added_bytes, 0.0) << name;
     EXPECT_EQ(shaped.added_latency_s, 0.0) << name;
     EXPECT_EQ(shaped.delayed_packets, 0u) << name;
@@ -80,7 +63,7 @@ TEST(Shaping, SameSeedSameOutput) {
     Rng a(99), b(99);
     const auto first = defense->apply(home, 900.0, 0.6, a);
     const auto second = defense->apply(home, 900.0, 0.6, b);
-    EXPECT_TRUE(same_packets(first.packets, second.packets)) << name;
+    EXPECT_TRUE(first.packets == second.packets) << name;
     EXPECT_EQ(first.added_bytes, second.added_bytes) << name;
     EXPECT_EQ(first.added_latency_s, second.added_latency_s) << name;
   }
@@ -382,38 +365,6 @@ TEST(Arena, RecoveryFeaturesRejectOutOfOrderPackets) {
 
 // --- tail-merge shaping order -----------------------------------------------
 
-TEST(Shaping, MergeSortedTailEqualsFullStableSort) {
-  Rng rng(61);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 60));
-    std::vector<Packet> packets(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      // Few distinct timestamps, so most comparisons are ties; the port
-      // records the input position, exposing any stability difference.
-      packets[i].timestamp_s = static_cast<double>(rng.uniform_int(0, 5));
-      packets[i].src_port = static_cast<std::uint16_t>(i);
-    }
-    const auto prefix = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n)));
-    // Most trials sort the prefix (the fast path); the rest leave it as
-    // drawn, which is usually unsorted and takes the fallback.
-    if (trial % 4 != 0) {
-      std::stable_sort(packets.begin(),
-                       packets.begin() + static_cast<std::ptrdiff_t>(prefix),
-                       [](const Packet& a, const Packet& b) {
-                         return a.timestamp_s < b.timestamp_s;
-                       });
-    }
-    auto expected = packets;
-    sort_by_time(expected);
-    merge_sorted_tail(packets, prefix);
-    EXPECT_TRUE(same_packets(packets, expected))
-        << "trial " << trial << " (n " << n << ", prefix " << prefix << ")";
-  }
-  std::vector<Packet> two(2);
-  EXPECT_THROW(merge_sorted_tail(two, 3), InvalidArgument);
-}
-
 // --- hostile input ----------------------------------------------------------
 
 TEST(Shaping, RejectsHostileInputAboveIntensityZero) {
@@ -439,9 +390,17 @@ TEST(Shaping, RejectsHostileInputAboveIntensityZero) {
       EXPECT_THROW((void)defense->apply(*hostile, 900.0, 0.5, rng),
                    InvalidArgument)
           << name << ": " << what;
-      // θ = 0 checks nothing: the capture passes through as it is.
+      // θ = 0 checks nothing: the capture passes through as it is. A NaN
+      // is unequal to itself, so timestamps compare as bits.
       const auto kept = defense->apply(*hostile, 900.0, 0.0, rng);
-      EXPECT_TRUE(same_packets(kept.packets, hostile->packets))
+      EXPECT_TRUE(std::ranges::equal(
+          kept.packets, hostile->packets, [](Packet a, Packet b) {
+            const bool same_time =
+                std::bit_cast<std::uint64_t>(a.timestamp_s) ==
+                std::bit_cast<std::uint64_t>(b.timestamp_s);
+            a.timestamp_s = b.timestamp_s = 0.0;
+            return same_time && a == b;
+          }))
           << name << ": " << what;
     }
     Rng rng(3);
@@ -610,7 +569,7 @@ void expect_constant_rate_matches_oracle(const HomeNetwork& home,
       ConstantRatePadding().apply(home, duration_s, intensity, rng);
   const auto want = reference::constant_rate_padding(home, duration_s,
                                                      intensity, oracle_rng);
-  EXPECT_TRUE(same_packets(got.packets, want.packets)) << what;
+  EXPECT_TRUE(got.packets == want.packets) << what;
   EXPECT_EQ(got.original_bytes, want.original_bytes) << what;
   EXPECT_EQ(got.added_bytes, want.added_bytes) << what;
   EXPECT_EQ(got.added_latency_s, want.added_latency_s) << what;
@@ -920,6 +879,25 @@ TEST(Arena, RejectsBadOptions) {
   EXPECT_NO_THROW(validate(options));
 }
 
+TEST(Arena, ValidateRejectsWhatRunArenaWouldThrowOnLater) {
+  // `run_arena` would throw on these only inside its batches: an unknown
+  // attack when the panel is built, and 26 instances per type (208
+  // devices) in `make_device` during set-up.
+  auto options = tiny_arena();
+  options.attacks = {"naive-forest", "bogus"};
+  EXPECT_THROW(validate(options), InvalidArgument);
+  options = tiny_arena();
+  options.test_instances_per_type = kMaxDeviceInstances / kNumDeviceTypes + 1;
+  EXPECT_THROW(validate(options), InvalidArgument);
+  options = tiny_arena();
+  options.train_instances_per_type = kMaxDeviceInstances / kNumDeviceTypes + 1;
+  EXPECT_THROW(validate(options), InvalidArgument);
+  options = tiny_arena();
+  options.attacks = {"adaptive-knn"};
+  options.test_instances_per_type = kMaxDeviceInstances / kNumDeviceTypes;
+  EXPECT_NO_THROW(validate(options));
+}
+
 // --- per-device windows against the capture path ---------------------------
 
 /// Bitwise equality of two feature vectors.
@@ -1115,7 +1093,7 @@ TEST(HomeStreams, CaptureIsTheMergeOfThePerDeviceDraw) {
         EXPECT_EQ(got.devices[d].ip, want.devices[d].ip) << what;
         EXPECT_EQ(got.devices[d].type, want.devices[d].type) << what;
       }
-      EXPECT_TRUE(same_packets(got.packets, want.packets)) << what;
+      EXPECT_TRUE(got.packets == want.packets) << what;
       EXPECT_EQ(capture_rng.next(), streams_rng.next()) << what;
     }
   }
@@ -1162,9 +1140,7 @@ void expect_same_routing(const RoutedHome& got, const RoutedHome& want,
     EXPECT_EQ(got.home().devices[d].ip, want.home().devices[d].ip) << what;
     const auto g = got.stream(d);
     const auto w = want.stream(d);
-    EXPECT_TRUE(same_packets(std::vector<Packet>(g.begin(), g.end()),
-                             std::vector<Packet>(w.begin(), w.end())))
-        << what << " device " << d;
+    EXPECT_TRUE(std::ranges::equal(g, w)) << what << " device " << d;
   }
   EXPECT_EQ(got.stream_packets(), want.stream_packets()) << what;
   EXPECT_EQ(got.capture_size(), want.capture_size()) << what;
@@ -1397,6 +1373,17 @@ TEST(NetAxis, ParserRejectsBadInput) {
   EXPECT_THROW(campaign::parse_net_config("window_s = 0"), InvalidArgument);
   EXPECT_THROW(campaign::parse_net_config("duration_s = nope"),
                InvalidArgument);
+}
+
+TEST(NetAxis, ParserRejectsUnknownAttacksAndOversizedHomes) {
+  EXPECT_THROW(campaign::parse_net_config("attacks = bogus"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("test_instances = 26"),
+               InvalidArgument);
+  EXPECT_THROW(campaign::parse_net_config("train_instances = 26"),
+               InvalidArgument);
+  EXPECT_NO_THROW(campaign::parse_net_config(
+      "attacks = naive-forest, adaptive-knn\ntest_instances = 25"));
 }
 
 TEST(NetAxis, ParserRejectsHostileNumbers) {

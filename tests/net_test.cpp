@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "common/error.h"
@@ -201,6 +204,161 @@ TEST(SortByTime, CountsRunsOncePerCall) {
   registry.reset_values_for_testing();
   EXPECT_EQ(counted, 3u);
   EXPECT_EQ(counted_sorted, 1u);
+}
+
+// --- the tie-ordered run merge ---------------------------------------------
+
+/// What `merge_by_time` feeds from `runs`, in order.
+template <std::size_t N>
+std::vector<Packet> merged(const std::array<std::vector<Packet>, N>& runs) {
+  std::array<std::span<const Packet>, N> spans;
+  for (std::size_t r = 0; r < N; ++r) spans[r] = runs[r];
+  std::vector<Packet> out;
+  merge_by_time(spans, [&](const Packet& p) { out.push_back(p); });
+  return out;
+}
+
+/// `std::stable_sort` by time of the runs' concatenation.
+template <std::size_t N>
+std::vector<Packet> stable_sorted(
+    const std::array<std::vector<Packet>, N>& runs) {
+  std::vector<Packet> all;
+  for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Packet& a, const Packet& b) {
+                     return a.timestamp_s < b.timestamp_s;
+                   });
+  return all;
+}
+
+/// A sorted run of `n` packets on a coarse time grid, so many timestamps
+/// tie within it and with other runs; each packet carries its run in
+/// src_port and its position in size_bytes.
+std::vector<Packet> coarse_run(Rng& rng, std::size_t n, std::uint16_t run) {
+  std::vector<Packet> out;
+  double t = static_cast<double>(rng.uniform_int(0, 3));
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(Packet{t, make_ip(10, 0, 0, 10), make_ip(52, 20, 0, 1), run,
+                         443, Protocol::kTcp, static_cast<int>(i)});
+    if (rng.bernoulli(0.5)) t += static_cast<double>(rng.uniform_int(1, 2));
+  }
+  return out;
+}
+
+TEST(MergeByTime, EqualsStableSortOfTheConcatenation) {
+  Rng rng(77);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Sizes 0 to 12, a quarter of them empty runs.
+    const auto size = [&] {
+      return rng.bernoulli(0.25)
+                 ? std::size_t{0}
+                 : static_cast<std::size_t>(rng.uniform_int(1, 12));
+    };
+    const std::array<std::vector<Packet>, 3> three = {
+        coarse_run(rng, size(), 0), coarse_run(rng, size(), 1),
+        coarse_run(rng, size(), 2)};
+    EXPECT_EQ(merged(three), stable_sorted(three)) << "trial " << trial;
+    const std::array<std::vector<Packet>, 2> two = {
+        coarse_run(rng, size(), 0), coarse_run(rng, size(), 1)};
+    EXPECT_EQ(merged(two), stable_sorted(two)) << "trial " << trial;
+    const std::array<std::vector<Packet>, 1> one = {
+        coarse_run(rng, size(), 0)};
+    EXPECT_EQ(merged(one), one[0]) << "trial " << trial;
+  }
+}
+
+TEST(MergeByTime, TiesGoToTheEarlierRun) {
+  // Six packets at t = 1 across three runs: run 0's two, then run 1's
+  // two, then run 2's, each run's in its own order.
+  std::array<std::vector<Packet>, 3> runs = {
+      tagged({1.0, 1.0, 2.0}), tagged({1.0, 1.0}), tagged({0.0, 1.0, 1.0})};
+  for (std::uint16_t r = 0; r < 3; ++r) {
+    for (auto& p : runs[r]) p.src_port = r;
+  }
+  // (time, run, position in the run)
+  std::vector<std::tuple<double, int, int>> seen;
+  for (const auto& p : merged(runs)) {
+    seen.emplace_back(p.timestamp_s, p.src_port, p.size_bytes);
+  }
+  const std::vector<std::tuple<double, int, int>> want = {
+      {0.0, 2, 0}, {1.0, 0, 0}, {1.0, 0, 1}, {1.0, 1, 0},
+      {1.0, 1, 1}, {1.0, 2, 1}, {1.0, 2, 2}, {2.0, 0, 2}};
+  EXPECT_EQ(seen, want);
+  EXPECT_TRUE(merged(std::array<std::vector<Packet>, 3>{}).empty());
+}
+
+TEST(MergeByTime, AnUnsortedRunKeepsItsOrder) {
+  // Run 0 steps back in time; the merge keeps its order, so a sink that
+  // checks time order sees the step, as `WindowAccumulator::add` does.
+  const std::array<std::vector<Packet>, 2> runs = {tagged({5.0, 3.0}),
+                                                   tagged({4.0})};
+  std::vector<double> times;
+  for (const auto& p : merged(runs)) times.push_back(p.timestamp_s);
+  EXPECT_EQ(times, (std::vector<double>{4.0, 5.0, 3.0}));
+  const auto nan = std::numeric_limits<double>::quiet_NaN();
+  const std::array<std::vector<Packet>, 2> with_nan = {
+      tagged({1.0, nan, 2.0}), tagged({1.5})};
+  EXPECT_EQ(merged(with_nan).size(), 4u);  // every packet is fed once
+}
+
+TEST(Device, SimulateDeviceIntoIsTheSortedFilteredDraw) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng profile_rng(seed);
+    auto profile = make_device(
+        static_cast<DeviceType>(seed % kNumDeviceTypes), 3, profile_rng);
+    if (seed % 3 == 0) {
+      profile.infection = Infection::kScanner;
+      profile.infection_start_s = 200.0;
+    }
+    // A horizon that ends 5 ms into the first heartbeat (the first packet
+    // drawn), so its reply, 10 ms on, lands past it.
+    Rng probe_rng(seed);
+    std::vector<Packet> probe;
+    simulate_device_append(profile, 600.0, probe_rng, probe);
+    const double cut_s = probe.front().timestamp_s + 0.005;
+    struct Case {
+      double duration_s, join_s, leave_s;
+    };
+    const Case cases[] = {{600.0, 0.0, 600.0},
+                          {600.0, 120.0, 600.0},
+                          {600.0, 0.0, 450.0},
+                          {600.0, 90.0, 300.0},
+                          {cut_s, 0.0, cut_s}};
+    SortScratch sort;  // reused across every draw
+    for (const auto& c : cases) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " duration " +
+          std::to_string(c.duration_s) + " [" + std::to_string(c.join_s) +
+          ", " + std::to_string(c.leave_s) + ")";
+      Rng rng(seed), oracle_rng(seed);
+      std::vector<Packet> got(3);  // replaced, not appended to
+      simulate_device_into(profile, c.duration_s, c.join_s, c.leave_s, rng,
+                           got, sort);
+      std::vector<Packet> want;
+      simulate_device_append(profile, c.duration_s, oracle_rng, want);
+      if (c.join_s > 0.0 || c.leave_s < c.duration_s) {
+        std::erase_if(want, [&](const Packet& p) {
+          return p.timestamp_s < c.join_s || p.timestamp_s >= c.leave_s;
+        });
+      }
+      std::stable_sort(want.begin(), want.end(),
+                       [](const Packet& a, const Packet& b) {
+                         return a.timestamp_s < b.timestamp_s;
+                       });
+      ASSERT_FALSE(want.empty()) << what;
+      if (c.duration_s == cut_s) {
+        EXPECT_GE(want.back().timestamp_s, cut_s) << what;
+      }
+      ASSERT_EQ(got.size(), want.size()) << what;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].timestamp_s),
+                  std::bit_cast<std::uint64_t>(want[i].timestamp_s))
+            << what << " packet " << i;
+      }
+      EXPECT_EQ(got, want) << what;
+      EXPECT_EQ(rng.next(), oracle_rng.next()) << what;
+    }
+  }
 }
 
 TEST(Device, ProfilesDifferByType) {
@@ -615,19 +773,20 @@ TEST(WindowAccumulator, RejectsOutOfOrderPackets) {
 
 TEST(RoutePackets, RejectsOutOfOrderPacketsOfUnroutedHosts) {
   // The second packet involves no registered device, so no accumulator
-  // sees it; the capture is still unsorted and must be refused.
+  // sees it; the capture is still unsorted and must be refused. Routing
+  // reads no model, so untrained ones do.
   const auto dev = make_ip(10, 0, 0, 10);
   const auto stranger = make_ip(10, 0, 0, 77);
   const auto cloud = make_ip(52, 20, 0, 1);
-  DeviceSlots slots;
-  slots.add(dev);
-  std::vector<WindowAccumulator> accumulators;
-  accumulators.emplace_back(dev, 600.0);
+  const ml::RandomForest forest;
+  const AnomalyDetector detector;
+  SmartGateway gateway(forest, detector, GatewayOptions{});
+  gateway.register_device(dev, "dev");
   const std::vector<Packet> packets = {
       {100.0, dev, cloud, 1, 443, Protocol::kTcp, 100},
       {50.0, stranger, cloud, 1, 443, Protocol::kTcp, 100},
       {200.0, dev, cloud, 1, 443, Protocol::kTcp, 100}};
-  EXPECT_THROW(route_packets(packets, slots, accumulators), InvalidArgument);
+  EXPECT_THROW(gateway.extract_rows(packets, 600.0), InvalidArgument);
 }
 
 // Flow-heavy traffic for `dev` over [0, windows · window_s): runs of one
@@ -829,8 +988,8 @@ TEST(Fingerprint, RoutedRowsMatchPerDeviceWholeCaptureScans) {
 }
 
 /// The fingerprint set as it was built from a merged capture: the whole
-/// home simulated and sorted into one capture, then `route_packets` to one
-/// accumulator per roster device.
+/// home simulated and sorted into one capture, then each packet given to
+/// the accumulators of its roster endpoints, src then dst.
 ml::Dataset capture_path_dataset(const FingerprintOptions& options,
                                  Rng& rng) {
   const auto home = simulate_home_network(options.instances_per_type,
@@ -841,7 +1000,14 @@ ml::Dataset capture_path_dataset(const FingerprintOptions& options,
     slots.add(device.ip);
     accumulators.emplace_back(device.ip, options.window_s);
   }
-  route_packets(home.packets, slots, accumulators);
+  for (const auto& p : home.packets) {
+    const int src = slots[p.src_ip];
+    const int dst = slots[p.dst_ip];
+    if (src >= 0) accumulators[static_cast<std::size_t>(src)].add(p);
+    if (dst >= 0 && dst != src) {
+      accumulators[static_cast<std::size_t>(dst)].add(p);
+    }
+  }
   ml::Dataset data;
   for (std::size_t d = 0; d < home.devices.size(); ++d) {
     for (auto& row : accumulators[d].finish(options.duration_s)) {

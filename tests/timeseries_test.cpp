@@ -202,15 +202,6 @@ TEST(Edges, ThresholdFiltersSmallChanges) {
   EXPECT_THROW(detect_edges(xs, 0.0), InvalidArgument);
 }
 
-TEST(Edges, CountInRange) {
-  const std::vector<double> xs{0, 2, 0, 2, 0, 2, 0};
-  const auto edges = detect_edges(xs, 1.0);
-  ASSERT_EQ(edges.size(), 6u);
-  EXPECT_EQ(count_edges_in_range(edges, 0, 3), 2u);  // edges at indices 1, 2
-  EXPECT_EQ(count_edges_in_range(edges, 0, xs.size()), edges.size());
-  EXPECT_EQ(count_edges_in_range(edges, 100, 10), 0u);
-}
-
 TEST(AsciiPlot, ProducesExpectedShape) {
   std::vector<double> xs(100, 0.0);
   for (std::size_t i = 40; i < 60; ++i) xs[i] = 3.0;
